@@ -3,10 +3,25 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from .suites import SUITE_IDS, Campaign, all_passed, emit
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -21,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--seed", type=int, default=0,
                         help="campaign seed (the G2CALC_SEED variable wins)")
-    verify.add_argument("--samples", type=int, default=1000,
+    verify.add_argument("--samples", type=positive_int, default=1000,
                         help="random trials per suite")
     verify.add_argument("--suite", action="append", dest="suites",
                         choices=list(SUITE_IDS), metavar="NAME",
@@ -29,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
                              f"(one of: {', '.join(SUITE_IDS)})")
     verify.add_argument("--format", choices=("json", "text"), default="text",
                         help="output format")
-    verify.add_argument("--tol-rel", type=float, default=1e-9,
+    verify.add_argument("--tol-rel", type=tolerance, default=1e-9,
                         help="tolerance for exact identities on random data")
-    verify.add_argument("--tol-identity", type=float, default=1e-8,
+    verify.add_argument("--tol-identity", type=tolerance, default=1e-8,
                         help="tolerance for identities evaluated at solutions")
     return parser
 

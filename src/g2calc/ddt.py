@@ -32,8 +32,9 @@ from .forms import (
     rel_residual,
     sharp2,
     wedge,
+    wedge_matrix,
 )
-from .g2 import G2Data, TwoFormSplit, metric_from_three_form, project2, standard_g2
+from .g2 import G2Data, metric_from_three_form, project2, standard_g2
 
 SOLUTION_TOL = 1e-9
 DEGENERATE_TOL = 1e-10
@@ -349,10 +350,7 @@ def wedge_injectivity(f: KForm, data: G2Data | None = None) -> tuple[int, float]
     if data is None:
         data = standard_g2()
     _require_flux(f)
-    columns = np.column_stack(
-        [wedge(f, KForm(7, 2, e)).coeffs for e in np.eye(21)]
-    )
-    singular = np.linalg.svd(columns, compute_uv=False)
+    singular = np.linalg.svd(wedge_matrix(f, 2), compute_uv=False)
     top = singular.max(initial=0.0)
     rank = int(np.count_nonzero(singular > RANK_CUTOFF * top)) if top > 0 else 0
     cube_norm = form_norm(wedge(wedge(f, f), f), data.metric)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 import scipy.linalg
@@ -34,6 +34,7 @@ from .forms import (
     pullback,
     rel_residual,
     wedge,
+    _skew,
 )
 
 ONE_ONE_TOL = 1e-8
@@ -47,14 +48,6 @@ def _wedge_power(a: KForm, k: int) -> KForm:
     for _ in range(k - 1):
         out = wedge(out, a)
     return out
-
-
-def _skew_matrix(f: KForm) -> np.ndarray:
-    mat = np.zeros((f.dim, f.dim), dtype=f.coeffs.dtype)
-    for pos, (i, j) in enumerate(multi_indices(f.dim, 2)):
-        mat[i, j] = f.coeffs[pos]
-        mat[j, i] = -f.coeffs[pos]
-    return mat
 
 
 def _wrap_angle(theta: float) -> float:
@@ -83,9 +76,7 @@ class HermitianPoint:
             raise ValueError("matrix does not square to minus the identity")
         if rel_residual(jm.T @ g @ jm, g) > FRAME_TOL:
             raise ValueError("complex structure is not an isometry of the metric")
-        omega = KForm(2 * self.n, 2, np.array(
-            [(jm.T @ g)[i, j] for i, j in multi_indices(2 * self.n, 2)]
-        ))
+        omega = KForm(2 * self.n, 2, (jm.T @ g)[np.triu_indices(2 * self.n, 1)])
         top = _wedge_power(omega, self.n)
         vol = float(factorial(self.n)) * self.metric.volume_form()
         if rel_residual(top.coeffs, vol.coeffs) > ONE_ONE_TOL:
@@ -206,14 +197,18 @@ class NormalForm:
     def v_form(self, i: int) -> KForm:
         return KForm(2 * self.point.n, 1, self.coframe[2 * i + 1])
 
+    def diagonal(self, weights) -> KForm:
+        """The two-form sum_i weights[i] u^i ^ v^i in this frame."""
+        out = KForm.zero(2 * self.point.n, 2)
+        for i, w in enumerate(weights):
+            out = out + w * wedge(self.u_form(i), self.v_form(i))
+        return out
+
     @property
     def omega_nabla(self) -> KForm:
         """The descendant two-form sum_i (1 + lambda_i^2) u^i ^ v^i."""
         if "omega_nabla" not in self._cache:
-            out = KForm.zero(2 * self.point.n, 2)
-            for i, lam in enumerate(self.lambdas):
-                out = out + (1.0 + lam * lam) * wedge(self.u_form(i), self.v_form(i))
-            self._cache["omega_nabla"] = out
+            self._cache["omega_nabla"] = self.diagonal(1.0 + np.square(self.lambdas))
         return self._cache["omega_nabla"]
 
     @property
@@ -251,7 +246,7 @@ def normal_form(point: HermitianPoint, f: KForm | None = None,
     if one_one_residual(point, f) > tol:
         raise ValueError("form is not of type (1,1) at this tolerance")
     q = point.frame
-    a = _skew_matrix(f)
+    a = _skew(f)
     af = q.T @ a @ q
     idx = np.arange(n)
     h = af[2 * idx[:, None], 2 * idx[None, :] + 1] + 1j * af[2 * idx[:, None], 2 * idx[None, :]]
@@ -270,10 +265,7 @@ def normal_form(point: HermitianPoint, f: KForm | None = None,
     lambdas = np.array([lam for lam, _, _ in pairs])
     frame = np.column_stack([vec for _, uvec, vvec in pairs for vec in (uvec, vvec)])
     nf = NormalForm(point, lambdas, frame)
-    want = KForm.zero(2 * n, 2)
-    for i, lam in enumerate(lambdas):
-        want = want + lam * wedge(nf.u_form(i), nf.v_form(i))
-    if rel_residual(want.coeffs, f.coeffs) > tol:
+    if rel_residual(nf.diagonal(lambdas).coeffs, f.coeffs) > tol:
         raise ValueError("normal form reconstruction failed at this tolerance")
     return nf
 

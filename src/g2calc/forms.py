@@ -23,9 +23,8 @@ import numpy as np
 
 MAX_DIM = 8
 
-# Default comparison tolerances.  Residuals are measured relative to the
-# larger operand norm; operands below the floor are compared absolutely.
-REL_TOL = 1e-9
+# Residuals are measured relative to the larger operand norm; operands
+# below this floor are compared absolutely.
 ABS_FLOOR = 1e-12
 
 
@@ -55,13 +54,6 @@ def _positions(n: int, k: int) -> dict[tuple[int, ...], int]:
     return {idx: pos for pos, idx in enumerate(multi_indices(n, k))}
 
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    # Parity of the shuffle sorting the concatenation of two disjoint
-    # increasing tuples.
-    swaps = sum(1 for a in left for b in right if a > b)
-    return -1 if swaps % 2 else 1
-
-
 @lru_cache(maxsize=None)
 def _wedge_table(n: int, k: int, l: int):
     rows_a, rows_b, rows_out, signs = [], [], [], []
@@ -74,7 +66,7 @@ def _wedge_table(n: int, k: int, l: int):
             rows_a.append(ia)
             rows_b.append(ib)
             rows_out.append(pos_out[tuple(sorted(idx_a + idx_b))])
-            signs.append(_merge_sign(idx_a, idx_b))
+            signs.append(_permutation_sign(idx_a + idx_b))
     return (
         np.array(rows_a, dtype=np.intp),
         np.array(rows_b, dtype=np.intp),
@@ -111,8 +103,16 @@ def _complement_table(n: int, k: int):
     for ia, idx in enumerate(multi_indices(n, k)):
         comp = tuple(sorted(set(range(n)) - set(idx)))
         dst[ia] = pos_out[comp]
-        signs[ia] = _merge_sign(idx, comp)
+        signs[ia] = _permutation_sign(idx + comp)
     return dst, signs
+
+
+def exterior_power(a: np.ndarray, k: int) -> np.ndarray:
+    """The k-th exterior power of a square matrix: minors det a[I, J] over k-tuples."""
+    if k == 0:
+        return np.ones((1, 1))
+    combos = np.array(multi_indices(a.shape[0], k), dtype=np.intp)
+    return np.linalg.det(a[combos[:, None, :, None], combos[None, :, None, :]])
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,6 @@ class KForm:
 
     __rmul__ = __mul__
 
-    def isclose(self, other: "KForm", rel: float = REL_TOL, floor: float = ABS_FLOOR) -> bool:
-        self._require_like(other, "compare")
-        return rel_residual(self.coeffs, other.coeffs, floor) <= rel
-
 
 def _permutation_sign(given: tuple[int, ...]) -> int:
     inversions = sum(
@@ -255,13 +251,7 @@ class Metric:
         """Gram matrix of the induced inner product on grade-k coefficients."""
         key = ("gram_forms", k)
         if key not in self._cache:
-            if k == 0:
-                mat = np.ones((1, 1))
-            else:
-                combos = np.array(multi_indices(self.dim, k), dtype=np.intp)
-                sub = self.gram_inv[combos[:, None, :, None], combos[None, :, None, :]]
-                mat = np.linalg.det(sub)
-            self._cache[key] = mat
+            self._cache[key] = exterior_power(self.gram_inv, k)
         return self._cache[key]
 
     def hodge_matrix(self, k: int) -> np.ndarray:
@@ -318,18 +308,25 @@ class LinearMap:
         """Matrix D with (L* alpha)[J] = sum_I alpha[I] D[I, J] on grade k."""
         key = ("pullback", k)
         if key not in self._cache:
-            if k == 0:
-                self._cache[key] = np.ones((1, 1))
-            else:
-                combos = np.array(multi_indices(self.dim, k), dtype=np.intp)
-                sub = self.matrix[combos[:, None, :, None], combos[None, :, None, :]]
-                self._cache[key] = np.linalg.det(sub)
+            self._cache[key] = exterior_power(self.matrix, k)
         return self._cache[key]
 
 
 def _require_same_dim(a: KForm, b: KForm) -> None:
     if a.dim != b.dim:
         raise ValueError(f"forms live on different spaces: R^{a.dim} vs R^{b.dim}")
+
+
+def wedge_matrix(a: KForm, l: int) -> np.ndarray:
+    """Matrix of beta -> a ^ beta from grade l to grade a.grade + l, zero past the top."""
+    n, k = a.dim, a.grade
+    if k + l > n:
+        return np.zeros((1, comb(n, l)), dtype=a.coeffs.dtype)
+    ia, ib, out, signs = _wedge_table(n, k, l)
+    mat = np.zeros((comb(n, k + l), comb(n, l)), dtype=a.coeffs.dtype)
+    # Each (out, ib) pair occurs once: the multi-index of a is out minus ib.
+    mat[out, ib] = signs * a.coeffs[ia]
+    return mat
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -388,6 +385,14 @@ def sharp(a: KForm, m: Metric) -> np.ndarray:
     return np.linalg.solve(m.gram, a.coeffs)
 
 
+def _skew(f: KForm) -> np.ndarray:
+    """The skew matrix A[i, j] = f(e_i, e_j) = (i(e_i) f)_j of a 2-form, in f's dtype."""
+    vec_idx, src, dst, signs = _interior_table(f.dim, 2)
+    mat = np.zeros((f.dim, f.dim), dtype=f.coeffs.dtype)
+    mat[vec_idx, dst] = signs * f.coeffs[src]
+    return mat
+
+
 def sharp2(f: KForm, m: Metric) -> LinearMap:
     """The endomorphism F# of a 2-form F, with g(F#(u), v) = F(u, v).
 
@@ -397,12 +402,7 @@ def sharp2(f: KForm, m: Metric) -> LinearMap:
     _require_metric(f, m)
     if f.grade != 2:
         raise ValueError(f"sharp2 expects a 2-form, got grade {f.grade}")
-    n = f.dim
-    mat = np.zeros((n, n))
-    for pos, (i, j) in enumerate(multi_indices(n, 2)):
-        mat[i, j] = f.coeffs[pos]
-        mat[j, i] = -f.coeffs[pos]
-    return LinearMap(n, np.linalg.solve(m.gram, -mat))
+    return LinearMap(f.dim, np.linalg.solve(m.gram, -_skew(f)))
 
 
 def pullback(L: LinearMap, a: KForm) -> KForm:

@@ -20,6 +20,7 @@ eigensolver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .forms import (
     interior,
     rel_residual,
     wedge,
+    wedge_matrix,
 )
 
 PHI_MONOMIALS = (
@@ -96,13 +98,12 @@ def metric_from_three_form(phi: KForm) -> Metric:
     """
     if (phi.dim, phi.grade) != (7, 3):
         raise ValueError("expected a 3-form on R^7")
-    basis = np.eye(7)
-    contractions = [interior(basis[i], phi) for i in range(7)]
-    raw = np.empty((7, 7))
-    for i in range(7):
-        for j in range(i, 7):
-            top = wedge(wedge(contractions[i], contractions[j]), phi)
-            raw[i, j] = raw[j, i] = top.coeffs[0] / 6.0
+    # B = M^T P M / 6, where M has the columns i(e_i)phi and
+    # P[a, b] = e_a ^ e_b ^ phi / vol = <e_a, star(phi ^ e_b)> in the
+    # euclidean metric, whose star on 5-forms only moves and signs rows.
+    contractions = np.column_stack([interior(e, phi).coeffs for e in np.eye(7)])
+    pairing = euclidean_metric(7).hodge_matrix(5) @ wedge_matrix(phi, 2)
+    raw = contractions.T @ pairing @ contractions / 6.0
     eigs = np.linalg.eigvalsh(raw)
     if eigs.min() * eigs.max() <= 0 or abs(eigs).min() < 1e-12 * abs(eigs).max():
         raise ValueError("not a G2 structure: induced bilinear form is not definite")
@@ -116,18 +117,12 @@ def g2_bundle(phi: KForm) -> G2Data:
     metric = metric_from_three_form(phi)
     star_phi = hodge(phi, metric)
 
-    basis = np.eye(7)
-    basis2_7 = np.column_stack([interior(basis[i], phi).coeffs for i in range(7)])
-    basis3_7 = np.column_stack([interior(basis[i], star_phi).coeffs for i in range(7)])
+    basis2_7 = np.column_stack([interior(e, phi).coeffs for e in np.eye(7)])
+    basis3_7 = np.column_stack([interior(e, star_phi).coeffs for e in np.eye(7)])
 
     # alpha -> star(phi ^ alpha) on 2-forms has eigenvalue 2 on the 7-part
     # and -1 on the 14-part, so both projections are linear in the operator.
-    wedge_op = np.column_stack(
-        [
-            hodge(wedge(phi, KForm(7, 2, col)), metric).coeffs
-            for col in np.eye(21)
-        ]
-    )
+    wedge_op = metric.hodge_matrix(5) @ wedge_matrix(phi, 2)
     eye2 = np.eye(21)
     proj2_7 = (wedge_op + eye2) / 3.0
     proj2_14 = (2.0 * eye2 - wedge_op) / 3.0
@@ -153,14 +148,10 @@ def g2_bundle(phi: KForm) -> G2Data:
     )
 
 
-_STANDARD: list[G2Data] = []
-
-
+@lru_cache(maxsize=None)
 def standard_g2() -> G2Data:
     """The shared package for the standard flat structure."""
-    if not _STANDARD:
-        _STANDARD.append(g2_bundle(_from_monomials(3, PHI_MONOMIALS)))
-    return _STANDARD[0]
+    return g2_bundle(_from_monomials(3, PHI_MONOMIALS))
 
 
 def standard_star_phi() -> KForm:

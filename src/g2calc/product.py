@@ -24,6 +24,7 @@ from .forms import (
     pullback,
     rel_residual,
     wedge,
+    _positions,
 )
 from .g2 import G2Data, g2_bundle
 from .ddt import ddt_residual, is_solution
@@ -39,6 +40,15 @@ from .dhym import (
 PRODUCT_TOL = 1e-8
 
 
+@lru_cache(maxsize=None)
+def _shifted(k: int, dx: bool = False) -> np.ndarray:
+    """Position on R^7 of each k-tuple on R^6 shifted up by one, after 0 if dx."""
+    head = (0,) if dx else ()
+    pos7 = _positions(7, len(head) + k)
+    return np.array([pos7[head + tuple(i + 1 for i in idx)] for idx in multi_indices(6, k)],
+                    dtype=np.intp)
+
+
 def lift(a: KForm, with_dx: bool = False) -> KForm:
     """Embed a form on the threefold into seven dimensions, spanning index 0.
 
@@ -47,12 +57,9 @@ def lift(a: KForm, with_dx: bool = False) -> KForm:
     """
     if a.dim != 6:
         raise ValueError(f"expected a form on R^6, got R^{a.dim}")
-    k = a.grade
-    pos7 = {idx: i for i, idx in enumerate(multi_indices(7, k))}
-    out = np.zeros(comb(7, k), dtype=a.coeffs.dtype)
-    for pos, idx in enumerate(multi_indices(6, k)):
-        out[pos7[tuple(i + 1 for i in idx)]] = a.coeffs[pos]
-    lifted = KForm(7, k, out)
+    out = np.zeros(comb(7, a.grade), dtype=a.coeffs.dtype)
+    out[_shifted(a.grade)] = a.coeffs
+    lifted = KForm(7, a.grade, out)
     if with_dx:
         return wedge(KForm.monomial(7, (0,)), lifted)
     return lifted
@@ -65,16 +72,7 @@ def dx_split(a: KForm) -> tuple[KForm, KForm]:
     k = a.grade
     if not 1 <= k <= 6:
         raise ValueError(f"grade must lie in 1..6 to split, got {k}")
-    pos_low = {idx: i for i, idx in enumerate(multi_indices(6, k - 1))}
-    pos_same = {idx: i for i, idx in enumerate(multi_indices(6, k))}
-    low = np.zeros(comb(6, k - 1), dtype=a.coeffs.dtype)
-    same = np.zeros(comb(6, k), dtype=a.coeffs.dtype)
-    for pos, idx in enumerate(multi_indices(7, k)):
-        if idx[0] == 0:
-            low[pos_low[tuple(i - 1 for i in idx[1:])]] = a.coeffs[pos]
-        else:
-            same[pos_same[tuple(i - 1 for i in idx)]] = a.coeffs[pos]
-    return KForm(6, k - 1, low), KForm(6, k, same)
+    return KForm(6, k - 1, a.coeffs[_shifted(k - 1, True)]), KForm(6, k, a.coeffs[_shifted(k)])
 
 
 @dataclass(frozen=True)
@@ -221,9 +219,6 @@ def zero_phase_flux(rng: np.random.Generator, su3: SU3Point,
         if abs(l1 * l2) < 0.99:
             break
     l3 = -(l1 + l2) / (1.0 - l1 * l2)
-    base = NormalForm(su3.point, np.zeros(3), su3.point.frame)
-    diag = KForm.zero(6, 2)
-    for i, lam in enumerate((l1, l2, l3)):
-        diag = diag + lam * wedge(base.u_form(i), base.v_form(i))
+    diag = NormalForm(su3.point, np.zeros(3), su3.point.frame).diagonal((l1, l2, l3))
     rotation = random_unitary_rotation(rng, su3.point)
     return pullback(rotation, diag)

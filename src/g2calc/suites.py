@@ -8,8 +8,8 @@ same campaign twice produces byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from math import comb, pi, sqrt
+from dataclasses import dataclass
+from math import comb, isfinite, isnan, pi, sqrt
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .forms import (
     rel_residual,
     wedge,
 )
-from .g2 import G2Data, g2_bundle, identity_battery, standard_g2
+from .g2 import g2_bundle, identity_battery, standard_g2
 from .product import correspondence_check, standard_su3, zero_phase_flux
 from .torus import adjoint_check, harmonic_dim
 
@@ -65,6 +65,17 @@ SUITE_IDS: dict[str, int] = {
 }
 
 MAX_WITNESSES = 5
+
+
+def _strict(value):
+    """Replace non-finite floats by "NaN", "Infinity" and "-Infinity"."""
+    if isinstance(value, float) and not isfinite(value):
+        return "NaN" if isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def _plain(value):
@@ -116,9 +127,12 @@ class _Recorder:
             self.witnesses.append({k: _plain(v) for k, v in entry.items()})
 
     def check(self, label: str, residual: float, tol: float, **info) -> None:
+        # A non-finite residual always fails, and the first one stays the worst.
         residual = float(residual)
-        self.worst = max(self.worst, residual)
-        if residual <= tol:
+        finite = isfinite(residual)
+        if isfinite(self.worst) and (not finite or residual > self.worst):
+            self.worst = residual
+        if finite and residual <= tol:
             self.passed += 1
         else:
             self._fail({"check": label, "residual": residual, "tolerance": tol, **info})
@@ -535,12 +549,13 @@ def all_passed(reports) -> bool:
 def emit(reports, fmt: str = "json", campaign: Campaign | None = None) -> bytes:
     """Serialise reports; identical inputs give identical bytes.
 
-    The json payload is the array of report objects.  The text rendering
-    prepends a campaign header when one is supplied.
+    The json payload is the array of report objects; non-finite floats are
+    written as "NaN", "Infinity" and "-Infinity", so it is strict JSON.
+    The text rendering prepends a campaign header when one is supplied.
     """
     if fmt == "json":
-        payload = [r.to_dict() for r in reports]
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        payload = _strict([r.to_dict() for r in reports])
+        return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
     if fmt == "text":
         lines = []
         if campaign is not None:
@@ -554,7 +569,8 @@ def emit(reports, fmt: str = "json", campaign: Campaign | None = None) -> bytes:
                 f"worst={rep.worst_residual:.3e}"
             )
             for witness in rep.witnesses:
-                lines.append(f"  witness {json.dumps(witness, sort_keys=True)}")
+                strict = json.dumps(_strict(witness), sort_keys=True, allow_nan=False)
+                lines.append(f"  witness {strict}")
         status = "PASS" if all_passed(reports) else "FAIL"
         lines.append(f"overall: {status}")
         return ("\n".join(lines) + "\n").encode()

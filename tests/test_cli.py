@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from g2calc import suites
 from g2calc.cli import build_parser, main
 
 
@@ -30,6 +31,33 @@ class TestParser:
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["verify", "--suite", "bogus"])
+
+    def test_zero_tolerance_accepted(self):
+        args = build_parser().parse_args(
+            ["verify", "--tol-rel", "0", "--tol-identity", "0.0"]
+        )
+        assert (args.tol_rel, args.tol_identity) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "0"),
+        ("--samples", "-3"),
+        ("--samples", "many"),
+        ("--tol-rel", "nan"),
+        ("--tol-rel", "-1"),
+        ("--tol-rel", "inf"),
+        ("--tol-identity", "-inf"),
+        ("--tol-identity", "NaN"),
+        ("--tol-identity", "-1e-8"),
+    ])
+    def test_bad_value_is_a_usage_error(self, flag, value, capsys, monkeypatch):
+        monkeypatch.delenv("G2CALC_SEED", raising=False)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--suite", "propD1", f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert flag in captured.err
 
 
 class TestMain:
@@ -71,6 +99,24 @@ class TestMain:
         captured = capsysbinary.readouterr()
         assert code == 2
         assert b"G2CALC_SEED" in captured.err
+
+    def test_json_output_is_strict(self, capsysbinary, monkeypatch):
+        # A NaN residual fails the run and is written as the string "NaN".
+        monkeypatch.delenv("G2CALC_SEED", raising=False)
+        monkeypatch.setattr(suites, "rel_residual", lambda *args: float("nan"))
+        code, out = run_main(
+            ["verify", "--samples", "2", "--suite", "propD1", "--format", "json"],
+            capsysbinary,
+        )
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert code == 1
+        assert payload[0]["failed"] == 2
+        assert payload[0]["worst_residual"] == "NaN"
+        assert {w["residual"] for w in payload[0]["witnesses"]} == {"NaN"}
 
     def test_text_output_is_deterministic(self, capsysbinary, monkeypatch):
         monkeypatch.delenv("G2CALC_SEED", raising=False)

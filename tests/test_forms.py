@@ -1,5 +1,7 @@
 """Unit tests for the exterior algebra layer."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from g2calc.forms import (
     LinearMap,
     Metric,
     euclidean_metric,
+    exterior_power,
     flat,
     form_inner,
     form_norm,
@@ -21,7 +24,9 @@ from g2calc.forms import (
     sharp,
     sharp2,
     wedge,
+    wedge_matrix,
 )
+from g2calc.g2 import metric_from_three_form, standard_g2
 
 from support import evaluate, evaluate_wedge, random_form, random_metric, random_vector
 
@@ -438,3 +443,65 @@ class TestMetricValidation:
         g = 4.0 * np.eye(2)
         m = Metric(2, g, -1)
         assert m.volume_form().coeffs[0] == pytest.approx(-4.0, rel=1e-12)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_wedge_matrix_reproduces_wedge(self, n):
+        rng = np.random.default_rng(220 + n)
+        for k in range(n + 1):
+            for l in range(n + 1):
+                for imag in (0.0, 1.0):
+                    a = KForm(n, k, random_form(rng, n, k).coeffs
+                              + imag * 1j * rng.standard_normal(comb(n, k)))
+                    b = random_form(rng, n, l)
+                    want = wedge(a, b).coeffs
+                    got = wedge_matrix(a, l) @ b.coeffs
+                    assert got.shape == want.shape
+                    assert np.iscomplexobj(got) == np.iscomplexobj(a.coeffs)
+                    assert rel_residual(got, want) < 1e-13
+
+    def test_wedge_matrix_past_the_top_is_zero(self):
+        a = KForm.monomial(5, (0, 1, 2))
+        mat = wedge_matrix(a, 3)
+        assert mat.shape == (1, 10)
+        assert not mat.any()
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_exterior_power_is_multiplicative(self, n):
+        rng = np.random.default_rng(230 + n)
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for k in range(n + 1):
+            lhs = exterior_power(a @ b, k)
+            rhs = exterior_power(a, k) @ exterior_power(b, k)
+            assert lhs.shape == (comb(n, k), comb(n, k))
+            assert rel_residual(lhs, rhs) < 1e-10
+
+    def test_exterior_power_ends(self):
+        rng = np.random.default_rng(240)
+        a = rng.standard_normal((6, 6))
+        assert np.array_equal(exterior_power(a, 0), np.ones((1, 1)))
+        assert np.allclose(exterior_power(a, 1), a, rtol=0, atol=1e-14)
+        assert exterior_power(a, 6)[0, 0] == pytest.approx(np.linalg.det(a), rel=1e-12)
+
+    def test_metric_from_three_form_matches_double_wedges(self):
+        # B(u, v) vol = (1/6) i(u)phi ^ i(v)phi ^ phi, entry by entry.
+        rng = np.random.default_rng(250)
+        phi0 = standard_g2().phi
+        orientations = set()
+        for _ in range(25):
+            # Well-conditioned maps, with random reflections for both orientations.
+            signs = np.where(rng.random(7) < 0.5, -1.0, 1.0)
+            move = signs[:, None] * (np.eye(7) + 0.1 * rng.standard_normal((7, 7)))
+            phi = pullback(LinearMap(7, move), phi0)
+            contractions = [interior(e, phi) for e in np.eye(7)]
+            raw = np.array([[wedge(wedge(ci, cj), phi).coeffs[0] / 6.0
+                             for cj in contractions] for ci in contractions])
+            det = np.linalg.det(raw)
+            metric = metric_from_three_form(phi)
+            assert metric.orientation == (1 if det > 0 else -1)
+            assert rel_residual(metric.gram, raw / np.copysign(abs(det) ** (1 / 9), det)) < 1e-12
+            orientations.add(metric.orientation)
+        assert orientations == {1, -1}
+

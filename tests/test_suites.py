@@ -1,10 +1,23 @@
 """Campaign plumbing: determinism, ordering, witness capping, serialisation."""
 
 import json
+import math
 
 import pytest
 
-from g2calc.suites import MAX_WITNESSES, SUITE_IDS, Campaign, all_passed, emit
+from g2calc.suites import (
+    MAX_WITNESSES,
+    SUITE_IDS,
+    Campaign,
+    Report,
+    _Recorder,
+    all_passed,
+    emit,
+)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 FAST = ("appendixA", "appendixB", "propD1", "dhym", "product")
 
@@ -139,3 +152,40 @@ class TestEmit:
         campaign, reports = full_run
         with pytest.raises(ValueError, match="unknown format"):
             emit(reports, "yaml", campaign)
+
+
+class TestNonFinite:
+    def test_nan_residual_fails_and_stays_worst(self):
+        rec = _Recorder("x")
+        rec.check("a", float("nan"), 1e-9)
+        rec.check("b", 1e-12, 1e-9)
+        rec.check("c", float("inf"), 1e-9)
+        rep = rec.report()
+        assert (rep.passed, rep.failed) == (1, 2)
+        assert math.isnan(rep.worst_residual)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_residual_fails_and_is_worst(self, value):
+        rec = _Recorder("x")
+        rec.check("a", 1e-12, 1e-9)
+        rec.check("b", value, 1e-9)
+        rec.check("c", 0.5, 1.0)
+        rep = rec.report()
+        assert (rep.passed, rep.failed) == (2, 1)
+        assert rep.worst_residual == value
+
+    def test_json_names_non_finite_values(self):
+        report = Report(
+            suite="x", passed=0, failed=2, worst_residual=float("nan"),
+            witnesses=({"check": "a", "residual": float("inf")},
+                       {"check": "b", "residual": float("-inf")}),
+            details={"values": [1.0, float("nan")]},
+        )
+        payload = json.loads(emit([report], "json"), parse_constant=reject_constant)
+        assert payload[0]["worst_residual"] == "NaN"
+        assert [w["residual"] for w in payload[0]["witnesses"]] == ["Infinity", "-Infinity"]
+        assert payload[0]["details"]["values"] == [1.0, "NaN"]
+        for line in emit([report], "text").decode().splitlines():
+            if line.startswith("  witness "):
+                json.loads(line[len("  witness "):], parse_constant=reject_constant)
+

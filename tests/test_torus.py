@@ -7,6 +7,8 @@ from g2calc.forms import KForm, hodge, pullback, rel_residual, wedge
 from g2calc.g2 import g2_bundle, standard_g2
 from g2calc.ddt import graph_map
 from g2calc.torus import (
+    _coordinate_wedge,
+    _kernel_total,
     CohomologySummary,
     adjoint_check,
     betti_one,
@@ -144,3 +146,21 @@ class TestDimensionCounts:
     def test_summary_serialises(self):
         payload = harmonic_dim(1).to_dict()
         assert payload == {"cutoff": 1, "dim_check_H1": 7, "dim_H2": 0, "b1": 7}
+
+
+class TestKernelCounter:
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_known_kernel_oracle(self, cutoff):
+        # k ^ . on 1-forms is zero at k = 0 and has kernel span(k) at every
+        # other mode, so the box holds 7 + (side^7 - 1) kernel dimensions.
+        side = 2 * cutoff + 1
+        assert _kernel_total(_coordinate_wedge(7, 1), cutoff, 65536) == 7 + side**7 - 1
+
+    def test_coordinate_wedge_slices(self):
+        rng = np.random.default_rng(140)
+        for g in range(7):
+            beta = KForm(7, g, rng.standard_normal(_coordinate_wedge(7, g).shape[2]))
+            for j in range(7):
+                want = wedge(KForm.monomial(7, (j,)), beta).coeffs
+                assert np.array_equal(_coordinate_wedge(7, g)[j] @ beta.coeffs, want)
+
