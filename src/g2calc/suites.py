@@ -523,6 +523,10 @@ class Campaign:
             )
         if self.samples < 1:
             raise ValueError("samples must be positive")
+        for name in ("tol_rel", "tol_identity"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         ordered = tuple(sorted(set(self.suites), key=SUITE_IDS.__getitem__))
         object.__setattr__(self, "suites", ordered)
 

@@ -82,19 +82,50 @@ def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> ModeBlock:
     )
 
 
+_PAIRS = np.triu_indices(7)
+
+
+def _gram_form(tensor: np.ndarray) -> np.ndarray:
+    """Matrices q[p] with S(k)^H S(k) = sum over pairs p = (j <= l) of k_j k_l q[p].
+
+    The blocks are i times the real matrix sum k_j tensor[j], so the Gram
+    matrix is the real quadratic form sum_{j,l} k_j k_l T_j^T T_l: q[p] is
+    T_j^T T_j for j = l and T_j^T T_l + T_l^T T_j for j < l.
+    """
+    j, l = _PAIRS
+    full = np.einsum("jrc,lrd->jlcd", tensor, tensor)
+    return np.where((j == l)[:, None, None], full[j, l], full[j, l] + full[l, j])
+
+
+def _mode_grams(q: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """Gram matrices S^H S at each row of modes, from the table of _gram_form."""
+    j, l = _PAIRS
+    k = np.ascontiguousarray(modes.T, dtype=np.float64)
+    return ((k[j] * k[l]).T @ q.reshape(len(q), -1)).reshape(-1, *q.shape[1:])
+
+
 def _kernel_total(tensor: np.ndarray, cutoff: int, chunk: int) -> int:
-    """Sum per-mode kernel dimensions of i * sum k_j tensor[j] over the box."""
+    """Sum per-mode kernel dimensions of i * sum k_j tensor[j] over the box.
+
+    The Gram matrix is even in k, and k and -k sit at flat indices i and
+    total - 1 - i, so only the half from the centre (k = 0) on is evaluated:
+    the centre counts once and every other mode twice.
+    """
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
     side = 2 * cutoff + 1
     total = side**7
+    centre = total // 2
+    q = _gram_form(tensor)
     count = 0
-    for lo in range(0, total, chunk):
+    for lo in range(centre, total, chunk):
         flat = np.arange(lo, min(lo + chunk, total))
         modes = np.stack(np.unravel_index(flat, (side,) * 7), axis=1) - cutoff
-        # Blocks are i times a real matrix, so S^H S is real symmetric.
-        real = np.einsum("mj,jrc->mrc", modes.astype(np.float64), tensor)
-        gram = np.einsum("mrc,mrd->mcd", real, real)
-        eigs = np.linalg.eigvalsh(gram)
-        count += int(np.sum(eigs <= KERNEL_RTOL**2 * eigs[:, -1:]))
+        eigs = np.linalg.eigvalsh(_mode_grams(q, modes))
+        hits = np.sum(eigs <= KERNEL_RTOL**2 * eigs[:, -1:], axis=1)
+        count += int(hits @ np.where(flat == centre, 1, 2))
     return count
 
 

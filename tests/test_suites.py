@@ -52,6 +52,15 @@ class TestCampaign:
         with pytest.raises(ValueError, match="samples must be positive"):
             Campaign(seed=0, samples=0)
 
+    @pytest.mark.parametrize("name", ["tol_rel", "tol_identity"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_bad_tolerance_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            Campaign(seed=0, samples=3, suites=("propD1",), **{name: value})
+
+    def test_zero_tolerance_accepted(self):
+        assert Campaign(seed=0, tol_rel=0.0, tol_identity=0.0).tol_rel == 0.0
+
     def test_to_dict_round_trips_through_json(self):
         campaign = Campaign(seed=5, samples=10, suites=("dhym",))
         payload = json.loads(json.dumps(campaign.to_dict()))

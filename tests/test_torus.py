@@ -7,8 +7,12 @@ from g2calc.forms import KForm, hodge, pullback, rel_residual, wedge
 from g2calc.g2 import g2_bundle, standard_g2
 from g2calc.ddt import graph_map
 from g2calc.torus import (
+    KERNEL_RTOL,
+    _base_tensors,
     _coordinate_wedge,
+    _gram_form,
     _kernel_total,
+    _mode_grams,
     CohomologySummary,
     adjoint_check,
     betti_one,
@@ -28,6 +32,48 @@ def perturbed():
     G = standard_g2()
     f = KForm(7, 2, 0.1 * rng.standard_normal(21))
     return g2_bundle(pullback(graph_map(f, G), G.phi))
+
+
+def full_box_total(tensor, cutoff, chunk=65536):
+    """Reference counter: S^T S built directly at every mode of the box."""
+    side = 2 * cutoff + 1
+    total = side**7
+    count = 0
+    for lo in range(0, total, chunk):
+        flat = np.arange(lo, min(lo + chunk, total))
+        modes = np.stack(np.unravel_index(flat, (side,) * 7), axis=1) - cutoff
+        real = np.einsum("mj,jrc->mrc", modes.astype(np.float64), tensor)
+        gram = np.einsum("mrc,mrd->mcd", real, real)
+        eigs = np.linalg.eigvalsh(gram)
+        count += int(np.sum(eigs <= KERNEL_RTOL**2 * eigs[:, -1:]))
+    return count
+
+
+def check_tensor(data, c=1.0):
+    t, u = _base_tensors(data)
+    return np.concatenate([c * t, u[:, None, :]], axis=1)
+
+
+def b1_tensor(data):
+    _, u = _base_tensors(data)
+    return np.concatenate([_coordinate_wedge(7, 1), u[:, None, :]], axis=1)
+
+
+@pytest.fixture(scope="module")
+def tensors(G, perturbed):
+    return {
+        "known_kernel": _coordinate_wedge(7, 1),
+        "flat_check": check_tensor(G),
+        "flat_b1": b1_tensor(G),
+        "flat_check_c-2": check_tensor(G, -2.0),
+        "perturbed_check": check_tensor(perturbed),
+        "perturbed_b1": b1_tensor(perturbed),
+    }
+
+
+@pytest.fixture(scope="module")
+def reference_counts():
+    return {}
 
 
 class TestModeBlock:
@@ -164,3 +210,50 @@ class TestKernelCounter:
                 want = wedge(KForm.monomial(7, (j,)), beta).coeffs
                 assert np.array_equal(_coordinate_wedge(7, g)[j] @ beta.coeffs, want)
 
+
+    @pytest.mark.parametrize("chunk", [1, 2, 100, 65536])
+    @pytest.mark.parametrize("name, cutoff", [
+        ("known_kernel", 1), ("known_kernel", 2),
+        ("flat_check", 1), ("flat_check", 2),
+        ("flat_b1", 1), ("flat_b1", 2),
+        ("flat_check_c-2", 1),
+        ("perturbed_check", 1), ("perturbed_b1", 1),
+    ])
+    def test_half_box_matches_full_box(self, tensors, reference_counts, name, cutoff, chunk):
+        # Chunks of 1 and 2 put a chunk boundary at the centre (k = 0) and
+        # right after it; the reference walks the whole box.
+        key = (name, cutoff)
+        if key not in reference_counts:
+            reference_counts[key] = full_box_total(tensors[name], cutoff)
+        assert _kernel_total(tensors[name], cutoff, chunk) == reference_counts[key]
+
+    @pytest.mark.parametrize("cutoff, chunk, match", [
+        (-1, 65536, "cutoff"), (1, 0, "chunk"), (1, -5, "chunk"),
+    ])
+    def test_rejects_bad_box(self, cutoff, chunk, match):
+        # At the old counter these returned 0 (an empty box) instead of failing.
+        with pytest.raises(ValueError, match=match):
+            _kernel_total(_coordinate_wedge(7, 1), cutoff, chunk)
+        with pytest.raises(ValueError, match=match):
+            harmonic_dim(cutoff, chunk=chunk)
+        with pytest.raises(ValueError, match=match):
+            betti_one(cutoff, chunk=chunk)
+
+
+class TestGramForm:
+    @pytest.fixture(scope="class")
+    def modes(self):
+        return np.random.default_rng(141).integers(-4, 5, size=(200, 7))
+
+    @pytest.mark.parametrize("name", ["flat_check", "perturbed_check", "flat_b1"])
+    def test_even_in_k(self, tensors, modes, name):
+        q = _gram_form(tensors[name])
+        assert np.array_equal(_mode_grams(q, -modes), _mode_grams(q, modes))
+
+    @pytest.mark.parametrize("structure", ["G", "perturbed"])
+    def test_matches_direct_gram(self, request, modes, structure):
+        data = request.getfixturevalue(structure)
+        grams = _mode_grams(_gram_form(check_tensor(data)), modes)
+        for k, gram in zip(modes, grams):
+            s = mode_block(k, data).stacked
+            assert rel_residual(gram, (s.conj().T @ s).real) <= 1e-13
