@@ -74,8 +74,11 @@ def ddt_residual(f: KForm, data: G2Data | None = None) -> KForm:
     if data is None:
         data = standard_g2()
     _require_flux(f)
-    cube = wedge(wedge(f, f), f)
-    return wedge(f, data.star_phi) - (1.0 / 6.0) * cube
+    return _residual(f, wedge(f, f), data)
+
+
+def _residual(f: KForm, f_sq: KForm, data: G2Data) -> KForm:
+    return wedge(f, data.star_phi) - (1.0 / 6.0) * wedge(f_sq, f)
 
 
 def ddt_residual_decomposed(f: KForm, data: G2Data | None = None) -> KForm:
@@ -195,7 +198,11 @@ def scalar_factor(f: KForm, data: G2Data | None = None) -> float:
     if data is None:
         data = standard_g2()
     _require_flux(f)
-    return 1.0 - 0.5 * float(np.real(form_inner(wedge(f, f), data.star_phi, data.metric)))
+    return _factor(wedge(f, f), data)
+
+
+def _factor(f_sq: KForm, data: G2Data) -> float:
+    return 1.0 - 0.5 * float(np.real(form_inner(f_sq, data.star_phi, data.metric)))
 
 
 def graph_map(f: KForm, data: G2Data | None = None) -> LinearMap:
@@ -214,11 +221,17 @@ def induced_phi(f: KForm, data: G2Data | None = None) -> tuple[KForm, KForm]:
     if data is None:
         data = standard_g2()
     _require_flux(f)
-    factor = scalar_factor(f, data)
+    _, phi_f, tilde_phi = _induced(wedge(f, f), graph_map(f, data), data)
+    return phi_f, tilde_phi
+
+
+def _induced(f_sq: KForm, graph: LinearMap, data: G2Data) -> tuple[float, KForm, KForm]:
+    # The scalar factor, then induced_phi's pair, from a precomputed F^2 and 1 + F#.
+    factor = _factor(f_sq, data)
     if abs(factor) <= DEGENERATE_TOL:
         raise ValueError("degenerate induced structure: scalar factor is numerically zero")
-    phi_f = pullback(graph_map(f, data), data.phi)
-    return phi_f, abs(factor) ** (-0.75) * phi_f
+    phi_f = pullback(graph, data.phi)
+    return factor, phi_f, abs(factor) ** (-0.75) * phi_f
 
 
 def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL) -> DdtReport:
@@ -233,17 +246,19 @@ def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_
     if data is None:
         data = standard_g2()
     _require_flux(f)
-    residual = ddt_residual(f, data)
+    f_sq = wedge(f, f)
+    residual = _residual(f, f_sq, data)
     residual_norm = form_norm(residual, data.metric)
     scale = max(1.0, form_norm(f, data.metric) ** 3)
     if residual_norm > tol * scale:
         raise ValueError("input does not solve the deformed equation at this tolerance")
 
-    factor = scalar_factor(f, data)
-    phi_f, tilde_phi = induced_phi(f, data)
-    transported = pullback(graph_map(f, data), data.star_phi)
+    graph = graph_map(f, data)
+    factor, phi_f, tilde_phi = _induced(f_sq, graph, data)
+    transported = pullback(graph, data.star_phi)
     own_star = hodge(phi_f, metric_from_three_form(phi_f))
-    closed = factor * (data.star_phi - 0.5 * wedge(f, f))
+    dual_target = data.star_phi - 0.5 * f_sq
+    closed = factor * dual_target
     routes = [own_star.coeffs, transported.coeffs, closed.coeffs]
     deviation = max(
         rel_residual(routes[i], routes[j])
@@ -253,7 +268,7 @@ def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_
 
     sign_c = 1 if factor > 0 else -1
     tilde_star = hodge(tilde_phi, metric_from_three_form(tilde_phi))
-    conformal_target = float(sign_c) * (data.star_phi - 0.5 * wedge(f, f))
+    conformal_target = float(sign_c) * dual_target
     conformal = rel_residual(tilde_star.coeffs, conformal_target.coeffs)
 
     bound_lhs, bound_rhs, _ = norm_bound_check(f, data)
@@ -302,9 +317,9 @@ def linearization_density(
     _require_flux(b2)
     _require_solution(f, data, tol)
 
-    density = wedge(b2, data.star_phi - 0.5 * wedge(f, f))
-    factor = scalar_factor(f, data)
-    _, tilde_phi = induced_phi(f, data)
+    f_sq = wedge(f, f)
+    density = wedge(b2, data.star_phi - 0.5 * f_sq)
+    factor, _, tilde_phi = _induced(f_sq, graph_map(f, data), data)
     tilde_star = hodge(tilde_phi, metric_from_three_form(tilde_phi))
     other = float(np.sign(factor)) * wedge(b2, tilde_star)
     if rel_residual(density.coeffs, other.coeffs) > tol_identity:

@@ -115,13 +115,15 @@ class HermitianPoint:
             self._cache["frame"] = mat
         return self._cache["frame"]
 
-    def _holomorphic_change(self) -> tuple[np.ndarray, np.ndarray]:
-        # Columns dual to the coframe (dz^1..dz^n, dzbar^1..dzbar^n).
+    def _holomorphic_change(self) -> tuple[LinearMap, LinearMap]:
+        # Columns dual to the coframe (dz^1..dz^n, dzbar^1..dzbar^n), and the
+        # inverse; kept as maps so that their pullback matrices are built once.
         if "holo" not in self._cache:
             q = self.frame
             u, v = q[:, 0::2], q[:, 1::2]
             t = np.hstack([(u - 1j * v) / 2.0, (u + 1j * v) / 2.0])
-            self._cache["holo"] = (t, np.linalg.inv(t))
+            dim = 2 * self.n
+            self._cache["holo"] = (LinearMap(dim, t), LinearMap(dim, np.linalg.inv(t)))
         return self._cache["holo"]
 
 
@@ -149,12 +151,12 @@ def pq_project(point: HermitianPoint, a: KForm, p: int, q: int) -> KForm:
     if p < 0 or q < 0 or p + q != a.grade:
         raise ValueError(f"type ({p},{q}) does not match grade {a.grade}")
     t, t_inv = point._holomorphic_change()
-    pulled = pullback(LinearMap(a.dim, t), a)
+    pulled = pullback(t, a)
     keep = np.array(
         [sum(1 for i in idx if i < point.n) == p for idx in multi_indices(a.dim, a.grade)]
     )
     masked = KForm(a.dim, a.grade, np.where(keep, pulled.coeffs, 0.0))
-    return pullback(LinearMap(a.dim, t_inv), masked)
+    return pullback(t_inv, masked)
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,11 @@ def radius_angle(lambdas: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DhymReport:
-    """Certificates for one curvature representative at one point."""
+    """Certificates for one curvature representative at one point.
+
+    ``f11`` is the J-invariant part the certificates refer to and ``normal``
+    its normal form; neither is serialized.
+    """
 
     r: float
     theta: float
@@ -288,6 +294,8 @@ class DhymReport:
     im_residual: float
     vol_identity_residual: float
     im_identity_residual: float
+    f11: KForm = field(compare=False, repr=False)
+    normal: NormalForm = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -329,7 +337,7 @@ def dhym_report(point: HermitianPoint, f: KForm, tol: float = ONE_ONE_TOL) -> Dh
     lhs = np.imag(1j * np.exp(-1j * theta) * rho_low.coeffs)
     rhs = (1.0 / r) * _wedge_power(nf.omega_nabla, n - 1).coeffs
     im_identity = rel_residual(lhs, rhs)
-    return DhymReport(r, theta, p02_norm, im_residual, vol_identity, im_identity)
+    return DhymReport(r, theta, p02_norm, im_residual, vol_identity, im_identity, f11, nf)
 
 
 def symbol_bound(point: HermitianPoint, f: KForm | NormalForm, xi: KForm,

@@ -107,12 +107,43 @@ def _complement_table(n: int, k: int):
     return dst, signs
 
 
+@lru_cache(maxsize=None)
+def _wedge_step(n: int, k: int):
+    # Row I of the k-th exterior power is row I[0] of the matrix wedged with
+    # row I[1:] of the (k-1)-th: the gather indices of both rows, and the
+    # _wedge_table(n, 1, k-1) signs as a dense (n * C(n,k-1)) x C(n,k) matrix.
+    pos = _positions(n, k - 1)
+    rows = multi_indices(n, k)
+    first = np.array([idx[0] for idx in rows], dtype=np.intp)
+    rest = np.array([pos[idx[1:]] for idx in rows], dtype=np.intp)
+    ia, ib, out, signs = _wedge_table(n, 1, k - 1)
+    mat = np.zeros((n * comb(n, k - 1), comb(n, k)))
+    mat[ia * comb(n, k - 1) + ib, out] = signs
+    return first, rest, mat
+
+
 def exterior_power(a: np.ndarray, k: int) -> np.ndarray:
-    """The k-th exterior power of a square matrix: minors det a[I, J] over k-tuples."""
+    """The k-th exterior power of a square matrix: minors det a[I, J] over k-tuples.
+
+    Built by k - 1 wedge steps, each row of the k-th power being a row of
+    ``a`` wedged with a row of the (k-1)-th.  The result is a new array of
+    ``a``'s floating dtype, also at k = 1.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"exterior power needs a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if not 0 <= k <= n:
+        raise ValueError(f"exterior power of an {n}x{n} matrix needs 0 <= k <= {n}, got {k}")
+    dtype = np.result_type(a, np.float64)
     if k == 0:
-        return np.ones((1, 1))
-    combos = np.array(multi_indices(a.shape[0], k), dtype=np.intp)
-    return np.linalg.det(a[combos[:, None, :, None], combos[None, :, None, :]])
+        return np.ones((1, 1), dtype=dtype)
+    out = a.astype(dtype)
+    for j in range(2, k + 1):
+        first, rest, signs = _wedge_step(n, j)
+        prod = a[first][:, :, None] * out[rest][:, None, :]
+        out = prod.reshape(len(first), -1) @ signs
+    return out
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .dhym import (
     dhym_report,
     j_duality_residual,
     normal_form,
-    pq_project,
     random_unitary_rotation,
     standard_kahler,
     symbol_bound,
@@ -387,10 +386,7 @@ def _run_dhym(campaign: Campaign, rng: np.random.Generator) -> Report:
         rec.expect("radius at least one", rep.r >= 1.0 - campaign.tol_rel,
                    sample=i, n=n, r=rep.r, form=f)
 
-        p02 = pq_project(point, f, 0, 2)
-        p20 = pq_project(point, f, 2, 0)
-        invariant = KForm(2 * n, 2, np.real(f.coeffs - p02.coeffs - p20.coeffs))
-        nf = normal_form(point, invariant)
+        invariant, nf = rep.f11, rep.normal
         xi = KForm(2 * n, 1, rng.standard_normal(2 * n))
         try:
             sigma, floor = symbol_bound(point, nf, xi,

@@ -211,6 +211,35 @@ class TestSolutionReport:
             rep = solution_report(f, G, tol=1e-8)
             assert rep.lhs_minus_rhs_norm < 1e-8
 
+    def test_fields_compose_from_public_functions(self, G):
+        rng = np.random.default_rng(57)
+        fluxes = [f for _ in range(4) for f in cartan_solutions(*random_zero_sum(rng))]
+        fluxes.append(pullback(random_structure_rotation(rng, G), fluxes[0]))
+        for f in fluxes:
+            rep = solution_report(f, G, tol=1e-8)
+            residual = ddt_residual(f, G)
+            factor = scalar_factor(f, G)
+            phi_f, tilde = induced_phi(f, G)
+            dual = G.star_phi - 0.5 * wedge(f, f)
+            routes = [
+                hodge(phi_f, metric_from_three_form(phi_f)).coeffs,
+                pullback(graph_map(f, G), G.star_phi).coeffs,
+                (factor * dual).coeffs,
+            ]
+            sign = 1 if factor > 0 else -1
+            conformal = rel_residual(hodge(tilde, metric_from_three_form(tilde)).coeffs,
+                                     (float(sign) * dual).coeffs)
+            bound_lhs, bound_rhs, _ = norm_bound_check(f, G)
+            assert np.array_equal(rep.residual.coeffs, residual.coeffs)
+            assert rep.residual_norm == form_norm(residual, G.metric)
+            assert rep.scalar_factor == factor
+            assert rep.lhs_minus_rhs_norm == max(
+                rel_residual(routes[i], routes[j]) for i in range(3) for j in range(i + 1, 3)
+            )
+            assert rep.sign_C == sign
+            assert rep.conformal_residual == conformal
+            assert (rep.bound_lhs, rep.bound_rhs) == (bound_lhs, bound_rhs)
+
     def test_non_solution_rejected(self, G):
         with pytest.raises(ValueError):
             solution_report(KForm.monomial(7, (0, 1)), G)

@@ -5,11 +5,13 @@ from math import comb
 import numpy as np
 import pytest
 
+import g2calc.forms as forms_module
 from g2calc.forms import (
     KForm,
     LinearMap,
     Metric,
     form_norm,
+    multi_indices,
     pullback,
     rel_residual,
     sharp2,
@@ -48,6 +50,28 @@ def one_one_part(point, f):
 def random_one_one(rng, point):
     raw = KForm(2 * point.n, 2, rng.standard_normal(comb(2 * point.n, 2)))
     return one_one_part(point, raw)
+
+
+def transported(n, seed):
+    """A non-standard Hermitian point: the standard one moved by a random map."""
+    rng = np.random.default_rng(seed)
+    s = np.eye(2 * n) + 0.2 * rng.standard_normal((2 * n, 2 * n))
+    std = standard_kahler(n)
+    j = LinearMap(2 * n, np.linalg.solve(s, std.j_map.matrix @ s))
+    return HermitianPoint(n, Metric(2 * n, s.T @ s), j)
+
+
+def fresh_pq_project(point, a, p, q):
+    """pq_project through two change-of-basis maps built afresh on every call."""
+    frame = point.frame
+    u, v = frame[:, 0::2], frame[:, 1::2]
+    t = np.hstack([(u - 1j * v) / 2.0, (u + 1j * v) / 2.0])
+    pulled = pullback(LinearMap(a.dim, t), a)
+    keep = np.array(
+        [sum(1 for i in idx if i < point.n) == p for idx in multi_indices(a.dim, a.grade)]
+    )
+    masked = KForm(a.dim, a.grade, np.where(keep, pulled.coeffs, 0.0))
+    return pullback(LinearMap(a.dim, np.linalg.inv(t)), masked)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +161,34 @@ class TestTypeDecomposition:
         point = standard_kahler(2)
         with pytest.raises(ValueError):
             pq_project(point, point.omega, 2, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cached_maps_match_fresh_maps(self, n):
+        rng = np.random.default_rng(100 + n)
+        for point in (standard_kahler(n), transported(n, 110 + n)):
+            for grade in range(1, min(3, 2 * n) + 1):
+                a = KForm(2 * n, grade, rng.standard_normal(comb(2 * n, grade)))
+                for p in range(grade + 1):
+                    got = pq_project(point, a, p, grade - p).coeffs
+                    want = fresh_pq_project(point, a, p, grade - p).coeffs
+                    assert np.array_equal(got, want)
+
+    def test_second_call_builds_no_pullback_matrix(self, monkeypatch):
+        point = transported(3, 120)
+        f = KForm(6, 2, np.random.default_rng(121).standard_normal(15))
+        builds = []
+        original = forms_module.exterior_power
+
+        def counted(a, k):
+            builds.append(k)
+            return original(a, k)
+
+        monkeypatch.setattr(forms_module, "exterior_power", counted)
+        first = pq_project(point, f, 1, 1)
+        assert builds == [2, 2]
+        second = pq_project(point, f, 1, 1)
+        assert builds == [2, 2]
+        assert np.array_equal(first.coeffs, second.coeffs)
 
 
 class TestNormalForm:
@@ -295,6 +347,21 @@ class TestReport:
         point = standard_kahler(2)
         with pytest.raises(ValueError, match="real"):
             dhym_report(point, KForm(4, 2, np.zeros(6, dtype=complex)))
+
+    def test_carries_its_projection_and_normal_form(self, transported_point):
+        rng = np.random.default_rng(99)
+        points = [standard_kahler(n) for n in (1, 2, 3)] + [transported_point[1]]
+        for point in points:
+            n = point.n
+            f = KForm(2 * n, 2, rng.standard_normal(comb(2 * n, 2)))
+            rep = dhym_report(point, f)
+            invariant = one_one_part(point, f)
+            assert np.array_equal(rep.f11.coeffs, invariant.coeffs)
+            nf = normal_form(point, invariant)
+            assert np.array_equal(rep.normal.lambdas, nf.lambdas)
+            assert np.array_equal(rep.normal.frame, nf.frame)
+            assert set(rep.to_dict()) == {"r", "theta", "p02_norm", "im_residual"}
+            assert "f11" not in repr(rep) and "normal" not in repr(rep)
 
 
 class TestRescaled:

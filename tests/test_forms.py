@@ -505,3 +505,66 @@ class TestKernels:
             orientations.add(metric.orientation)
         assert orientations == {1, -1}
 
+
+def det_exterior_power(a, k):
+    """Reference exterior power: every k x k minor as one batched determinant."""
+    if k == 0:
+        return np.ones((1, 1))
+    combos = np.array(multi_indices(a.shape[0], k), dtype=np.intp)
+    return np.linalg.det(a[combos[:, None, :, None], combos[None, :, None, :]])
+
+
+# The wedge steps and the batched determinants round differently; the error
+# of each is a small multiple of eps * |a|^k, so they agree to that scale.
+POWER_TOL = 64 * np.finfo(np.float64).eps
+
+
+def oracle_matrices(rng, n):
+    """Real and complex, generic, rank-deficient and widely scaled n x n matrices."""
+    real = rng.standard_normal((n, n))
+    complex_ = real + 1j * rng.standard_normal((n, n))
+    low = rng.standard_normal((n, max(n - 2, 1))) @ rng.standard_normal((max(n - 2, 1), n))
+    wide = rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, n))
+    wide_complex = wide * np.exp(2j * np.pi * rng.random((n, n)))
+    return [real, complex_, low, wide, wide_complex]
+
+
+class TestExteriorPower:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_batched_determinants(self, n):
+        rng = np.random.default_rng(260 + n)
+        for a in oracle_matrices(rng, n):
+            scale = np.linalg.norm(a, 2)
+            for k in range(n + 1):
+                got = exterior_power(a, k)
+                want = det_exterior_power(a, k)
+                assert got.shape == want.shape == (comb(n, k), comb(n, k))
+                assert np.abs(got - want).max() <= POWER_TOL * scale**k
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_dtype_is_preserved(self, dtype):
+        rng = np.random.default_rng(270)
+        a = rng.standard_normal((5, 5)).astype(dtype)
+        if dtype is np.complex128:
+            a += 1j * rng.standard_normal((5, 5))
+        for k in range(6):
+            assert exterior_power(a, k).dtype == dtype
+
+    def test_first_power_is_a_copy(self):
+        rng = np.random.default_rng(271)
+        a = rng.standard_normal((4, 4))
+        once = exterior_power(a, 1)
+        assert np.array_equal(once, a)
+        assert not np.shares_memory(once, a)
+        m = random_metric(rng, 4)
+        assert not np.shares_memory(m.gram_on_forms(1), m.gram_inv)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2), ()])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            exterior_power(np.ones(shape), 1)
+
+    @pytest.mark.parametrize("k", [-2, -1, 5, 9])
+    def test_rejects_grade_out_of_range(self, k):
+        with pytest.raises(ValueError, match="0 <= k <= 4"):
+            exterior_power(np.eye(4), k)
