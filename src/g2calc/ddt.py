@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .forms import (
     KForm,
@@ -370,26 +369,3 @@ def wedge_injectivity(f: KForm, data: G2Data | None = None) -> tuple[int, float]
     rank = int(np.count_nonzero(singular > RANK_CUTOFF * top)) if top > 0 else 0
     cube_norm = form_norm(wedge(wedge(f, f), f), data.metric)
     return rank, cube_norm
-
-
-def random_structure_rotation(
-    rng: np.random.Generator,
-    data: G2Data | None = None,
-    magnitude: float = 0.6,
-    tol: float = SOLUTION_TOL,
-    attempts: int = 5,
-) -> LinearMap:
-    """A rotation preserving phi, built from the 14-part of a random 2-form.
-
-    The exponential of the skew map of a 14-part 2-form fixes the structure;
-    the result is accepted only after verifying the pullback reproduces phi.
-    """
-    if data is None:
-        data = standard_g2()
-    for _ in range(attempts):
-        raw = KForm(7, 2, magnitude * rng.standard_normal(21))
-        beta = KForm(7, 2, data.proj2_14 @ raw.coeffs)
-        rotation = LinearMap(7, scipy.linalg.expm(sharp2(beta, data.metric).matrix))
-        if rel_residual(pullback(rotation, data.phi).coeffs, data.phi.coeffs) < tol:
-            return rotation
-    raise ValueError("could not draw a structure-preserving rotation")

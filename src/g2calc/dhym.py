@@ -35,6 +35,7 @@ from .forms import (
     rel_residual,
     wedge,
     _skew,
+    _two_form,
 )
 
 ONE_ONE_TOL = 1e-8
@@ -76,7 +77,7 @@ class HermitianPoint:
             raise ValueError("matrix does not square to minus the identity")
         if rel_residual(jm.T @ g @ jm, g) > FRAME_TOL:
             raise ValueError("complex structure is not an isometry of the metric")
-        omega = KForm(2 * self.n, 2, (jm.T @ g)[np.triu_indices(2 * self.n, 1)])
+        omega = _two_form(jm.T @ g)
         top = _wedge_power(omega, self.n)
         vol = float(factorial(self.n)) * self.metric.volume_form()
         if rel_residual(top.coeffs, vol.coeffs) > ONE_ONE_TOL:
@@ -144,6 +145,14 @@ def one_one_residual(point: HermitianPoint, f: KForm) -> float:
     return rel_residual(pullback(point.j_map, f).coeffs, f.coeffs)
 
 
+@lru_cache(maxsize=None)
+def _type_mask(n: int, grade: int, p: int) -> np.ndarray:
+    # Multi-indices over (dz^1..dz^n, dzbar^1..dzbar^n) with p holomorphic factors.
+    mask = np.array([sum(1 for i in idx if i < n) == p for idx in multi_indices(2 * n, grade)])
+    mask.flags.writeable = False
+    return mask
+
+
 def pq_project(point: HermitianPoint, a: KForm, p: int, q: int) -> KForm:
     """Component of a form with p holomorphic and q antiholomorphic factors."""
     if a.dim != 2 * point.n:
@@ -152,9 +161,7 @@ def pq_project(point: HermitianPoint, a: KForm, p: int, q: int) -> KForm:
         raise ValueError(f"type ({p},{q}) does not match grade {a.grade}")
     t, t_inv = point._holomorphic_change()
     pulled = pullback(t, a)
-    keep = np.array(
-        [sum(1 for i in idx if i < point.n) == p for idx in multi_indices(a.dim, a.grade)]
-    )
+    keep = _type_mask(point.n, a.grade, p)
     masked = KForm(a.dim, a.grade, np.where(keep, pulled.coeffs, 0.0))
     return pullback(t_inv, masked)
 
@@ -201,10 +208,8 @@ class NormalForm:
 
     def diagonal(self, weights) -> KForm:
         """The two-form sum_i weights[i] u^i ^ v^i in this frame."""
-        out = KForm.zero(2 * self.point.n, 2)
-        for i, w in enumerate(weights):
-            out = out + w * wedge(self.u_form(i), self.v_form(i))
-        return out
+        a = self.coframe[0::2].T @ (np.asarray(weights)[:, None] * self.coframe[1::2])
+        return _two_form(a - a.T)
 
     @property
     def omega_nabla(self) -> KForm:

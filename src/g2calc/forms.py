@@ -360,17 +360,25 @@ def wedge_matrix(a: KForm, l: int) -> np.ndarray:
     return mat
 
 
+def interior_matrix(a: KForm) -> np.ndarray:
+    """Matrix of v -> i(v) a from vectors to grade a.grade - 1; column j is i(e_j) a."""
+    n, k = a.dim, a.grade
+    if k == 0:
+        return np.zeros((1, n), dtype=a.coeffs.dtype)
+    vec_idx, src, dst, signs = _interior_table(n, k)
+    mat = np.zeros((comb(n, k - 1), n), dtype=a.coeffs.dtype)
+    # Each (dst, vec_idx) pair occurs once: the multi-index of a is dst plus vec_idx.
+    mat[dst, vec_idx] = signs * a.coeffs[src]
+    return mat
+
+
 def wedge(a: KForm, b: KForm) -> KForm:
     """Exterior product.  Grades adding past the dimension give the zero top form."""
     _require_same_dim(a, b)
     n = a.dim
     if a.grade + b.grade > n:
         return KForm.zero(n, n)
-    ia, ib, out, signs = _wedge_table(n, a.grade, b.grade)
-    vals = signs * a.coeffs[ia] * b.coeffs[ib]
-    res = np.zeros(comb(n, a.grade + b.grade), dtype=vals.dtype)
-    np.add.at(res, out, vals)
-    return KForm(n, a.grade + b.grade, res)
+    return KForm(n, a.grade + b.grade, wedge_matrix(a, b.grade) @ b.coeffs)
 
 
 def interior(v: np.ndarray, a: KForm) -> KForm:
@@ -380,11 +388,7 @@ def interior(v: np.ndarray, a: KForm) -> KForm:
         raise ValueError(f"vector must have shape ({a.dim},), got {v.shape}")
     if a.grade == 0:
         return KForm.zero(a.dim, 0)
-    vec_idx, src, dst, signs = _interior_table(a.dim, a.grade)
-    vals = signs * v[vec_idx] * a.coeffs[src]
-    res = np.zeros(comb(a.dim, a.grade - 1), dtype=vals.dtype)
-    np.add.at(res, dst, vals)
-    return KForm(a.dim, a.grade - 1, res)
+    return KForm(a.dim, a.grade - 1, interior_matrix(a) @ v)
 
 
 def _require_metric(a: KForm, m: Metric) -> None:
@@ -418,10 +422,12 @@ def sharp(a: KForm, m: Metric) -> np.ndarray:
 
 def _skew(f: KForm) -> np.ndarray:
     """The skew matrix A[i, j] = f(e_i, e_j) = (i(e_i) f)_j of a 2-form, in f's dtype."""
-    vec_idx, src, dst, signs = _interior_table(f.dim, 2)
-    mat = np.zeros((f.dim, f.dim), dtype=f.coeffs.dtype)
-    mat[vec_idx, dst] = signs * f.coeffs[src]
-    return mat
+    return interior_matrix(f).T
+
+
+def _two_form(a: np.ndarray) -> KForm:
+    """The 2-form f with f(e_i, e_j) = a[i, j] for a skew matrix a; inverse of _skew."""
+    return KForm(a.shape[0], 2, a[np.triu_indices(a.shape[0], 1)])
 
 
 def sharp2(f: KForm, m: Metric) -> LinearMap:

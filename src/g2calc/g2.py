@@ -32,6 +32,7 @@ from .forms import (
     form_norm,
     hodge,
     interior,
+    interior_matrix,
     rel_residual,
     wedge,
     wedge_matrix,
@@ -45,16 +46,6 @@ PHI_MONOMIALS = (
     ((1, 4, 6), -1.0),
     ((2, 3, 6), -1.0),
     ((2, 4, 5), -1.0),
-)
-
-STAR_PHI_MONOMIALS = (
-    ((3, 4, 5, 6), 1.0),
-    ((1, 2, 5, 6), 1.0),
-    ((1, 2, 3, 4), 1.0),
-    ((0, 2, 4, 6), 1.0),
-    ((0, 2, 3, 5), -1.0),
-    ((0, 1, 4, 5), -1.0),
-    ((0, 1, 3, 6), -1.0),
 )
 
 
@@ -101,7 +92,7 @@ def metric_from_three_form(phi: KForm) -> Metric:
     # B = M^T P M / 6, where M has the columns i(e_i)phi and
     # P[a, b] = e_a ^ e_b ^ phi / vol = <e_a, star(phi ^ e_b)> in the
     # euclidean metric, whose star on 5-forms only moves and signs rows.
-    contractions = np.column_stack([interior(e, phi).coeffs for e in np.eye(7)])
+    contractions = interior_matrix(phi)
     pairing = euclidean_metric(7).hodge_matrix(5) @ wedge_matrix(phi, 2)
     raw = contractions.T @ pairing @ contractions / 6.0
     eigs = np.linalg.eigvalsh(raw)
@@ -117,8 +108,8 @@ def g2_bundle(phi: KForm) -> G2Data:
     metric = metric_from_three_form(phi)
     star_phi = hodge(phi, metric)
 
-    basis2_7 = np.column_stack([interior(e, phi).coeffs for e in np.eye(7)])
-    basis3_7 = np.column_stack([interior(e, star_phi).coeffs for e in np.eye(7)])
+    basis2_7 = interior_matrix(phi)
+    basis3_7 = interior_matrix(star_phi)
 
     # alpha -> star(phi ^ alpha) on 2-forms has eigenvalue 2 on the 7-part
     # and -1 on the 14-part, so both projections are linear in the operator.
@@ -152,11 +143,6 @@ def g2_bundle(phi: KForm) -> G2Data:
 def standard_g2() -> G2Data:
     """The shared package for the standard flat structure."""
     return g2_bundle(_from_monomials(3, PHI_MONOMIALS))
-
-
-def standard_star_phi() -> KForm:
-    """Frozen coefficients of star(phi) for golden comparisons."""
-    return _from_monomials(4, STAR_PHI_MONOMIALS)
 
 
 def _require_two_form(f: KForm) -> None:

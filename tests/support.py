@@ -11,8 +11,21 @@ import itertools
 from math import comb
 
 import numpy as np
+import scipy.linalg
 
-from g2calc.forms import KForm, Metric, multi_indices
+from g2calc.ddt import SOLUTION_TOL
+from g2calc.forms import KForm, LinearMap, Metric, multi_indices, pullback, rel_residual, sharp2
+from g2calc.g2 import G2Data, _from_monomials, standard_g2
+
+STAR_PHI_MONOMIALS = (
+    ((3, 4, 5, 6), 1.0),
+    ((1, 2, 5, 6), 1.0),
+    ((1, 2, 3, 4), 1.0),
+    ((0, 2, 4, 6), 1.0),
+    ((0, 2, 3, 5), -1.0),
+    ((0, 1, 4, 5), -1.0),
+    ((0, 1, 3, 6), -1.0),
+)
 
 
 def evaluate(form: KForm, vectors) -> float | complex:
@@ -52,3 +65,31 @@ def random_vector(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.nd
 def random_metric(rng: np.random.Generator, n: int, orientation: int = 1) -> Metric:
     a = rng.standard_normal((n, n))
     return Metric(n, a @ a.T + 0.5 * np.eye(n), orientation)
+
+
+def standard_star_phi() -> KForm:
+    """Frozen coefficients of star(phi) for golden comparisons."""
+    return _from_monomials(4, STAR_PHI_MONOMIALS)
+
+
+def random_structure_rotation(
+    rng: np.random.Generator,
+    data: G2Data | None = None,
+    magnitude: float = 0.6,
+    tol: float = SOLUTION_TOL,
+    attempts: int = 5,
+) -> LinearMap:
+    """A rotation preserving phi, built from the 14-part of a random 2-form.
+
+    The exponential of the skew map of a 14-part 2-form fixes the structure;
+    the result is accepted only after verifying the pullback reproduces phi.
+    """
+    if data is None:
+        data = standard_g2()
+    for _ in range(attempts):
+        raw = KForm(7, 2, magnitude * rng.standard_normal(21))
+        beta = KForm(7, 2, data.proj2_14 @ raw.coeffs)
+        rotation = LinearMap(7, scipy.linalg.expm(sharp2(beta, data.metric).matrix))
+        if rel_residual(pullback(rotation, data.phi).coeffs, data.phi.coeffs) < tol:
+            return rotation
+    raise ValueError("could not draw a structure-preserving rotation")

@@ -1,0 +1,36 @@
+"""The public names exported from the package."""
+
+import g2calc
+
+PUBLIC_API = {
+    "KForm", "LinearMap", "Metric", "euclidean_metric", "flat", "form_inner",
+    "form_norm", "hodge", "interior", "multi_indices", "pullback",
+    "rel_residual", "sharp", "sharp2", "wedge",
+    "G2Data", "TwoFormSplit", "assemble2", "g2_bundle", "identity_battery",
+    "lambda14_wedge_norm", "metric_from_three_form", "project2", "project3",
+    "standard_g2",
+    "DdtReport", "cartan_solutions", "cartan_solve", "cartan_two_form",
+    "cube_norm_bound", "ddt_residual", "ddt_residual_decomposed", "graph_map",
+    "induced_phi", "is_solution", "linearization_density", "norm_bound_check",
+    "orthogonality_check", "reformulation_residual", "scalar_factor",
+    "solution_report", "wedge_injectivity",
+    "DhymReport", "HermitianPoint", "NormalForm", "dhym_report",
+    "j_duality_residual", "normal_form", "one_one_residual", "pq_project",
+    "radius_angle", "standard_kahler", "symbol_bound",
+    "ProductReport", "SU3Point", "correspondence_check", "dx_split", "lift",
+    "product_g2", "product_phi", "product_psi", "standard_su3",
+    "zero_phase_flux",
+    "CohomologySummary", "ModeBlock", "adjoint_check", "betti_one",
+    "harmonic_dim", "mode_block",
+    "SUITE_IDS", "Campaign", "Report", "all_passed", "emit",
+}
+
+
+def test_exported_names_are_pinned():
+    assert len(g2calc.__all__) == len(PUBLIC_API)
+    assert set(g2calc.__all__) == PUBLIC_API
+
+
+def test_every_exported_name_resolves():
+    for name in g2calc.__all__:
+        assert getattr(g2calc, name) is not None

@@ -28,14 +28,13 @@ from g2calc.ddt import (
     linearization_density,
     norm_bound_check,
     orthogonality_check,
-    random_structure_rotation,
     reformulation_residual,
     scalar_factor,
     solution_report,
     wedge_injectivity,
 )
 
-from support import random_form, random_vector
+from support import random_form, random_structure_rotation, random_vector
 
 REL = 1e-9
 SQ3 = np.sqrt(3.0)

@@ -224,6 +224,18 @@ class TestNormalForm:
                 rebuilt = rebuilt + lam * wedge(nf.u_form(i), nf.v_form(i))
             assert rel_residual(rebuilt.coeffs, f.coeffs) < 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_diagonal_matches_wedge_sum(self, n):
+        rng = np.random.default_rng(96 + n)
+        point = transported(n, 400 + n)
+        nf = normal_form(point, random_one_one(rng, point))
+        for _ in range(10):
+            weights = rng.standard_normal(n)
+            want = KForm.zero(2 * n, 2)
+            for i, w in enumerate(weights):
+                want = want + w * wedge(nf.u_form(i), nf.v_form(i))
+            assert rel_residual(nf.diagonal(weights).coeffs, want.coeffs) <= 1e-13
+
     def test_degenerate_eigenvalues(self):
         point = standard_kahler(2)
         nf = normal_form(point, KForm(4, 2, point.omega.coeffs))

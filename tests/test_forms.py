@@ -18,6 +18,7 @@ from g2calc.forms import (
     form_norm,
     hodge,
     interior,
+    interior_matrix,
     multi_indices,
     pullback,
     rel_residual,
@@ -25,6 +26,10 @@ from g2calc.forms import (
     sharp2,
     wedge,
     wedge_matrix,
+    _interior_table,
+    _skew,
+    _two_form,
+    _wedge_table,
 )
 from g2calc.g2 import metric_from_three_form, standard_g2
 
@@ -568,3 +573,95 @@ class TestExteriorPower:
     def test_rejects_grade_out_of_range(self, k):
         with pytest.raises(ValueError, match="0 <= k <= 4"):
             exterior_power(np.eye(4), k)
+
+
+def scatter_wedge(a, b):
+    """Reference wedge: the signed products of _wedge_table summed with np.add.at."""
+    n = a.dim
+    if a.grade + b.grade > n:
+        return KForm.zero(n, n)
+    ia, ib, out, signs = _wedge_table(n, a.grade, b.grade)
+    vals = signs * a.coeffs[ia] * b.coeffs[ib]
+    res = np.zeros(comb(n, a.grade + b.grade), dtype=vals.dtype)
+    np.add.at(res, out, vals)
+    return KForm(n, a.grade + b.grade, res)
+
+
+def scatter_interior(v, a):
+    """Reference interior product: _interior_table products summed with np.add.at."""
+    if a.grade == 0:
+        return KForm.zero(a.dim, 0)
+    vec_idx, src, dst, signs = _interior_table(a.dim, a.grade)
+    vals = signs * v[vec_idx] * a.coeffs[src]
+    res = np.zeros(comb(a.dim, a.grade - 1), dtype=vals.dtype)
+    np.add.at(res, dst, vals)
+    return KForm(a.dim, a.grade - 1, res)
+
+
+# Matrix products and scatter sums add the same terms in different orders.
+KERNEL_TOL = 1e-13
+
+
+def real_and_complex_forms(rng, n, k):
+    real = random_form(rng, n, k)
+    return [real, KForm(n, k, real.coeffs + 1j * rng.standard_normal(comb(n, k)))]
+
+
+class TestProductKernels:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_wedge_matches_scatter(self, n):
+        rng = np.random.default_rng(280 + n)
+        for k in range(n + 1):
+            for l in range(n + 1):
+                for a in real_and_complex_forms(rng, n, k):
+                    for b in real_and_complex_forms(rng, n, l):
+                        got, want = wedge(a, b), scatter_wedge(a, b)
+                        assert (got.grade, got.coeffs.dtype) == (want.grade, want.coeffs.dtype)
+                        assert rel_residual(got.coeffs, want.coeffs) <= KERNEL_TOL
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_interior_matches_scatter(self, n):
+        rng = np.random.default_rng(290 + n)
+        for k in range(n + 1):
+            for a in real_and_complex_forms(rng, n, k):
+                real = random_vector(rng, n)
+                for v in (real, real + 1j * random_vector(rng, n)):
+                    got, want = interior(v, a), scatter_interior(v, a)
+                    assert (got.grade, got.coeffs.dtype) == (want.grade, want.coeffs.dtype)
+                    assert rel_residual(got.coeffs, want.coeffs) <= KERNEL_TOL
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_interior_matrix_columns_are_contractions(self, n):
+        rng = np.random.default_rng(300 + n)
+        for k in range(n + 1):
+            for a in real_and_complex_forms(rng, n, k):
+                mat = interior_matrix(a)
+                assert mat.shape == (comb(n, max(k - 1, 0)), n)
+                assert mat.dtype == a.coeffs.dtype
+                for j, e in enumerate(np.eye(n)):
+                    assert np.array_equal(mat[:, j], interior(e, a).coeffs)
+
+    def test_edge_results_are_real_zero_forms(self):
+        rng = np.random.default_rng(310)
+        v = random_vector(rng, 5) + 1j * random_vector(rng, 5)
+        got = interior(v, KForm(5, 0, np.array([2.0 + 1j])))
+        assert (got.grade, got.coeffs.dtype) == (0, np.float64)
+        assert not got.coeffs.any()
+        a, b = real_and_complex_forms(rng, 5, 3)
+        for got in (wedge(a, b), wedge(b, b)):
+            assert (got.grade, got.coeffs.dtype) == (5, np.float64)
+            assert not got.coeffs.any()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_skew_and_two_form_are_inverse(self, n):
+        rng = np.random.default_rng(320 + n)
+        for f in real_and_complex_forms(rng, n, 2):
+            a = _skew(f)
+            assert a.dtype == f.coeffs.dtype
+            assert np.array_equal(a, -a.T)
+            back = _two_form(a)
+            assert back.coeffs.dtype == f.coeffs.dtype
+            assert np.array_equal(back.coeffs, f.coeffs)
+        b = rng.standard_normal((n, n))
+        skew = b - b.T
+        assert np.array_equal(_skew(_two_form(skew)), skew)

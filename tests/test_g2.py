@@ -25,10 +25,9 @@ from g2calc.g2 import (
     project2,
     project3,
     standard_g2,
-    standard_star_phi,
 )
 
-from support import random_form, random_vector
+from support import random_form, random_vector, standard_star_phi
 
 REL = 1e-9
 
