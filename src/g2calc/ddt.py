@@ -11,7 +11,9 @@ map 1 + F#.  The functions here certify those statements numerically:
 the residual in both raw and decomposed shape, a root solver for the
 diagonal family, the induced-structure star identity with its conformal
 normalisation, the linearised density, the sharp norm bound, and the
-injectivity of wedging with a solution.
+injectivity of wedging with a solution.  The residuals, the type split,
+the norm and cube bounds, the reformulation and the wedge rank also take a
+batch of fluxes and return one value per row.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .forms import (
     KForm,
     LinearMap,
+    flat,
     form_inner,
     form_norm,
     hodge,
@@ -32,6 +35,9 @@ from .forms import (
     sharp2,
     wedge,
     wedge_matrix,
+    _dot,
+    _scalar,
+    _vecmat,
 )
 from .g2 import G2Data, metric_from_three_form, project2, standard_g2
 
@@ -97,10 +103,10 @@ def ddt_residual_decomposed(f: KForm, data: G2Data | None = None) -> KForm:
     u, f14 = split.u, split.f14
     m = data.metric
 
-    ub = KForm(7, 1, m.gram @ u)
+    ub = flat(u, m)
     star_ub = hodge(ub, m)
-    u_norm2 = float(u @ m.gram @ u)
-    f14_norm2 = float(np.real(form_inner(f14, f14, m)))
+    u_norm2 = _dot(_vecmat(u, m.gram), u)
+    f14_norm2 = np.real(form_inner(f14, f14, m))
     iuf14 = interior(u, f14)
 
     lead = (3.0 - u_norm2 + 0.5 * f14_norm2) * star_ub
@@ -113,8 +119,8 @@ def ddt_residual_decomposed(f: KForm, data: G2Data | None = None) -> KForm:
 def is_solution(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL) -> bool:
     if data is None:
         data = standard_g2()
-    scale = max(1.0, form_norm(f, data.metric) ** 3)
-    return form_norm(ddt_residual(f, data), data.metric) <= tol * scale
+    scale = np.maximum(1.0, form_norm(f, data.metric) ** 3)
+    return _scalar(form_norm(ddt_residual(f, data), data.metric) <= tol * scale)
 
 
 def _require_solution(f: KForm, data: G2Data, tol: float) -> None:
@@ -339,8 +345,8 @@ def norm_bound_check(
     lhs = form_norm(seven, m)
     lam = form_norm(split.f14, m)
     inner = np.clip(lam**3 / (lam * lam + 6.0) ** 1.5, -1.0, 1.0)
-    rhs = float(np.sqrt(2.0 * lam * lam + 12.0) * np.cos(np.arccos(inner) / 3.0))
-    return lhs, rhs, bool(lhs <= rhs + tol)
+    rhs = _scalar(np.sqrt(2.0 * lam * lam + 12.0) * np.cos(np.arccos(inner) / 3.0))
+    return lhs, rhs, _scalar(lhs <= rhs + tol)
 
 
 def cube_norm_bound(beta: KForm, data: G2Data | None = None) -> tuple[float, float]:
@@ -350,7 +356,7 @@ def cube_norm_bound(beta: KForm, data: G2Data | None = None) -> tuple[float, flo
     _require_flux(beta)
     m = data.metric
     lhs = form_norm(wedge(wedge(beta, beta), beta), m)
-    rhs = float(np.sqrt(6.0) / 3.0 * form_norm(beta, m) ** 3)
+    rhs = _scalar(np.sqrt(6.0) / 3.0 * form_norm(beta, m) ** 3)
     return lhs, rhs
 
 
@@ -365,7 +371,8 @@ def wedge_injectivity(f: KForm, data: G2Data | None = None) -> tuple[int, float]
         data = standard_g2()
     _require_flux(f)
     singular = np.linalg.svd(wedge_matrix(f, 2), compute_uv=False)
-    top = singular.max(initial=0.0)
-    rank = int(np.count_nonzero(singular > RANK_CUTOFF * top)) if top > 0 else 0
+    top = singular.max(axis=-1, initial=0.0, keepdims=True)
+    count = np.count_nonzero(singular > RANK_CUTOFF * top, axis=-1)
+    rank = _scalar(np.where(top[..., 0] > 0, count, 0))
     cube_norm = form_norm(wedge(wedge(f, f), f), data.metric)
     return rank, cube_norm

@@ -44,7 +44,7 @@ FRAME_TOL = 1e-10
 
 def _wedge_power(a: KForm, k: int) -> KForm:
     if k == 0:
-        return KForm(a.dim, 0, np.ones(1))
+        return KForm(a.dim, 0, np.ones(a.coeffs.shape[:-1] + (1,)))
     out = a
     for _ in range(k - 1):
         out = wedge(out, a)

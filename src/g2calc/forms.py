@@ -5,6 +5,13 @@ multi-index, with the indices enumerated in lexicographic order.  All
 operations are exact linear algebra on these coefficient vectors; nothing
 here is discretised or approximated beyond floating point.
 
+Every form may carry leading batch axes: ``KForm.coeffs`` has shape
+``(..., C(n, k))``, and the products, the Hodge star, pullbacks and inner
+products act row by row, broadcasting those axes as numpy does.  A single
+form is the case with no leading axes; results on it are Python scalars
+where they always were.  A ``Metric`` may likewise hold a stack of Gram
+matrices, one per row.
+
 Conventions.  Basis covectors are written e^1, ..., e^n in prose but indexed
 from zero in code.  The volume form of a metric with gram matrix G and
 orientation s is s * sqrt(det G) * e^1...e^n, so the standard metric with
@@ -43,6 +50,39 @@ def rel_residual(lhs, rhs, floor: float = ABS_FLOOR) -> float:
     return diff / scale
 
 
+def row_residual(lhs, rhs, floor: float = ABS_FLOOR):
+    """rel_residual of each row along the last axis, as an array over the leading axes."""
+    a = np.asarray(lhs)
+    b = np.asarray(rhs)
+    diff = np.asarray(np.linalg.norm(a - b, axis=-1))
+    scale = np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))
+    return np.divide(diff, scale, out=diff, where=scale > floor)
+
+
+def _scalar(x):
+    """A result without leading axes as a Python scalar; a batched result as it is."""
+    return x.item() if getattr(x, "ndim", 1) == 0 else x
+
+
+def _matvec(mat, x):
+    """mat @ x over leading axes; one matrix product when mat has none."""
+    if mat.ndim == 2:
+        return mat @ x if x.ndim == 1 else x @ mat.T
+    return np.matmul(mat, x[..., None])[..., 0]
+
+
+def _vecmat(x, mat):
+    """x @ mat over leading axes; one matrix product when mat has none."""
+    if mat.ndim == 2:
+        return x @ mat
+    return np.matmul(x[..., None, :], mat)[..., 0, :]
+
+
+def _dot(x, y):
+    """Sum of x * y over the last axis, over leading axes."""
+    return x @ y if x.ndim == y.ndim == 1 else np.einsum("...i,...i->...", x, y)
+
+
 @lru_cache(maxsize=None)
 def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Strictly increasing k-tuples from range(n), lexicographically ordered."""
@@ -76,6 +116,14 @@ def _wedge_table(n: int, k: int, l: int):
 
 
 @lru_cache(maxsize=None)
+def _wedge_fill(n: int, k: int, l: int):
+    # The _wedge_table entries as (gather index into a, flat index into the
+    # C(n,k+l) x C(n,l) matrix of beta -> a ^ beta, sign).
+    ia, ib, out, signs = _wedge_table(n, k, l)
+    return ia, out * comb(n, l) + ib, signs
+
+
+@lru_cache(maxsize=None)
 def _interior_table(n: int, k: int):
     vec_idx, src, dst, signs = [], [], [], []
     pos_out = _positions(n, k - 1)
@@ -91,6 +139,14 @@ def _interior_table(n: int, k: int):
         np.array(dst, dtype=np.intp),
         np.array(signs, dtype=np.float64),
     )
+
+
+@lru_cache(maxsize=None)
+def _interior_fill(n: int, k: int):
+    # The _interior_table entries as (gather index into a, flat index into the
+    # C(n,k-1) x n matrix of v -> i(v) a, sign).
+    vec_idx, src, dst, signs = _interior_table(n, k)
+    return src, dst * n + vec_idx, signs
 
 
 @lru_cache(maxsize=None)
@@ -126,33 +182,42 @@ def exterior_power(a: np.ndarray, k: int) -> np.ndarray:
     """The k-th exterior power of a square matrix: minors det a[I, J] over k-tuples.
 
     Built by k - 1 wedge steps, each row of the k-th power being a row of
-    ``a`` wedged with a row of the (k-1)-th.  The result is a new array of
-    ``a``'s floating dtype, also at k = 1.
+    ``a`` wedged with a row of the (k-1)-th.  A stack of matrices (..., n, n)
+    gives the stack of their powers.  The result is a new array of ``a``'s
+    floating dtype, also at k = 1.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"exterior power needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    n = a.shape[-1]
     if not 0 <= k <= n:
         raise ValueError(f"exterior power of an {n}x{n} matrix needs 0 <= k <= {n}, got {k}")
     dtype = np.result_type(a, np.float64)
+    batch = a.shape[:-2]
     if k == 0:
-        return np.ones((1, 1), dtype=dtype)
+        return np.ones(batch + (1, 1), dtype=dtype)
     out = a.astype(dtype)
     for j in range(2, k + 1):
         first, rest, signs = _wedge_step(n, j)
-        prod = a[first][:, :, None] * out[rest][:, None, :]
-        out = prod.reshape(len(first), -1) @ signs
+        prod = a.take(first, axis=-2)[..., None] * out.take(rest, axis=-2)[..., None, :]
+        out = prod.reshape(batch + (len(first), -1)) @ signs
     return out
 
 
 @dataclass(frozen=True)
 class KForm:
-    """A k-form with dense coefficients over increasing multi-indices."""
+    """A k-form with dense coefficients over increasing multi-indices.
+
+    ``coeffs`` has shape (..., C(dim, grade)): any leading axes make the
+    object a batch of forms of one dimension and grade.
+    """
 
     dim: int
     grade: int
     coeffs: np.ndarray
+
+    # Makes numpy defer to KForm.__rmul__ in `array * form`.
+    __array_ufunc__ = None
 
     def __post_init__(self):
         if not 0 < self.dim <= MAX_DIM:
@@ -165,13 +230,25 @@ class KForm:
         else:
             arr = arr.astype(np.complex128, copy=True)
         expected = comb(self.dim, self.grade)
-        if arr.shape != (expected,):
+        if arr.shape[-1:] != (expected,):
             raise ValueError(
                 f"a grade {self.grade} form on R^{self.dim} needs {expected} "
-                f"coefficients, got shape {arr.shape}"
+                f"coefficients in its last axis, got shape {arr.shape}"
             )
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def _made(cls, dim: int, grade: int, coeffs: np.ndarray) -> "KForm":
+        # Wraps an array this module has just computed, without copy or checks:
+        # it must be float64 or complex128, of shape (..., C(dim, grade)), and
+        # alias no caller's array.
+        form = object.__new__(cls)
+        coeffs.setflags(write=False)
+        object.__setattr__(form, "dim", dim)
+        object.__setattr__(form, "grade", grade)
+        object.__setattr__(form, "coeffs", coeffs)
+        return form
 
     @classmethod
     def zero(cls, dim: int, grade: int) -> "KForm":
@@ -192,7 +269,12 @@ class KForm:
     def from_dict(cls, payload: dict) -> "KForm":
         return cls(int(payload["dim"]), int(payload["grade"]), np.array(payload["coeffs"]))
 
+    def _require_single(self, op: str) -> None:
+        if self.coeffs.ndim != 1:
+            raise ValueError(f"{op} needs a single form, got a batch of shape {self.coeffs.shape[:-1]}")
+
     def to_dict(self) -> dict:
+        self._require_single("to_dict")
         if np.iscomplexobj(self.coeffs):
             raise ValueError("only real forms serialize; split into real and imaginary parts first")
         return {
@@ -202,6 +284,7 @@ class KForm:
         }
 
     def coefficient(self, indices: tuple[int, ...]) -> float:
+        self._require_single("coefficient")
         ordered = tuple(sorted(indices))
         sign = _permutation_sign(indices)
         return sign * self.coeffs[_positions(self.dim, self.grade)[ordered]]
@@ -217,16 +300,19 @@ class KForm:
 
     def __add__(self, other: "KForm") -> "KForm":
         self._require_like(other, "add")
-        return KForm(self.dim, self.grade, self.coeffs + other.coeffs)
+        return KForm._made(self.dim, self.grade, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "KForm") -> "KForm":
         self._require_like(other, "subtract")
-        return KForm(self.dim, self.grade, self.coeffs - other.coeffs)
+        return KForm._made(self.dim, self.grade, self.coeffs - other.coeffs)
 
     def __neg__(self) -> "KForm":
         return KForm(self.dim, self.grade, -self.coeffs)
 
     def __mul__(self, scalar) -> "KForm":
+        # A scalar with leading axes scales each form of the batch by its own value.
+        if getattr(scalar, "ndim", 0):
+            scalar = scalar[..., None]
         return KForm(self.dim, self.grade, self.coeffs * scalar)
 
     __rmul__ = __mul__
@@ -244,7 +330,11 @@ def _permutation_sign(given: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class Metric:
-    """A constant inner product with an orientation relative to e^1...e^n."""
+    """A constant inner product with an orientation relative to e^1...e^n.
+
+    ``gram`` may be a stack (..., dim, dim): a batch of inner products that
+    share the orientation, each checked as one metric is.
+    """
 
     dim: int
     gram: np.ndarray
@@ -253,12 +343,13 @@ class Metric:
 
     def __post_init__(self):
         arr = np.asarray(self.gram, dtype=np.float64).copy()
-        if arr.shape != (self.dim, self.dim):
+        if arr.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"gram matrix must be {self.dim}x{self.dim}, got {arr.shape}")
-        scale = max(1.0, float(np.abs(arr).max()))
-        if np.abs(arr - arr.T).max() > 1e-10 * scale:
+        transposed = arr.swapaxes(-1, -2)
+        scale = np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
+        if (np.abs(arr - transposed).max(axis=(-2, -1)) > 1e-10 * scale).any():
             raise ValueError("gram matrix must be symmetric")
-        arr = 0.5 * (arr + arr.T)
+        arr = 0.5 * (arr + transposed)
         if np.linalg.eigvalsh(arr).min() <= 0:
             raise ValueError("gram matrix must be positive definite")
         if self.orientation not in (1, -1):
@@ -269,7 +360,7 @@ class Metric:
     @property
     def sqrt_det(self) -> float:
         if "sqrt_det" not in self._cache:
-            self._cache["sqrt_det"] = float(np.sqrt(np.linalg.det(self.gram)))
+            self._cache["sqrt_det"] = _scalar(np.sqrt(np.linalg.det(self.gram)))
         return self._cache["sqrt_det"]
 
     @property
@@ -291,13 +382,14 @@ class Metric:
         if key not in self._cache:
             dst, signs = _complement_table(self.dim, k)
             gk = self.gram_on_forms(k)
-            mat = np.zeros((comb(self.dim, self.dim - k), comb(self.dim, k)))
-            mat[dst, :] = (self.orientation * self.sqrt_det) * signs[:, None] * gk
+            scale = np.asarray(self.orientation * self.sqrt_det)[..., None, None]
+            mat = np.zeros(gk.shape[:-2] + (comb(self.dim, self.dim - k), comb(self.dim, k)))
+            mat[..., dst, :] = scale * signs[:, None] * gk
             self._cache[key] = mat
         return self._cache[key]
 
     def volume_form(self) -> KForm:
-        return KForm(self.dim, self.dim, np.array([self.orientation * self.sqrt_det]))
+        return KForm(self.dim, self.dim, np.asarray(self.orientation * self.sqrt_det)[..., None])
 
 
 @lru_cache(maxsize=None)
@@ -348,28 +440,51 @@ def _require_same_dim(a: KForm, b: KForm) -> None:
         raise ValueError(f"forms live on different spaces: R^{a.dim} vs R^{b.dim}")
 
 
+def _fill(mat: np.ndarray, flat: np.ndarray, signs: np.ndarray,
+          coeffs: np.ndarray, gather: np.ndarray) -> None:
+    """mat[..., flat] = signs * coeffs[..., gather], over any leading axes."""
+    if coeffs.ndim == 1:
+        # Plain indexing is about three times faster than the Ellipsis form.
+        mat[flat] = signs * coeffs[gather]
+    else:
+        mat[..., flat] = signs * coeffs[..., gather]
+
+
 def wedge_matrix(a: KForm, l: int) -> np.ndarray:
-    """Matrix of beta -> a ^ beta from grade l to grade a.grade + l, zero past the top."""
+    """Matrix of beta -> a ^ beta from grade l to grade a.grade + l, zero past the top.
+
+    A batch of forms gives a stack of matrices, one per row.
+    """
     n, k = a.dim, a.grade
+    batch = a.coeffs.shape[:-1]
     if k + l > n:
-        return np.zeros((1, comb(n, l)), dtype=a.coeffs.dtype)
-    ia, ib, out, signs = _wedge_table(n, k, l)
-    mat = np.zeros((comb(n, k + l), comb(n, l)), dtype=a.coeffs.dtype)
-    # Each (out, ib) pair occurs once: the multi-index of a is out minus ib.
-    mat[out, ib] = signs * a.coeffs[ia]
-    return mat
+        return np.zeros(batch + (1, comb(n, l)), dtype=a.coeffs.dtype)
+    ia, flat, signs = _wedge_fill(n, k, l)
+    rows, cols = comb(n, k + l), comb(n, l)
+    mat = np.zeros(batch + (rows * cols,), dtype=a.coeffs.dtype)
+    # Each flat index occurs once: the multi-index of a is the row's minus the column's.
+    _fill(mat, flat, signs, a.coeffs, ia)
+    return mat.reshape(batch + (rows, cols))
 
 
 def interior_matrix(a: KForm) -> np.ndarray:
-    """Matrix of v -> i(v) a from vectors to grade a.grade - 1; column j is i(e_j) a."""
+    """Matrix of v -> i(v) a from vectors to grade a.grade - 1; column j is i(e_j) a.
+
+    A batch of forms gives a stack of matrices, one per row.
+    """
     n, k = a.dim, a.grade
+    batch = a.coeffs.shape[:-1]
     if k == 0:
-        return np.zeros((1, n), dtype=a.coeffs.dtype)
-    vec_idx, src, dst, signs = _interior_table(n, k)
-    mat = np.zeros((comb(n, k - 1), n), dtype=a.coeffs.dtype)
-    # Each (dst, vec_idx) pair occurs once: the multi-index of a is dst plus vec_idx.
-    mat[dst, vec_idx] = signs * a.coeffs[src]
-    return mat
+        return np.zeros(batch + (1, n), dtype=a.coeffs.dtype)
+    src, flat, signs = _interior_fill(n, k)
+    mat = np.zeros(batch + (comb(n, k - 1) * n,), dtype=a.coeffs.dtype)
+    # Each flat index occurs once: the multi-index of a is the row's plus the column.
+    _fill(mat, flat, signs, a.coeffs, src)
+    return mat.reshape(batch + (comb(n, k - 1), n))
+
+
+def _batch_shape(*arrays) -> tuple[int, ...]:
+    return np.broadcast_shapes(*(x.shape[:-1] for x in arrays))
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -377,18 +492,20 @@ def wedge(a: KForm, b: KForm) -> KForm:
     _require_same_dim(a, b)
     n = a.dim
     if a.grade + b.grade > n:
-        return KForm.zero(n, n)
-    return KForm(n, a.grade + b.grade, wedge_matrix(a, b.grade) @ b.coeffs)
+        return KForm._made(n, n, np.zeros(_batch_shape(a.coeffs, b.coeffs) + (1,)))
+    return KForm._made(n, a.grade + b.grade, _matvec(wedge_matrix(a, b.grade), b.coeffs))
 
 
 def interior(v: np.ndarray, a: KForm) -> KForm:
     """Interior product i(v) alpha; on grade zero it returns 0."""
     v = np.asarray(v)
-    if v.shape != (a.dim,):
-        raise ValueError(f"vector must have shape ({a.dim},), got {v.shape}")
+    if v.shape[-1:] != (a.dim,):
+        raise ValueError(f"vector must have shape (..., {a.dim}), got {v.shape}")
+    if v.dtype != np.float64 and v.dtype != np.complex128:
+        v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
     if a.grade == 0:
-        return KForm.zero(a.dim, 0)
-    return KForm(a.dim, a.grade - 1, interior_matrix(a) @ v)
+        return KForm._made(a.dim, 0, np.zeros(_batch_shape(v, a.coeffs) + (1,)))
+    return KForm._made(a.dim, a.grade - 1, _matvec(interior_matrix(a), v))
 
 
 def _require_metric(a: KForm, m: Metric) -> None:
@@ -401,15 +518,15 @@ def hodge(a: KForm, m: Metric | None = None) -> KForm:
     if m is None:
         m = euclidean_metric(a.dim)
     _require_metric(a, m)
-    return KForm(a.dim, a.dim - a.grade, m.hodge_matrix(a.grade) @ a.coeffs)
+    return KForm._made(a.dim, a.dim - a.grade, _matvec(m.hodge_matrix(a.grade), a.coeffs))
 
 
 def flat(v: np.ndarray, m: Metric) -> KForm:
     """The covector g(v, .) of a vector."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (m.dim,):
-        raise ValueError(f"vector must have shape ({m.dim},), got {v.shape}")
-    return KForm(m.dim, 1, m.gram @ v)
+    if v.shape[-1:] != (m.dim,):
+        raise ValueError(f"vector must have shape (..., {m.dim}), got {v.shape}")
+    return KForm(m.dim, 1, _matvec(m.gram, v))
 
 
 def sharp(a: KForm, m: Metric) -> np.ndarray:
@@ -417,17 +534,18 @@ def sharp(a: KForm, m: Metric) -> np.ndarray:
     _require_metric(a, m)
     if a.grade != 1:
         raise ValueError(f"sharp expects a 1-form, got grade {a.grade}")
-    return np.linalg.solve(m.gram, a.coeffs)
+    return np.linalg.solve(m.gram, a.coeffs[..., None])[..., 0]
 
 
 def _skew(f: KForm) -> np.ndarray:
     """The skew matrix A[i, j] = f(e_i, e_j) = (i(e_i) f)_j of a 2-form, in f's dtype."""
-    return interior_matrix(f).T
+    return interior_matrix(f).swapaxes(-1, -2)
 
 
 def _two_form(a: np.ndarray) -> KForm:
     """The 2-form f with f(e_i, e_j) = a[i, j] for a skew matrix a; inverse of _skew."""
-    return KForm(a.shape[0], 2, a[np.triu_indices(a.shape[0], 1)])
+    rows, cols = np.triu_indices(a.shape[-1], 1)
+    return KForm(a.shape[-1], 2, a[..., rows, cols])
 
 
 def sharp2(f: KForm, m: Metric) -> LinearMap:
@@ -448,25 +566,26 @@ def pullback(L: LinearMap, a: KForm) -> KForm:
         raise ValueError(f"map on R^{L.dim} does not match form on R^{a.dim}")
     if a.grade == 0:
         return a
-    return KForm(a.dim, a.grade, a.coeffs @ L.pullback_matrix(a.grade))
+    return KForm._made(a.dim, a.grade, a.coeffs @ L.pullback_matrix(a.grade))
 
 
 def form_inner(a: KForm, b: KForm, m: Metric | None = None):
     """Induced inner product on forms of equal grade.
 
     Conjugate-linear in the first slot for complexified forms, so that
-    form_inner(a, a) is real and nonnegative.
+    form_inner(a, a) is real and nonnegative.  Batches give an array over
+    their leading axes.
     """
     a._require_like(b, "pair")
     if m is None:
         m = euclidean_metric(a.dim)
     _require_metric(a, m)
-    val = a.coeffs.conj() @ m.gram_on_forms(a.grade) @ b.coeffs
-    if not (np.iscomplexobj(a.coeffs) or np.iscomplexobj(b.coeffs)):
-        return float(val)
-    return complex(val)
+    return _scalar(_dot(_vecmat(a.coeffs.conj(), m.gram_on_forms(a.grade)), b.coeffs))
 
 
-def form_norm(a: KForm, m: Metric | None = None) -> float:
-    val = form_inner(a, a, m)
-    return float(np.sqrt(max(np.real(val), 0.0)))
+def form_norm(a: KForm, m: Metric | None = None):
+    val = np.real(form_inner(a, a, m))
+    if getattr(val, "ndim", 0):
+        return np.sqrt(np.maximum(val, 0.0))
+    # On one value max() gives the same result as the ufunc, NaN included, at a tenth of the cost.
+    return float(np.sqrt(max(val, 0.0)))

@@ -28,14 +28,19 @@ from .forms import (
     KForm,
     Metric,
     euclidean_metric,
+    flat,
     form_inner,
     form_norm,
     hodge,
     interior,
     interior_matrix,
-    rel_residual,
+    row_residual,
     wedge,
     wedge_matrix,
+    _dot,
+    _matvec,
+    _scalar,
+    _vecmat,
 )
 
 PHI_MONOMIALS = (
@@ -151,14 +156,16 @@ def _require_two_form(f: KForm) -> None:
 
 
 def project2(f: KForm, data: G2Data | None = None) -> TwoFormSplit:
-    """Split a 2-form into i(u)phi and its 14-part."""
+    """Split a 2-form into i(u)phi and its 14-part; a batch gives u of shape (..., 7)."""
     if data is None:
         data = standard_g2()
     _require_two_form(f)
-    part7 = data.proj2_7 @ f.coeffs
+    part7 = _matvec(data.proj2_7, f.coeffs)
     cols = data.basis2_7
-    u = np.linalg.solve(cols.T @ cols, cols.T @ part7)
-    f14 = KForm(7, 2, f.coeffs - cols @ u)
+    rhs = _matvec(cols.T, part7)
+    # One solve with a column per row of the batch.
+    u = np.linalg.solve(cols.T @ cols, rhs.reshape(-1, 7).T).T.reshape(rhs.shape)
+    f14 = KForm(7, 2, f.coeffs - _matvec(cols, u))
     return TwoFormSplit(u=u, f14=f14)
 
 
@@ -194,7 +201,8 @@ def identity_battery(u: np.ndarray, beta: KForm, data: G2Data | None = None) -> 
     """Max relative residual over six contraction identities.
 
     The first three hold for every vector u; the last three additionally
-    need beta to lie in the 14-dimensional part of the 2-forms.
+    need beta to lie in the 14-dimensional part of the 2-forms.  Batches of
+    vectors and forms give the maximum of each row.
     """
     if data is None:
         data = standard_g2()
@@ -203,28 +211,29 @@ def identity_battery(u: np.ndarray, beta: KForm, data: G2Data | None = None) -> 
     m = data.metric
     phi, star_phi = data.phi, data.star_phi
 
-    ub = KForm(7, 1, m.gram @ u)
+    ub = flat(u, m)
     star_ub = hodge(ub, m)
     iu_phi = interior(u, phi)
     iu_star_phi = interior(u, star_phi)
-    u_norm2 = float(u @ m.gram @ u)
+    u_norm2 = _dot(_vecmat(u, m.gram), u)
     beta_norm2 = form_inner(beta, beta, m)
 
     residuals = [
-        rel_residual(wedge(phi, iu_star_phi).coeffs, -4.0 * star_ub.coeffs),
-        rel_residual(wedge(star_phi, iu_phi).coeffs, 3.0 * star_ub.coeffs),
-        rel_residual(wedge(phi, iu_phi).coeffs, 2.0 * hodge(iu_phi, m).coeffs),
-        rel_residual(
+        row_residual(wedge(phi, iu_star_phi).coeffs, -4.0 * star_ub.coeffs),
+        row_residual(wedge(star_phi, iu_phi).coeffs, 3.0 * star_ub.coeffs),
+        row_residual(wedge(phi, iu_phi).coeffs, 2.0 * hodge(iu_phi, m).coeffs),
+        row_residual(
             wedge(wedge(iu_phi, iu_phi), iu_phi).coeffs,
-            6.0 * u_norm2 * star_ub.coeffs,
+            (6.0 * u_norm2 * star_ub).coeffs,
         ),
-        rel_residual(
+        row_residual(
             wedge(wedge(iu_phi, iu_phi), beta).coeffs,
             2.0 * wedge(wedge(star_phi, ub), interior(u, beta)).coeffs,
         ),
-        rel_residual(
+        row_residual(
             wedge(iu_phi, wedge(beta, beta)).coeffs,
             (-beta_norm2 * star_ub + wedge(phi, interior(u, wedge(beta, beta)))).coeffs,
         ),
     ]
-    return max(residuals)
+    # np.max, unlike max(), lets a NaN residual through.
+    return _scalar(np.max(residuals, axis=0))

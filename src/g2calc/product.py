@@ -25,6 +25,7 @@ from .forms import (
     rel_residual,
     wedge,
     _positions,
+    _scalar,
 )
 from .g2 import G2Data, g2_bundle
 from .ddt import ddt_residual, is_solution
@@ -57,8 +58,8 @@ def lift(a: KForm, with_dx: bool = False) -> KForm:
     """
     if a.dim != 6:
         raise ValueError(f"expected a form on R^6, got R^{a.dim}")
-    out = np.zeros(comb(7, a.grade), dtype=a.coeffs.dtype)
-    out[_shifted(a.grade)] = a.coeffs
+    out = np.zeros(a.coeffs.shape[:-1] + (comb(7, a.grade),), dtype=a.coeffs.dtype)
+    out[..., _shifted(a.grade)] = a.coeffs
     lifted = KForm(7, a.grade, out)
     if with_dx:
         return wedge(KForm.monomial(7, (0,)), lifted)
@@ -72,7 +73,8 @@ def dx_split(a: KForm) -> tuple[KForm, KForm]:
     k = a.grade
     if not 1 <= k <= 6:
         raise ValueError(f"grade must lie in 1..6 to split, got {k}")
-    return KForm(6, k - 1, a.coeffs[_shifted(k - 1, True)]), KForm(6, k, a.coeffs[_shifted(k)])
+    return (KForm(6, k - 1, a.coeffs[..., _shifted(k - 1, True)]),
+            KForm(6, k, a.coeffs[..., _shifted(k)]))
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,8 @@ def correspondence_check(su3: SU3Point, f: KForm, tol: float = PRODUCT_TOL) -> P
 
     The threefold side tests the phase condition Im((omega + iF)^3) = 0 and
     the absence of a (0,2) component; the product side tests the deformed
-    equation of the lifted flux.  Thresholds scale with the flux size.
+    equation of the lifted flux.  Thresholds scale with the flux size.  A
+    batch of curvatures gives a report whose fields are arrays over its rows.
     """
     if (f.dim, f.grade) != (6, 2):
         raise ValueError("expected a 2-form on R^6")
@@ -193,15 +196,15 @@ def correspondence_check(su3: SU3Point, f: KForm, tol: float = PRODUCT_TOL) -> P
     antiholo_norm = form_norm(wedge(f, su3.im_holo), metric)
     p02_norm = form_norm(pq_project(su3.point, f, 0, 2), metric)
     size = form_norm(f, metric)
-    cubic_scale = max(1.0, size**3)
+    cubic_scale = np.maximum(1.0, size**3)
     return ProductReport(
         ddt_residual_norm=ddt_norm,
         phase_residual_norm=phase_norm,
         antiholo_norm=antiholo_norm,
         p02_norm=p02_norm,
         ddt_solves=is_solution(lift(f), data, tol),
-        su3_solves=bool(
-            phase_norm <= tol * cubic_scale and p02_norm <= tol * max(1.0, size)
+        su3_solves=_scalar(
+            (phase_norm <= tol * cubic_scale) & (p02_norm <= tol * np.maximum(1.0, size))
         ),
     )
 

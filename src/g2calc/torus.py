@@ -157,15 +157,19 @@ def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0,
     """Count check-harmonic one-forms over the mode box and derive the rest.
 
     dim_check_H1 sums the kernels of the stacked (d1_prime; dstar1) blocks;
-    b1 is recomputed from the ordinary harmonic condition on the same box,
-    and dim_H2 is their difference.
+    b1 is counted from the ordinary harmonic condition on the same box,
+    and dim_H2 is their difference.  b1 does not depend on c, so it is
+    counted once per structure and cutoff and kept in the structure's cache.
     """
     if data is None:
         data = standard_g2()
     t, u = _base_tensors(data)
     tensor = np.concatenate([c * t, u[:, None, :]], axis=1)
     check_h1 = _kernel_total(tensor, cutoff, chunk)
-    b1 = betti_one(cutoff, data, chunk)
+    key = ("betti_one", cutoff)
+    if key not in data._cache:
+        data._cache[key] = betti_one(cutoff, data, chunk)
+    b1 = data._cache[key]
     return CohomologySummary(cutoff, check_h1, check_h1 - b1, b1)
 
 

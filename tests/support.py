@@ -8,14 +8,49 @@ against a second, unrelated code path.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 import scipy.linalg
 
-from g2calc.ddt import SOLUTION_TOL
-from g2calc.forms import KForm, LinearMap, Metric, multi_indices, pullback, rel_residual, sharp2
-from g2calc.g2 import G2Data, _from_monomials, standard_g2
+from g2calc.ddt import (
+    SOLUTION_TOL,
+    cartan_solutions,
+    cartan_solve,
+    cartan_two_form,
+    cube_norm_bound,
+    ddt_residual,
+    ddt_residual_decomposed,
+    norm_bound_check,
+    reformulation_residual,
+    wedge_injectivity,
+)
+from g2calc.forms import (
+    KForm,
+    LinearMap,
+    Metric,
+    euclidean_metric,
+    flat,
+    form_inner,
+    form_norm,
+    hodge,
+    interior,
+    multi_indices,
+    pullback,
+    rel_residual,
+    sharp2,
+    wedge,
+)
+from g2calc.g2 import G2Data, _from_monomials, identity_battery, standard_g2
+from g2calc.product import correspondence_check, standard_su3, zero_phase_flux
+from g2calc.suites import (
+    Campaign,
+    Report,
+    _Recorder,
+    _random_metric,
+    _random_two_form,
+    _zero_sum_weights,
+)
 
 STAR_PHI_MONOMIALS = (
     ((3, 4, 5, 6), 1.0),
@@ -93,3 +128,193 @@ def random_structure_rotation(
         if rel_residual(pullback(rotation, data.phi).coeffs, data.phi.coeffs) < tol:
             return rotation
     raise ValueError("could not draw a structure-preserving rotation")
+
+
+# The per-sample suite bodies that the batched runners in g2calc.suites
+# replaced, kept as reference loops: each draws and checks one sample at a
+# time through the single-form API, in the order the batched runners keep.
+
+
+def reference_appendix_a(campaign: Campaign, rng: np.random.Generator) -> Report:
+    rec = _Recorder("appendixA")
+    dims = (6, 7, 8)
+    for i in range(campaign.samples):
+        n = dims[i % 3]
+        m = _random_metric(rng, n) if i % 3 == 0 else euclidean_metric(n)
+        k = int(rng.integers(0, n + 1))
+        a = KForm(n, k, rng.standard_normal(comb(n, k)))
+        b = KForm(n, k, rng.standard_normal(comb(n, k)))
+        v = rng.standard_normal(n)
+        vb = flat(v, m)
+
+        twice = hodge(hodge(a, m), m)
+        rec.check(
+            "double star sign",
+            rel_residual(twice.coeffs, ((-1) ** (k * (n - k))) * a.coeffs),
+            campaign.tol_rel,
+            sample=i, dim=n, grade=k, form=a,
+        )
+        inner = form_inner(a, b, m)
+        rec.check(
+            "star isometry",
+            abs(form_inner(hodge(a, m), hodge(b, m), m) - inner)
+            / max(1.0, abs(inner)),
+            campaign.tol_rel,
+            sample=i, dim=n, grade=k, form=a,
+        )
+        lhs = interior(v, hodge(a, m))
+        rhs = ((-1) ** k) * hodge(wedge(vb, a), m)
+        rec.check(
+            "contraction of star",
+            rel_residual(lhs.coeffs, rhs.coeffs),
+            campaign.tol_rel,
+            sample=i, dim=n, grade=k, form=a, vector=v,
+        )
+        if k >= 1:
+            lhs = hodge(interior(v, a), m)
+            rhs = ((-1) ** (k + 1)) * wedge(vb, hodge(a, m))
+            rec.check(
+                "star of contraction",
+                rel_residual(lhs.coeffs, rhs.coeffs),
+                campaign.tol_rel,
+                sample=i, dim=n, grade=k, form=a, vector=v,
+            )
+    rec.details = {"dimensions": list(dims), "trials": campaign.samples}
+    return rec.report()
+
+
+def reference_appendix_b(campaign: Campaign, rng: np.random.Generator) -> Report:
+    rec = _Recorder("appendixB")
+    data = standard_g2()
+
+    traces = (
+        ("two-form 7-part trace", data.proj2_7, 7.0),
+        ("two-form 14-part trace", data.proj2_14, 14.0),
+        ("three-form 1-part trace", data.proj3_1, 1.0),
+        ("three-form 7-part trace", data.proj3_7, 7.0),
+        ("three-form 27-part trace", data.proj3_27, 27.0),
+    )
+    for label, mat, expected in traces:
+        rec.check(label, abs(float(np.trace(mat)) - expected), campaign.tol_rel)
+    pair_sums = (
+        ("two-form projectors resolve identity",
+         data.proj2_7 + data.proj2_14, np.eye(21)),
+        ("three-form projectors resolve identity",
+         data.proj3_1 + data.proj3_7 + data.proj3_27, np.eye(35)),
+    )
+    for label, total, expected in pair_sums:
+        rec.check(label, rel_residual(total, expected), campaign.tol_rel)
+    for label, mat in (("7-part idempotent", data.proj2_7),
+                       ("14-part idempotent", data.proj2_14)):
+        rec.check(label, rel_residual(mat @ mat, mat), campaign.tol_rel)
+    rec.check(
+        "projectors annihilate each other",
+        float(np.abs(data.proj2_7 @ data.proj2_14).max()),
+        campaign.tol_rel,
+    )
+    rec.check(
+        "structure form has norm seven",
+        abs(form_inner(data.phi, data.phi, data.metric) - 7.0),
+        campaign.tol_rel,
+    )
+
+    flux = KForm.monomial(7, (1, 2)) - KForm.monomial(7, (3, 4))
+    rank, cube = wedge_injectivity(flux, data)
+    rec.expect("degenerate flux drops rank", rank <= 20 and cube == 0.0,
+               rank=rank, cube_norm=cube)
+    witness = KForm.monomial(7, (1, 3)) + KForm.monomial(7, (2, 4))
+    rec.expect("kernel witness wedges to zero",
+               not np.any(wedge(flux, witness).coeffs))
+    rec.details["degenerate_rank"] = int(rank)
+
+    for i in range(campaign.samples):
+        u = rng.standard_normal(7)
+        beta = KForm(7, 2, data.proj2_14 @ rng.standard_normal(21))
+        rec.check("contraction battery", identity_battery(u, beta, data),
+                  campaign.tol_rel, sample=i, vector=u, form=beta)
+    rec.details["battery_trials"] = campaign.samples
+    return rec.report()
+
+
+def reference_prop_d1(campaign: Campaign, rng: np.random.Generator) -> Report:
+    rec = _Recorder("propD1")
+    data = standard_g2()
+    for i in range(campaign.samples):
+        scale = float(10.0 ** rng.uniform(-1.0, 1.0))
+        f = _random_two_form(rng, 7, scale)
+        direct = ddt_residual(f, data)
+        split = ddt_residual_decomposed(f, data)
+        rec.check("type split reassembles the residual",
+                  rel_residual(split.coeffs, direct.coeffs),
+                  campaign.tol_rel, sample=i, scale=scale, flux=f)
+    rec.details = {"fluxes_checked": campaign.samples}
+    return rec.report()
+
+
+def reference_cor_d2(campaign: Campaign, rng: np.random.Generator) -> Report:
+    rec = _Recorder("corD2")
+    data = standard_g2()
+
+    roots = np.sort(cartan_solve(0.0, 0.0, 0.0))
+    rec.check("pure contraction roots",
+              rel_residual(roots, np.array([-sqrt(3.0), 0.0, sqrt(3.0)])),
+              campaign.tol_rel)
+    extremal = cartan_two_form(sqrt(3.0), (0.0, 0.0, 0.0))
+    lhs, rhs, ok = norm_bound_check(extremal, data)
+    rec.expect("bound saturates on the extremal solution",
+               ok and abs(lhs - 3.0) < campaign.tol_identity
+               and abs(rhs - 3.0) < campaign.tol_identity,
+               lhs=lhs, rhs=rhs)
+
+    draws = max(67, campaign.samples // 5)
+    solutions = 0
+    for i in range(draws):
+        weights = _zero_sum_weights(rng)
+        for f in cartan_solutions(*weights):
+            solutions += 1
+            lhs, rhs, ok = norm_bound_check(f, data)
+            rec.expect("7-part bound holds on solutions", ok,
+                       sample=i, lhs=lhs, rhs=rhs, flux=f)
+            rank, cube = wedge_injectivity(f, data)
+            if cube > campaign.tol_identity:
+                rec.expect("wedge map has full rank", rank == 21,
+                           sample=i, rank=rank, cube_norm=cube, flux=f)
+            scale = max(1.0, form_norm(f, data.metric) ** 3)
+            rec.check("first-order reformulation vanishes",
+                      reformulation_residual(f, data) / scale,
+                      campaign.tol_identity, sample=i, flux=f)
+        beta = KForm(7, 2, data.proj2_14 @ rng.standard_normal(21))
+        cube_lhs, cube_rhs = cube_norm_bound(beta, data)
+        rec.expect("14-part cube bound",
+                   cube_lhs <= cube_rhs * (1.0 + campaign.tol_rel) + 1e-12,
+                   sample=i, lhs=cube_lhs, rhs=cube_rhs, form=beta)
+    rec.details = {"solutions_checked": solutions, "families": draws}
+    return rec.report()
+
+
+def reference_product(campaign: Campaign, rng: np.random.Generator) -> Report:
+    rec = _Recorder("product")
+    su3 = standard_su3()
+    solved_both = 0
+    solved_neither = 0
+    for i in range(campaign.samples):
+        branch = i % 3
+        if branch == 0:
+            f = zero_phase_flux(rng, su3)
+        elif branch == 1:
+            f = _random_two_form(rng, 6, 1.5)
+        else:
+            f = _random_two_form(rng, 6, 0.3)
+        rep = correspondence_check(su3, f, tol=campaign.tol_identity)
+        rec.expect("classifications agree", rep.agree, sample=i,
+                   branch=branch, flux=f, **rep.to_dict())
+        if branch == 0:
+            rec.expect("engineered flux solves both sides",
+                       rep.ddt_solves and rep.su3_solves,
+                       sample=i, flux=f, **rep.to_dict())
+        if rep.ddt_solves and rep.su3_solves:
+            solved_both += 1
+        elif not rep.ddt_solves and not rep.su3_solves:
+            solved_neither += 1
+    rec.details = {"solved_both": solved_both, "solved_neither": solved_neither}
+    return rec.report()

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from g2calc import suites
@@ -103,7 +104,8 @@ class TestMain:
     def test_json_output_is_strict(self, capsysbinary, monkeypatch):
         # A NaN residual fails the run and is written as the string "NaN".
         monkeypatch.delenv("G2CALC_SEED", raising=False)
-        monkeypatch.setattr(suites, "rel_residual", lambda *args: float("nan"))
+        monkeypatch.setattr(suites, "row_residual",
+                            lambda lhs, rhs: np.full(np.shape(lhs)[:-1], np.nan))
         code, out = run_main(
             ["verify", "--samples", "2", "--suite", "propD1", "--format", "json"],
             capsysbinary,

@@ -564,7 +564,7 @@ class TestExteriorPower:
         m = random_metric(rng, 4)
         assert not np.shares_memory(m.gram_on_forms(1), m.gram_inv)
 
-    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2), ()])
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 3), ()])
     def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError, match="square matrix"):
             exterior_power(np.ones(shape), 1)
@@ -665,3 +665,198 @@ class TestProductKernels:
         b = rng.standard_normal((n, n))
         skew = b - b.T
         assert np.array_equal(_skew(_two_form(skew)), skew)
+
+
+# Batched and per-row products add the same terms, possibly in another order,
+# so a row agrees with the per-row call to a few ulps of the size of its terms:
+# of |a| |b| for a product of two forms, of |M| |x| for a matrix applied to x.
+# (A row whose terms cancel cannot be held to ulps of its own small value.)
+BATCH_TOL = 1e-15
+BATCH = 4
+
+
+def batch_of_forms(rng, n, k, imag):
+    coeffs = rng.standard_normal((BATCH, comb(n, k)))
+    return KForm(n, k, coeffs + imag * 1j * rng.standard_normal(coeffs.shape))
+
+
+def rows_close(got, want_rows, scales):
+    assert got.shape == (BATCH,) + np.shape(want_rows[0])
+    for row, want, scale in zip(got, want_rows, scales):
+        assert np.linalg.norm(row - want) <= BATCH_TOL * max(np.linalg.norm(want), scale)
+
+
+def norms(x):
+    return np.linalg.norm(np.atleast_2d(x), axis=-1) * np.ones(BATCH)
+
+
+class TestBatches:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_products_act_row_by_row(self, n):
+        rng = np.random.default_rng(330 + n)
+        single_v = random_vector(rng, n)
+        vs = rng.standard_normal((BATCH, n))
+        for k in range(n + 1):
+            for imag in (0.0, 1.0):
+                a = batch_of_forms(rng, n, k, imag)
+                single = KForm(n, k, a.coeffs[0] + 1.0)
+                rows = [KForm(n, k, c) for c in a.coeffs]
+                # The matrices are filled, not summed: equal bit for bit.
+                for l in range(n + 1):
+                    assert np.array_equal(wedge_matrix(a, l), [wedge_matrix(r, l) for r in rows])
+                assert np.array_equal(interior_matrix(a), [interior_matrix(r) for r in rows])
+                rows_close(interior(vs, a).coeffs,
+                           [interior(v, r).coeffs for v, r in zip(vs, rows)],
+                           norms(vs) * norms(a.coeffs))
+                rows_close(interior(single_v, a).coeffs,
+                           [interior(single_v, r).coeffs for r in rows],
+                           norms(single_v) * norms(a.coeffs))
+                rows_close(interior(vs, single).coeffs, [interior(v, single).coeffs for v in vs],
+                           norms(vs) * norms(single.coeffs))
+                for l in range(n + 1):
+                    b = batch_of_forms(rng, n, l, imag)
+                    b_rows = [KForm(n, l, c) for c in b.coeffs]
+                    b_single = KForm(n, l, b.coeffs[0] - 1.0)
+                    rows_close(wedge(a, b).coeffs,
+                               [wedge(x, y).coeffs for x, y in zip(rows, b_rows)],
+                               norms(a.coeffs) * norms(b.coeffs))
+                    rows_close(wedge(a, b_single).coeffs,
+                               [wedge(x, b_single).coeffs for x in rows],
+                               norms(a.coeffs) * norms(b_single.coeffs))
+                    rows_close(wedge(single, b).coeffs,
+                               [wedge(single, y).coeffs for y in b_rows],
+                               norms(single.coeffs) * norms(b.coeffs))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_metric_operations_act_row_by_row(self, n):
+        rng = np.random.default_rng(340 + n)
+        grams = [random_metric(rng, n).gram for _ in range(BATCH)]
+        stacked = Metric(n, np.stack(grams), orientation=-1)
+        metrics = [Metric(n, g, orientation=-1) for g in grams]
+        fixed = random_metric(rng, n)
+        move = LinearMap(n, np.eye(n) + 0.3 * rng.standard_normal((n, n)))
+        vs = rng.standard_normal((BATCH, n))
+        for m, per_row in ((fixed, [fixed] * BATCH), (stacked, metrics)):
+            rows_close(flat(vs, m).coeffs, [flat(v, g).coeffs for v, g in zip(vs, per_row)],
+                       norms(vs) * norms(m.gram.reshape(-1, n * n)))
+        for k in range(n + 1):
+            for imag in (0.0, 1.0):
+                a = batch_of_forms(rng, n, k, imag)
+                b = batch_of_forms(rng, n, k, imag)
+                rows = [KForm(n, k, c) for c in a.coeffs]
+                b_rows = [KForm(n, k, c) for c in b.coeffs]
+                rows_close(pullback(move, a).coeffs, [pullback(move, r).coeffs for r in rows],
+                           norms(a.coeffs) * np.linalg.norm(move.pullback_matrix(k)))
+                for m, per_row in ((fixed, [fixed] * BATCH), (stacked, metrics)):
+                    rows_close(hodge(a, m).coeffs, [hodge(r, g).coeffs for r, g in zip(rows, per_row)],
+                               norms(a.coeffs) * [np.linalg.norm(g.hodge_matrix(k)) for g in per_row])
+                    got = form_inner(a, b, m)
+                    want = [form_inner(x, y, g) for x, y, g in zip(rows, b_rows, per_row)]
+                    scale = [form_norm(x, g) * form_norm(y, g) for x, y, g in zip(rows, b_rows, per_row)]
+                    assert got.shape == (BATCH,)
+                    assert np.all(np.abs(got - want) <= BATCH_TOL * np.maximum(scale, 1.0))
+                    got = form_norm(a, m)
+                    want = [form_norm(x, g) for x, g in zip(rows, per_row)]
+                    assert np.all(np.abs(got - want) <= BATCH_TOL * np.maximum(want, 1.0))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exterior_power_of_a_stack(self, n):
+        rng = np.random.default_rng(350 + n)
+        stack = np.stack([oracle_matrices(rng, n)[i % 2] for i in range(BATCH)])
+        for k in range(n + 1):
+            got = exterior_power(stack, k)
+            assert got.shape == (BATCH, comb(n, k), comb(n, k))
+            for row, a in zip(got, stack):
+                assert rel_residual(row, exterior_power(a, k)) <= BATCH_TOL
+        assert exterior_power(stack[None], n // 2).shape == (1, BATCH) + (comb(n, n // 2),) * 2
+
+    def test_batch_of_one_equals_the_single_form(self):
+        rng = np.random.default_rng(360)
+        m = random_metric(rng, 6)
+        a, b = random_form(rng, 6, 2), random_form(rng, 6, 3)
+        one_a, one_b = KForm(6, 2, a.coeffs[None]), KForm(6, 3, b.coeffs[None])
+        v = random_vector(rng, 6)
+        move = LinearMap(6, np.eye(6) + 0.3 * rng.standard_normal((6, 6)))
+        pairs = [
+            (wedge(one_a, one_b), wedge(a, b)),
+            (interior(v[None], one_b), interior(v, b)),
+            (hodge(one_b, m), hodge(b, m)),
+            (pullback(move, one_b), pullback(move, b)),
+        ]
+        for batched, single in pairs:
+            assert batched.coeffs.shape == (1,) + single.coeffs.shape
+            assert rel_residual(batched.coeffs[0], single.coeffs) <= BATCH_TOL
+        assert form_inner(one_a, one_a, m).shape == (1,)
+        assert form_inner(one_a, one_a, m)[0] == pytest.approx(form_inner(a, a, m), rel=BATCH_TOL)
+        assert form_norm(one_b, m)[0] == pytest.approx(form_norm(b, m), rel=BATCH_TOL)
+        assert isinstance(form_inner(a, a, m), float)
+        assert isinstance(form_norm(b, m), float)
+
+    def test_last_axis_is_checked(self):
+        with pytest.raises(ValueError, match="last axis"):
+            KForm(5, 2, np.zeros((3, 9)))
+        with pytest.raises(ValueError, match="last axis"):
+            KForm(5, 2, np.zeros((10, 3)))
+        with pytest.raises(ValueError, match="last axis"):
+            KForm(5, 0, np.float64(1.0))
+        assert KForm(5, 2, np.zeros((2, 3, 10))).coeffs.shape == (2, 3, 10)
+
+    def test_single_form_accessors_refuse_a_batch(self):
+        batch = KForm(4, 1, np.ones((2, 4)))
+        with pytest.raises(ValueError, match="single form"):
+            batch.to_dict()
+        with pytest.raises(ValueError, match="single form"):
+            batch.coefficient((0,))
+
+    def test_scalar_per_row(self):
+        batch = KForm(4, 1, np.ones((3, 4)))
+        scaled = np.array([1.0, 2.0, 3.0]) * batch
+        assert np.array_equal(scaled.coeffs, np.arange(1.0, 4.0)[:, None] * np.ones((3, 4)))
+        assert np.array_equal((batch * np.float64(2.0)).coeffs, 2.0 * batch.coeffs)
+
+    def test_stacked_metric_checks_each_matrix(self):
+        good = np.eye(3)
+        with pytest.raises(ValueError, match="symmetric"):
+            Metric(3, np.stack([good, good + np.triu(np.ones((3, 3)), 1)]))
+        with pytest.raises(ValueError, match="positive definite"):
+            Metric(3, np.stack([good, -good]))
+        stacked = Metric(3, np.stack([good, 4.0 * good]), orientation=-1)
+        assert stacked.sqrt_det == pytest.approx([1.0, 8.0], rel=1e-15)
+        assert stacked.volume_form().coeffs[:, 0] == pytest.approx([-1.0, -8.0], rel=1e-15)
+
+
+class TestKernelResults:
+    def test_results_are_fresh_read_only_arrays(self):
+        rng = np.random.default_rng(370)
+        m = random_metric(rng, 5)
+        move = LinearMap(5, np.eye(5) + 0.3 * rng.standard_normal((5, 5)))
+        for imag in (0.0, 1.0):
+            for shape in ((), (3,)):
+                a = KForm(5, 2, rng.standard_normal(shape + (10,)) + imag * 1j)
+                b = KForm(5, 1, rng.standard_normal(shape + (5,)))
+                c = KForm(5, 2, rng.standard_normal(shape + (10,)))
+                v = rng.standard_normal(shape + (5,))
+                results = {
+                    "wedge": (wedge(a, b), 3, (a, b)),
+                    "wedge past the top": (wedge(a, KForm(5, 4, np.ones(5))), 5, (a,)),
+                    "interior": (interior(v, a), 1, (a,)),
+                    "interior of a function": (interior(v, KForm(5, 0, np.ones(shape + (1,)))), 0, ()),
+                    "hodge": (hodge(a, m), 3, (a,)),
+                    "pullback": (pullback(move, a), 2, (a,)),
+                    "sum": (a + c, 2, (a, c)),
+                    "difference": (a - c, 2, (a, c)),
+                }
+                cached = [m.gram, m.hodge_matrix(2), move.matrix, move.pullback_matrix(2)]
+                for name, (form, grade, inputs) in results.items():
+                    arrays = [x.coeffs for x in inputs] + [v] + cached
+                    assert form.grade == grade, name
+                    assert form.coeffs.shape == shape + (comb(5, grade),), name
+                    assert form.coeffs.dtype in (np.float64, np.complex128), name
+                    assert not form.coeffs.flags.writeable, name
+                    assert not any(np.shares_memory(form.coeffs, x) for x in arrays), name
+
+    def test_scalar_products_stay_validated(self):
+        a = KForm(4, 1, np.ones(4))
+        scaled = a * np.longdouble(2.0)
+        assert scaled.coeffs.dtype == np.float64
+        assert np.array_equal(scaled.coeffs, 2.0 * np.ones(4))

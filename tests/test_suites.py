@@ -3,16 +3,28 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import support
+from g2calc import g2, suites
 from g2calc.suites import (
+    CHUNK_ROWS,
     MAX_WITNESSES,
     SUITE_IDS,
     Campaign,
     Report,
+    _RUNNERS,
     _Recorder,
     all_passed,
     emit,
+)
+from support import (
+    reference_appendix_a,
+    reference_appendix_b,
+    reference_cor_d2,
+    reference_prop_d1,
+    reference_product,
 )
 
 
@@ -198,3 +210,109 @@ class TestNonFinite:
             if line.startswith("  witness "):
                 json.loads(line[len("  witness "):], parse_constant=reject_constant)
 
+
+
+REFERENCES = {
+    "appendixA": reference_appendix_a,
+    "appendixB": reference_appendix_b,
+    "propD1": reference_prop_d1,
+    "corD2": reference_cor_d2,
+    "product": reference_product,
+}
+
+# Witness fields that are drawn inputs or labels rather than computed values.
+INPUT_FIELDS = {"check", "sample", "tolerance", "dim", "grade", "branch", "scale",
+                "form", "flux", "vector"}
+
+
+@pytest.fixture
+def check_log(monkeypatch):
+    """Every recorded check as (label, sample, numbers), one list per run.
+
+    The numbers are a check's residual, or an expectation's outcome and the
+    numeric values it reports (bounds, norms, ranks).
+    """
+    logs = []
+    check, expect = _Recorder.check, _Recorder.expect
+
+    def numbers(info):
+        return [float(v) for k, v in info.items()
+                if k != "sample" and isinstance(v, (bool, int, float, np.number, np.bool_))]
+
+    def logged_check(self, label, residual, tol, **info):
+        logs[-1].append((label, info.get("sample"), [float(residual)]))
+        check(self, label, residual, tol, **info)
+
+    def logged_expect(self, label, ok, **info):
+        logs[-1].append((label, info.get("sample"), [float(ok)] + numbers(info)))
+        expect(self, label, ok, **info)
+
+    monkeypatch.setattr(_Recorder, "check", logged_check)
+    monkeypatch.setattr(_Recorder, "expect", logged_expect)
+    return logs
+
+
+def run_both(name, campaign, logs=None):
+    """The batched runner's report and the reference loop's, on the same draws."""
+    reports = []
+    for run in (_RUNNERS[name], REFERENCES[name]):
+        if logs is not None:
+            logs.append([])
+        reports.append(run(campaign, np.random.default_rng([campaign.seed, SUITE_IDS[name]])))
+    return reports
+
+
+def assert_same_log(batched, reference):
+    assert [entry[:2] for entry in batched] == [entry[:2] for entry in reference]
+    for (_, _, got), (_, _, want) in zip(batched, reference):
+        assert len(got) == len(want)
+        for x, x_ref in zip(got, want):
+            # Residuals are already relative, so all values are compared on the scale of one.
+            assert abs(x - x_ref) <= 1e-12 * max(1.0, abs(x_ref))
+
+
+def fingerprint_rows(lhs, rhs, floor=None):
+    """A stand-in residual that differs from sample to sample: |lhs - rhs / 2| per row."""
+    return np.linalg.norm(np.asarray(lhs) - 0.5 * np.asarray(rhs), axis=-1)
+
+
+def fingerprint(lhs, rhs, floor=None):
+    return float(fingerprint_rows(np.ravel(lhs), np.ravel(rhs)))
+
+
+class TestBatchedSuites:
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    @pytest.mark.parametrize("name", REFERENCES)
+    def test_counts_and_residuals_match_the_reference_loop(self, check_log, name, seed):
+        got, want = run_both(name, Campaign(seed=seed, samples=60, suites=(name,)), check_log)
+        assert (got.passed, got.failed, got.details) == (want.passed, want.failed, want.details)
+        assert got.witnesses == want.witnesses == ()
+        assert_same_log(*check_log)
+
+    @pytest.mark.parametrize("name, samples", [("appendixA", 800), ("appendixB", 60),
+                                               ("propD1", 60)])
+    def test_each_row_keeps_its_sample(self, monkeypatch, check_log, name, samples):
+        # The identities hold, so true residuals are rounding noise that would
+        # not show two samples' rows swapped; this stand-in is O(1) per sample.
+        for module in (suites, g2):
+            monkeypatch.setattr(module, "row_residual", fingerprint_rows)
+        for module in (suites, support):
+            monkeypatch.setattr(module, "rel_residual", fingerprint)
+        assert samples > CHUNK_ROWS * (24 if name == "appendixA" else 1)
+        got, want = run_both(name, Campaign(seed=7, samples=samples, suites=(name,)), check_log)
+        assert (got.passed, got.failed) == (want.passed, want.failed)
+        assert got.failed > 0
+        assert_same_log(*check_log)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    @pytest.mark.parametrize("name", REFERENCES)
+    def test_witnesses_carry_the_reference_inputs(self, name, seed):
+        campaign = Campaign(seed=seed, samples=60, tol_rel=1e-30, tol_identity=1e-30,
+                            suites=(name,))
+        got, want = run_both(name, campaign)
+        assert got.failed > 0
+        assert len(got.witnesses) == len(want.witnesses)
+        for witness, expected in zip(got.witnesses, want.witnesses):
+            assert list(witness) == list(expected)
+            assert ({k: v for k, v in witness.items() if k in INPUT_FIELDS}
+                    == {k: v for k, v in expected.items() if k in INPUT_FIELDS})

@@ -5,6 +5,7 @@ import pytest
 
 from g2calc.forms import KForm, hodge, pullback, rel_residual, wedge
 from g2calc.g2 import g2_bundle, standard_g2
+from g2calc import torus
 from g2calc.ddt import graph_map
 from g2calc.torus import (
     KERNEL_RTOL,
@@ -185,6 +186,21 @@ class TestDimensionCounts:
     def test_perturbed_structure_keeps_dimensions(self, perturbed):
         summary = harmonic_dim(1, perturbed)
         assert (summary.dim_check_H1, summary.dim_H2, summary.b1) == (7, 0, 7)
+
+    def test_b1_is_counted_once_per_structure_and_cutoff(self, monkeypatch):
+        data = g2_bundle(standard_g2().phi)
+        counted = []
+
+        def counting_betti_one(*args):
+            counted.append(args[0])
+            return betti_one(*args)
+
+        monkeypatch.setattr(torus, "betti_one", counting_betti_one)
+        assert harmonic_dim(1, data) == CohomologySummary(1, 7, 0, 7)
+        assert harmonic_dim(1, data, c=-2.0) == CohomologySummary(1, 7, 0, 7)
+        assert counted == [1]
+        assert harmonic_dim(2, data).b1 == 7
+        assert counted == [1, 2]
 
     def test_chunking_does_not_change_counts(self):
         assert harmonic_dim(1, chunk=100) == harmonic_dim(1)
