@@ -6,6 +6,7 @@ import argparse
 import math
 import os
 import sys
+import time
 
 from .suites import SUITE_IDS, Campaign, all_passed, emit
 
@@ -48,6 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tolerance for exact identities on random data")
     verify.add_argument("--tol-identity", type=tolerance, default=1e-8,
                         help="tolerance for identities evaluated at solutions")
+    verify.add_argument("--timings", action="store_true",
+                        help="write each suite's wall time to stderr; stdout is unchanged")
     return parser
 
 
@@ -69,7 +72,12 @@ def main(argv=None) -> int:
         tol_identity=args.tol_identity,
         suites=tuple(args.suites) if args.suites else tuple(SUITE_IDS),
     )
-    reports = campaign.run()
+    reports = []
+    for name in campaign.suites:
+        start = time.perf_counter()
+        reports.append(campaign.run_suite(name))
+        if args.timings:
+            print(f"timing {name} {time.perf_counter() - start:.3f} s", file=sys.stderr)
     sys.stdout.buffer.write(emit(reports, args.format, campaign))
     sys.stdout.buffer.flush()
     return 0 if all_passed(reports) else 1

@@ -12,8 +12,12 @@ the residual in both raw and decomposed shape, a root solver for the
 diagonal family, the induced-structure star identity with its conformal
 normalisation, the linearised density, the sharp norm bound, and the
 injectivity of wedging with a solution.  The residuals, the type split,
-the norm and cube bounds, the reformulation and the wedge rank also take a
-batch of fluxes and return one value per row.
+the norm and cube bounds, the reformulation, the wedge rank, the solution
+test, the scalar factor, the graph map, the induced structure, the
+solution report and the linearised density also take a batch of fluxes and
+return one value per row (``DdtReport`` then holds arrays).  Where a batch must pass a check to go on, as in
+``solution_report`` and ``linearization_density``, one failing row raises
+for the whole batch.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ from .forms import (
     interior,
     pullback,
     rel_residual,
+    row_residual,
     sharp2,
     wedge,
     wedge_matrix,
     _dot,
+    _positions,
     _scalar,
     _vecmat,
 )
@@ -45,10 +51,13 @@ SOLUTION_TOL = 1e-9
 DEGENERATE_TOL = 1e-10
 RANK_CUTOFF = 1e-10
 
+# Positions of e23, e45 and e67 among the 2-form coefficients.
+_CARTAN_POSITIONS = [_positions(7, 2)[idx] for idx in ((1, 2), (3, 4), (5, 6))]
+
 
 @dataclass(frozen=True)
 class DdtReport:
-    """Certified quantities attached to one candidate solution."""
+    """Certified quantities attached to one solution, or arrays over a batch of them."""
 
     residual: KForm
     residual_norm: float
@@ -67,6 +76,12 @@ class DdtReport:
             "bound_lhs": self.bound_lhs,
             "bound_rhs": self.bound_rhs,
         }
+
+
+def _rel(lhs, rhs):
+    # rel_residual of one form, the value the single-form reports have always
+    # carried; row_residual over a batch.
+    return rel_residual(lhs, rhs) if np.ndim(lhs) == 1 else row_residual(lhs, rhs)
 
 
 def _require_flux(f: KForm) -> None:
@@ -116,15 +131,22 @@ def ddt_residual_decomposed(f: KForm, data: G2Data | None = None) -> KForm:
     return lead - cube - cross1 - cross2
 
 
+def _solves(residual_norm, flux_norm, tol: float):
+    # The solution rule, on norms already computed: |residual| <= tol * max(1, |F|^3).
+    return residual_norm <= tol * np.maximum(1.0, flux_norm**3)
+
+
 def is_solution(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL) -> bool:
+    """Whether F solves the deformed equation; a batch gives one answer per row."""
     if data is None:
         data = standard_g2()
-    scale = np.maximum(1.0, form_norm(f, data.metric) ** 3)
-    return _scalar(form_norm(ddt_residual(f, data), data.metric) <= tol * scale)
+    m = data.metric
+    return _scalar(_solves(form_norm(ddt_residual(f, data), m), form_norm(f, m), tol))
 
 
 def _require_solution(f: KForm, data: G2Data, tol: float) -> None:
-    if not is_solution(f, data, tol):
+    # Every row of a batch must solve.
+    if not np.all(is_solution(f, data, tol)):
         raise ValueError("input does not solve the deformed equation at this tolerance")
 
 
@@ -186,11 +208,10 @@ def cartan_solve(l1: float, l2: float, l3: float, tol: float = 1e-12) -> list[fl
 def cartan_two_form(x: float, lambdas: tuple[float, float, float]) -> KForm:
     """The diagonal flux x i(e1)phi + l1 e23 + l2 e45 + l3 e67."""
     l1, l2, l3 = lambdas
-    return (
-        KForm.monomial(7, (1, 2), x + l1)
-        + KForm.monomial(7, (3, 4), x + l2)
-        + KForm.monomial(7, (5, 6), x + l3)
-    )
+    coeffs = np.zeros(21)
+    # Added to zeros, as a sum of monomials would be, so that -0.0 becomes 0.0.
+    coeffs[_CARTAN_POSITIONS] += (x + l1, x + l2, x + l3)
+    return KForm._made(7, 2, coeffs)
 
 
 def cartan_solutions(l1: float, l2: float, l3: float) -> list[KForm]:
@@ -206,12 +227,12 @@ def scalar_factor(f: KForm, data: G2Data | None = None) -> float:
     return _factor(wedge(f, f), data)
 
 
-def _factor(f_sq: KForm, data: G2Data) -> float:
-    return 1.0 - 0.5 * float(np.real(form_inner(f_sq, data.star_phi, data.metric)))
+def _factor(f_sq: KForm, data: G2Data):
+    return _scalar(1.0 - 0.5 * np.real(form_inner(f_sq, data.star_phi, data.metric)))
 
 
 def graph_map(f: KForm, data: G2Data | None = None) -> LinearMap:
-    """The endomorphism 1 + F# whose pullback transports the structure."""
+    """The endomorphism 1 + F# whose pullback transports the structure; a stack for a batch."""
     if data is None:
         data = standard_g2()
     return LinearMap(7, np.eye(7) + sharp2(f, data.metric).matrix)
@@ -233,7 +254,7 @@ def induced_phi(f: KForm, data: G2Data | None = None) -> tuple[KForm, KForm]:
 def _induced(f_sq: KForm, graph: LinearMap, data: G2Data) -> tuple[float, KForm, KForm]:
     # The scalar factor, then induced_phi's pair, from a precomputed F^2 and 1 + F#.
     factor = _factor(f_sq, data)
-    if abs(factor) <= DEGENERATE_TOL:
+    if np.any(abs(factor) <= DEGENERATE_TOL):
         raise ValueError("degenerate induced structure: scalar factor is numerically zero")
     phi_f = pullback(graph, data.phi)
     return factor, phi_f, abs(factor) ** (-0.75) * phi_f
@@ -254,8 +275,7 @@ def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_
     f_sq = wedge(f, f)
     residual = _residual(f, f_sq, data)
     residual_norm = form_norm(residual, data.metric)
-    scale = max(1.0, form_norm(f, data.metric) ** 3)
-    if residual_norm > tol * scale:
+    if not np.all(_solves(residual_norm, form_norm(f, data.metric), tol)):
         raise ValueError("input does not solve the deformed equation at this tolerance")
 
     graph = graph_map(f, data)
@@ -265,16 +285,16 @@ def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_
     dual_target = data.star_phi - 0.5 * f_sq
     closed = factor * dual_target
     routes = [own_star.coeffs, transported.coeffs, closed.coeffs]
-    deviation = max(
-        rel_residual(routes[i], routes[j])
+    # np.max, unlike max(), lets a NaN deviation through.
+    deviation = _scalar(np.max([
+        _rel(routes[i], routes[j])
         for i in range(3)
         for j in range(i + 1, 3)
-    )
+    ], axis=0))
 
-    sign_c = 1 if factor > 0 else -1
+    sign_c = _scalar(np.where(factor > 0, 1, -1))
     tilde_star = hodge(tilde_phi, metric_from_three_form(tilde_phi))
-    conformal_target = float(sign_c) * dual_target
-    conformal = rel_residual(tilde_star.coeffs, conformal_target.coeffs)
+    conformal = _rel(tilde_star.coeffs, (sign_c * dual_target).coeffs)
 
     bound_lhs, bound_rhs, _ = norm_bound_check(f, data)
     return DdtReport(
@@ -314,22 +334,29 @@ def linearization_density(
     """The 6-form b2 ^ (-F^2/2 + star(phi)) at a solution.
 
     Cross-checked against sign(factor) * b2 ^ star(tilde_phi) computed in
-    the induced conformal structure; a mismatch raises.
+    the induced conformal structure; a mismatch raises.  A batch raises
+    when any row is not a solution or its routes disagree.
     """
     if data is None:
         data = standard_g2()
     _require_flux(f)
     _require_flux(b2)
     _require_solution(f, data, tol)
+    density, disagreement = _density_routes(f, b2, data)
+    if not np.all(disagreement <= tol_identity):
+        raise ValueError("linearised density routes disagree beyond tolerance")
+    return density
 
+
+def _density_routes(f: KForm, b2: KForm, data: G2Data):
+    # The density and its relative disagreement with the induced-structure
+    # route, for fluxes already known to solve.
     f_sq = wedge(f, f)
     density = wedge(b2, data.star_phi - 0.5 * f_sq)
     factor, _, tilde_phi = _induced(f_sq, graph_map(f, data), data)
     tilde_star = hodge(tilde_phi, metric_from_three_form(tilde_phi))
-    other = float(np.sign(factor)) * wedge(b2, tilde_star)
-    if rel_residual(density.coeffs, other.coeffs) > tol_identity:
-        raise ValueError("linearised density routes disagree beyond tolerance")
-    return density
+    other = np.sign(factor) * wedge(b2, tilde_star)
+    return density, _rel(density.coeffs, other.coeffs)
 
 
 def norm_bound_check(

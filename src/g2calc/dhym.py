@@ -11,6 +11,14 @@ eigenvalues and is certified here against direct wedge arithmetic.
 The radius r = prod sqrt(1 + lambda_i^2) and angle theta =
 sum arctan(lambda_i) encode the complex volume ratio
 (omega + iF)^n = r e^{i theta} omega^n.
+
+The (1,1) residual, the (p,q) projection, the normal form, the radius and
+angle, the report, the symbol bound and the J-duality residual also take a
+batch of forms (and of covectors) and return one value per row; a
+``NormalForm`` or ``DhymReport`` of a batch holds arrays with the batch's
+leading axes.  A check that guards a result, such as the (1,1) test of
+``normal_form`` or the route comparison of ``symbol_bound``, raises when
+any row fails it.
 """
 
 from __future__ import annotations
@@ -33,7 +41,10 @@ from .forms import (
     multi_indices,
     pullback,
     rel_residual,
+    row_residual,
     wedge,
+    _matvec,
+    _scalar,
     _skew,
     _two_form,
 )
@@ -52,7 +63,7 @@ def _wedge_power(a: KForm, k: int) -> KForm:
 
 
 def _wrap_angle(theta: float) -> float:
-    return float((theta + np.pi) % (2.0 * np.pi) - np.pi)
+    return _scalar((theta + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,7 @@ def one_one_residual(point: HermitianPoint, f: KForm) -> float:
     """Deviation of a two-form from J-invariance, relative to its size."""
     if (f.dim, f.grade) != (2 * point.n, 2):
         raise ValueError(f"expected a 2-form on R^{2 * point.n}")
-    return rel_residual(pullback(point.j_map, f).coeffs, f.coeffs)
+    return _scalar(row_residual(pullback(point.j_map, f).coeffs, f.coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -159,11 +170,18 @@ def pq_project(point: HermitianPoint, a: KForm, p: int, q: int) -> KForm:
         raise ValueError(f"expected a form on R^{2 * point.n}")
     if p < 0 or q < 0 or p + q != a.grade:
         raise ValueError(f"type ({p},{q}) does not match grade {a.grade}")
+    return _pq_parts(point, a, (p,))[0]
+
+
+def _pq_parts(point: HermitianPoint, a: KForm, holomorphic: tuple[int, ...]) -> list[KForm]:
+    # The components of a with each given number of holomorphic factors,
+    # masked from one pullback through the holomorphic change of basis.
     t, t_inv = point._holomorphic_change()
-    pulled = pullback(t, a)
-    keep = _type_mask(point.n, a.grade, p)
-    masked = KForm(a.dim, a.grade, np.where(keep, pulled.coeffs, 0.0))
-    return pullback(t_inv, masked)
+    pulled = pullback(t, a).coeffs
+    return [
+        pullback(t_inv, KForm(a.dim, a.grade, np.where(_type_mask(point.n, a.grade, p), pulled, 0.0)))
+        for p in holomorphic
+    ]
 
 
 @dataclass(frozen=True)
@@ -172,6 +190,7 @@ class NormalForm:
 
     The frame columns are ordered u_1, v_1, ..., u_n, v_n; the form equals
     sum_i lambdas[i] u^i ^ v^i in the dual coframe, eigenvalues descending.
+    A batch has lambdas of shape (..., n) and frames of shape (..., 2n, 2n).
     """
 
     point: HermitianPoint
@@ -182,10 +201,11 @@ class NormalForm:
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=np.float64).copy()
         mat = np.asarray(self.frame, dtype=np.float64).copy()
-        if lam.shape != (self.point.n,):
+        if lam.shape[-1:] != (self.point.n,):
             raise ValueError(f"need {self.point.n} eigenvalues, got shape {lam.shape}")
-        if mat.shape != (2 * self.point.n,) * 2:
-            raise ValueError("frame must be a square matrix of the ambient dimension")
+        if mat.shape != lam.shape[:-1] + (2 * self.point.n,) * 2:
+            raise ValueError("frame must be a square matrix of the ambient dimension, "
+                             "one per row of eigenvalues")
         lam.flags.writeable = False
         mat.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
@@ -195,21 +215,22 @@ class NormalForm:
     def coframe(self) -> np.ndarray:
         """Rows are the coframe covectors u^1, v^1, ..., u^n, v^n."""
         if "coframe" not in self._cache:
-            w = self.frame.T @ self.point.metric.gram
+            w = self.frame.swapaxes(-1, -2) @ self.point.metric.gram
             w.flags.writeable = False
             self._cache["coframe"] = w
         return self._cache["coframe"]
 
     def u_form(self, i: int) -> KForm:
-        return KForm(2 * self.point.n, 1, self.coframe[2 * i])
+        return KForm(2 * self.point.n, 1, self.coframe[..., 2 * i, :])
 
     def v_form(self, i: int) -> KForm:
-        return KForm(2 * self.point.n, 1, self.coframe[2 * i + 1])
+        return KForm(2 * self.point.n, 1, self.coframe[..., 2 * i + 1, :])
 
     def diagonal(self, weights) -> KForm:
         """The two-form sum_i weights[i] u^i ^ v^i in this frame."""
-        a = self.coframe[0::2].T @ (np.asarray(weights)[:, None] * self.coframe[1::2])
-        return _two_form(a - a.T)
+        w = self.coframe
+        a = w[..., 0::2, :].swapaxes(-1, -2) @ (np.asarray(weights)[..., None] * w[..., 1::2, :])
+        return _two_form(a - a.swapaxes(-1, -2))
 
     @property
     def omega_nabla(self) -> KForm:
@@ -223,8 +244,9 @@ class NormalForm:
         """The descendant inner product g(., .) + g(F# ., F# .)."""
         if "eta" not in self._cache:
             w = self.coframe
-            weights = np.repeat(1.0 + np.square(self.lambdas), 2)
-            self._cache["eta"] = Metric(2 * self.point.n, w.T @ (weights[:, None] * w))
+            weights = np.repeat(1.0 + np.square(self.lambdas), 2, axis=-1)
+            self._cache["eta"] = Metric(2 * self.point.n,
+                                        w.swapaxes(-1, -2) @ (weights[..., None] * w))
         return self._cache["eta"]
 
     def rescaled(self) -> KForm | None:
@@ -243,36 +265,36 @@ def normal_form(point: HermitianPoint, f: KForm | None = None,
     """Diagonalise a real (1,1) form in a unitary frame, eigenvalues descending.
 
     With no form this returns the zero normal form over an adapted frame.
-    Raises ValueError when the input is not J-invariant at the tolerance.
+    Raises ValueError when the input, or any row of a batch, is not
+    J-invariant at the tolerance.
     """
     n = point.n
     if f is None:
         return NormalForm(point, np.zeros(n), point.frame)
     if np.iscomplexobj(f.coeffs):
         raise ValueError("normal form expects a real representative")
-    if one_one_residual(point, f) > tol:
+    if not np.all(one_one_residual(point, f) <= tol):
         raise ValueError("form is not of type (1,1) at this tolerance")
     q = point.frame
     a = _skew(f)
     af = q.T @ a @ q
-    idx = np.arange(n)
-    h = af[2 * idx[:, None], 2 * idx[None, :] + 1] + 1j * af[2 * idx[:, None], 2 * idx[None, :]]
-    h = 0.5 * (h + h.conj().T)
+    h = af[..., 0::2, 1::2] + 1j * af[..., 0::2, 0::2]
+    h = 0.5 * (h + h.conj().swapaxes(-1, -2))
     _, u = np.linalg.eigh(h)
-    jm = point.j_map.matrix
-    pairs = []
-    for col in range(n):
-        vec = np.zeros(2 * n)
-        vec[0::2] = u[:, col].real
-        vec[1::2] = u[:, col].imag
-        uvec = q @ vec
-        vvec = jm @ uvec
-        pairs.append((float(uvec @ a @ vvec), uvec, vvec))
-    pairs.sort(key=lambda item: -item[0])
-    lambdas = np.array([lam for lam, _, _ in pairs])
-    frame = np.column_stack([vec for _, uvec, vvec in pairs for vec in (uvec, vvec)])
-    nf = NormalForm(point, lambdas, frame)
-    if rel_residual(nf.diagonal(lambdas).coeffs, f.coeffs) > tol:
+    # Column c of u is the complex coordinate vector of the pair (u_c, J u_c).
+    vec = np.empty(u.shape[:-2] + (2 * n, n))
+    vec[..., 0::2, :] = u.real
+    vec[..., 1::2, :] = u.imag
+    uvecs = q @ vec
+    vvecs = point.j_map.matrix @ uvecs
+    lams = np.sum((uvecs.swapaxes(-1, -2) @ a) * vvecs.swapaxes(-1, -2), axis=-1)
+    # Descending, ties kept in eigh's order.
+    order = np.argsort(-lams, axis=-1, kind="stable")
+    pairs = np.stack([np.take_along_axis(vecs, order[..., None, :], axis=-1)
+                      for vecs in (uvecs, vvecs)], axis=-1)
+    lambdas = np.take_along_axis(lams, order, axis=-1)
+    nf = NormalForm(point, lambdas, pairs.reshape(pairs.shape[:-3] + (2 * n, 2 * n)))
+    if not np.all(row_residual(nf.diagonal(lambdas).coeffs, f.coeffs) <= tol):
         raise ValueError("normal form reconstruction failed at this tolerance")
     return nf
 
@@ -280,14 +302,14 @@ def normal_form(point: HermitianPoint, f: KForm | None = None,
 def radius_angle(lambdas: np.ndarray) -> tuple[float, float]:
     """Polar form of prod (1 + i lambda_i); the angle is left unreduced."""
     lam = np.asarray(lambdas, dtype=np.float64)
-    r = float(np.prod(np.sqrt(1.0 + np.square(lam))))
-    theta = float(np.sum(np.arctan(lam)))
+    r = _scalar(np.prod(np.sqrt(1.0 + np.square(lam)), axis=-1))
+    theta = _scalar(np.sum(np.arctan(lam), axis=-1))
     return r, theta
 
 
 @dataclass(frozen=True)
 class DhymReport:
-    """Certificates for one curvature representative at one point.
+    """Certificates for one curvature representative at one point, or arrays over a batch.
 
     ``f11`` is the J-invariant part the certificates refer to and ``normal``
     its normal form; neither is serialized.
@@ -321,27 +343,29 @@ def dhym_report(point: HermitianPoint, f: KForm, tol: float = ONE_ONE_TOL) -> Dh
     omega_nabla^{n-1} by Im(i e^{-i theta} (omega + iF)^{n-1}).
     """
     n = point.n
+    if (f.dim, f.grade) != (2 * n, 2):
+        raise ValueError(f"expected a 2-form on R^{2 * n}")
     if np.iscomplexobj(f.coeffs):
         raise ValueError("curvature representative must be real")
-    p02 = pq_project(point, f, 0, 2)
-    p20 = pq_project(point, f, 2, 0)
+    p02, p20 = _pq_parts(point, f, (0, 2))
     p02_norm = form_norm(p02, point.metric)
     f11 = KForm(2 * n, 2, np.real(f.coeffs - p02.coeffs - p20.coeffs))
     nf = normal_form(point, f11, tol=tol)
     r, theta = radius_angle(nf.lambdas)
+    # Per-row scalars as columns against coefficient rows.
+    r_col, phase = np.asarray(r)[..., None], np.exp(-1j * np.asarray(theta))[..., None]
     rho = KForm(2 * n, 2, point.omega.coeffs + 1j * f11.coeffs)
-    rho_top = _wedge_power(rho, n)
-    rotated = np.exp(-1j * theta) * rho_top.coeffs
-    scale = max(float(np.linalg.norm(rotated)), ABS_FLOOR)
-    im_residual = float(np.linalg.norm(np.imag(rotated))) / scale
+    rotated = phase * _wedge_power(rho, n).coeffs
+    scale = np.maximum(np.linalg.norm(rotated, axis=-1), ABS_FLOOR)
+    im_residual = _scalar(np.linalg.norm(np.imag(rotated), axis=-1) / scale)
     omega_top = _wedge_power(point.omega, n)
-    vol_identity = rel_residual(
-        _wedge_power(nf.omega_nabla, n).coeffs, r * r * omega_top.coeffs
-    )
+    vol_identity = _scalar(row_residual(
+        _wedge_power(nf.omega_nabla, n).coeffs, r_col * r_col * omega_top.coeffs
+    ))
     rho_low = _wedge_power(rho, n - 1)
-    lhs = np.imag(1j * np.exp(-1j * theta) * rho_low.coeffs)
-    rhs = (1.0 / r) * _wedge_power(nf.omega_nabla, n - 1).coeffs
-    im_identity = rel_residual(lhs, rhs)
+    lhs = np.imag(1j * phase * rho_low.coeffs)
+    rhs = (1.0 / r_col) * _wedge_power(nf.omega_nabla, n - 1).coeffs
+    im_identity = _scalar(row_residual(lhs, rhs))
     return DhymReport(r, theta, p02_norm, im_residual, vol_identity, im_identity, f11, nf)
 
 
@@ -353,23 +377,33 @@ def symbol_bound(point: HermitianPoint, f: KForm | NormalForm, xi: KForm,
     / (1 + lambda_i^2) and bound = |xi|^2 / (1 + max lambda_i^2), so
     ellipticity is the statement sigma >= bound.  The eigenvalue route is
     checked against the ratio n omega_nabla^{n-1} ^ xi ^ J^{-1} xi over
-    omega_nabla^n before returning.
+    omega_nabla^n before returning.  Batches of forms and covectors give
+    arrays, and any row whose routes disagree raises.
     """
     nf = f if isinstance(f, NormalForm) else normal_form(point, f)
     if (xi.dim, xi.grade) != (2 * point.n, 1):
         raise ValueError(f"expected a 1-form on R^{2 * point.n}")
+    sigma, bound, disagreement = _symbol_routes(point, nf, xi)
+    if not np.all(disagreement <= tol_identity):
+        raise ValueError("symbol routes disagree beyond tolerance")
+    return sigma, bound
+
+
+def _symbol_routes(point: HermitianPoint, nf: NormalForm, xi: KForm):
+    # symbol_bound's (sigma, bound) and the relative disagreement of the two
+    # routes to sigma, without the check.
     n = point.n
     weights = 1.0 + np.square(nf.lambdas)
-    comps = nf.frame.T @ xi.coeffs
-    sigma = float(np.sum((comps[0::2] ** 2 + comps[1::2] ** 2) / weights))
+    comps = _matvec(nf.frame.swapaxes(-1, -2), xi.coeffs)
+    sigma = np.sum((comps[..., 0::2] ** 2 + comps[..., 1::2] ** 2) / weights, axis=-1)
     j_xi = pullback(LinearMap(2 * n, -point.j_map.matrix), xi)
     numer = float(n) * wedge(_wedge_power(nf.omega_nabla, n - 1), wedge(xi, j_xi))
     denom = _wedge_power(nf.omega_nabla, n)
-    sigma_wedge = float(numer.coeffs[0] / denom.coeffs[0])
-    if rel_residual(np.array([sigma]), np.array([sigma_wedge])) > tol_identity:
-        raise ValueError("symbol routes disagree beyond tolerance")
-    norm_sq = float(xi.coeffs @ point.metric.gram_inv @ xi.coeffs)
-    return sigma, norm_sq / float(weights.max())
+    sigma_wedge = numer.coeffs[..., 0] / denom.coeffs[..., 0]
+    disagreement = row_residual(sigma[..., None], sigma_wedge[..., None])
+    # One einsum, so that a row of a batch and a single covector sum alike.
+    norm_sq = np.einsum("...i,ij,...j->...", xi.coeffs, point.metric.gram_inv, xi.coeffs)
+    return _scalar(sigma), _scalar(norm_sq / weights.max(axis=-1)), disagreement
 
 
 def j_duality_residual(point: HermitianPoint, alpha: KForm) -> float:
@@ -380,7 +414,7 @@ def j_duality_residual(point: HermitianPoint, alpha: KForm) -> float:
     rhs = float(factorial(point.n - 1)) * hodge(
         pullback(point.j_map, alpha), point.metric
     )
-    return rel_residual(lhs.coeffs, rhs.coeffs)
+    return _scalar(row_residual(lhs.coeffs, rhs.coeffs))
 
 
 def random_unitary_rotation(rng: np.random.Generator, point: HermitianPoint,

@@ -400,7 +400,10 @@ def euclidean_metric(n: int) -> Metric:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A linear endomorphism of R^n acting on forms by pullback."""
+    """A linear endomorphism of R^n acting on forms by pullback.
+
+    ``matrix`` may be a stack (..., n, n): a batch of maps, one per row.
+    """
 
     dim: int
     matrix: np.ndarray
@@ -412,7 +415,7 @@ class LinearMap:
             arr = arr.astype(np.float64, copy=True)
         else:
             arr = arr.astype(np.complex128, copy=True)
-        if arr.shape != (self.dim, self.dim):
+        if arr.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"matrix must be {self.dim}x{self.dim}, got {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
@@ -545,14 +548,17 @@ def _skew(f: KForm) -> np.ndarray:
 def _two_form(a: np.ndarray) -> KForm:
     """The 2-form f with f(e_i, e_j) = a[i, j] for a skew matrix a; inverse of _skew."""
     rows, cols = np.triu_indices(a.shape[-1], 1)
-    return KForm(a.shape[-1], 2, a[..., rows, cols])
+    # Indexing two axes of a stack lays the result out transposed; a batch
+    # row must be contiguous to be multiplied as a single form is.
+    return KForm(a.shape[-1], 2, np.ascontiguousarray(a[..., rows, cols]))
 
 
 def sharp2(f: KForm, m: Metric) -> LinearMap:
     """The endomorphism F# of a 2-form F, with g(F#(u), v) = F(u, v).
 
     For the standard metric and F = e^1 ^ e^2 this sends e1 to e2 and
-    e2 to -e1; the skew matrix A of F satisfies gram @ F# = -A.
+    e2 to -e1; the skew matrix A of F satisfies gram @ F# = -A.  A batch
+    of forms, or a stack of metrics, gives a stack of maps.
     """
     _require_metric(f, m)
     if f.grade != 2:
@@ -561,12 +567,15 @@ def sharp2(f: KForm, m: Metric) -> LinearMap:
 
 
 def pullback(L: LinearMap, a: KForm) -> KForm:
-    """Pullback L* alpha = alpha(L ., ..., L .).  Contravariant: (LM)* = M* L*."""
+    """Pullback L* alpha = alpha(L ., ..., L .).  Contravariant: (LM)* = M* L*.
+
+    A stack of maps pulls back row by row, broadcasting against a batch of forms.
+    """
     if L.dim != a.dim:
         raise ValueError(f"map on R^{L.dim} does not match form on R^{a.dim}")
     if a.grade == 0:
         return a
-    return KForm._made(a.dim, a.grade, a.coeffs @ L.pullback_matrix(a.grade))
+    return KForm._made(a.dim, a.grade, _vecmat(a.coeffs, L.pullback_matrix(a.grade)))
 
 
 def form_inner(a: KForm, b: KForm, m: Metric | None = None):

@@ -90,7 +90,9 @@ def metric_from_three_form(phi: KForm) -> Metric:
     """Recover the metric (and orientation) a positive 3-form induces.
 
     Raises ValueError when the intermediate bilinear form is not definite,
-    which is the algebraic meaning of "not a G2 structure".
+    which is the algebraic meaning of "not a G2 structure".  A batch of
+    3-forms gives a stack of metrics; every row must be definite, and all
+    rows must induce the same orientation.
     """
     if (phi.dim, phi.grade) != (7, 3):
         raise ValueError("expected a 3-form on R^7")
@@ -99,13 +101,17 @@ def metric_from_three_form(phi: KForm) -> Metric:
     # euclidean metric, whose star on 5-forms only moves and signs rows.
     contractions = interior_matrix(phi)
     pairing = euclidean_metric(7).hodge_matrix(5) @ wedge_matrix(phi, 2)
-    raw = contractions.T @ pairing @ contractions / 6.0
-    eigs = np.linalg.eigvalsh(raw)
-    if eigs.min() * eigs.max() <= 0 or abs(eigs).min() < 1e-12 * abs(eigs).max():
+    raw = contractions.swapaxes(-1, -2) @ pairing @ contractions / 6.0
+    eigs = np.linalg.eigvalsh(raw)  # ascending
+    lo, hi, size = eigs[..., 0], eigs[..., -1], np.abs(eigs)
+    if not ((lo * hi > 0) & (size.min(axis=-1) >= 1e-12 * size.max(axis=-1))).all():
         raise ValueError("not a G2 structure: induced bilinear form is not definite")
-    det = float(np.linalg.det(raw))
-    ninth_root = np.copysign(abs(det) ** (1.0 / 9.0), det)
-    return Metric(7, raw / ninth_root, orientation=1 if det > 0 else -1)
+    # A definite form in odd dimension has a determinant of its eigenvalues' sign.
+    orientation = 1 if lo.flat[0] > 0 else -1
+    if (orientation * lo < 0).any():
+        raise ValueError("a batch of 3-forms must induce one orientation")
+    ninth_root = orientation * abs(np.linalg.det(raw)) ** (1.0 / 9.0)
+    return Metric(7, raw / ninth_root[..., None, None], orientation=orientation)
 
 
 def g2_bundle(phi: KForm) -> G2Data:

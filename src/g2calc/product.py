@@ -28,7 +28,7 @@ from .forms import (
     _scalar,
 )
 from .g2 import G2Data, g2_bundle
-from .ddt import ddt_residual, is_solution
+from .ddt import ddt_residual, _solves
 from .dhym import (
     HermitianPoint,
     NormalForm,
@@ -188,8 +188,8 @@ def correspondence_check(su3: SU3Point, f: KForm, tol: float = PRODUCT_TOL) -> P
         raise ValueError("curvature representative must be real")
     metric = su3.point.metric
     data = product_g2(su3)
-    residual = ddt_residual(lift(f), data)
-    ddt_norm = form_norm(residual, data.metric)
+    lifted = lift(f)
+    ddt_norm = form_norm(ddt_residual(lifted, data), data.metric)
     rho = KForm(6, 2, su3.omega.coeffs + 1j * f.coeffs)
     phase = KForm(6, 6, (1.0 / 6.0) * np.imag(_wedge_power(rho, 3).coeffs))
     phase_norm = form_norm(phase, metric)
@@ -202,7 +202,7 @@ def correspondence_check(su3: SU3Point, f: KForm, tol: float = PRODUCT_TOL) -> P
         phase_residual_norm=phase_norm,
         antiholo_norm=antiholo_norm,
         p02_norm=p02_norm,
-        ddt_solves=is_solution(lift(f), data, tol),
+        ddt_solves=_scalar(_solves(ddt_norm, form_norm(lifted, data.metric), tol)),
         su3_solves=_scalar(
             (phase_norm <= tol * cubic_scale) & (p02_norm <= tol * np.maximum(1.0, size))
         ),

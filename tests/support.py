@@ -8,7 +8,7 @@ against a second, unrelated code path.
 from __future__ import annotations
 
 import itertools
-from math import comb, sqrt
+from math import comb, pi, sqrt
 
 import numpy as np
 import scipy.linalg
@@ -21,9 +21,19 @@ from g2calc.ddt import (
     cube_norm_bound,
     ddt_residual,
     ddt_residual_decomposed,
+    linearization_density,
     norm_bound_check,
     reformulation_residual,
+    solution_report,
     wedge_injectivity,
+)
+from g2calc.dhym import (
+    dhym_report,
+    j_duality_residual,
+    normal_form,
+    random_unitary_rotation,
+    standard_kahler,
+    symbol_bound,
 )
 from g2calc.forms import (
     KForm,
@@ -236,6 +246,43 @@ def reference_appendix_b(campaign: Campaign, rng: np.random.Generator) -> Report
     return rec.report()
 
 
+def reference_thm_c1(campaign: Campaign, rng: np.random.Generator) -> Report:
+    rec = _Recorder("thmC1")
+    data = standard_g2()
+    draws = max(67, campaign.samples // 5)
+    certified = 0
+    for i in range(draws):
+        weights = _zero_sum_weights(rng)
+        solutions = cartan_solutions(*weights)
+        for f in solutions:
+            rep = solution_report(f, data)
+            rec.check("transport agrees with algebraic dual",
+                      rep.lhs_minus_rhs_norm, campaign.tol_identity,
+                      sample=i, flux=f)
+            rec.check("conformal normalisation is a structure",
+                      rep.conformal_residual, campaign.tol_identity,
+                      sample=i, flux=f)
+            rec.expect("factor stays away from zero",
+                       abs(rep.scalar_factor) > 1e-6,
+                       sample=i, factor=rep.scalar_factor, flux=f)
+            rec.expect("orientation sign matches factor",
+                       rep.sign_C == (1 if rep.scalar_factor > 0 else -1),
+                       sample=i, factor=rep.scalar_factor, sign=rep.sign_C,
+                       flux=f)
+            certified += 1
+        direction = _random_two_form(rng, 7)
+        try:
+            linearization_density(solutions[0], direction, data,
+                                  tol_identity=campaign.tol_identity)
+            rec.expect("linearised density routes agree", True)
+        except ValueError as err:
+            rec.expect("linearised density routes agree", False,
+                       sample=i, error=str(err), flux=solutions[0],
+                       form=direction)
+    rec.details = {"solutions_certified": certified, "families": draws}
+    return rec.report()
+
+
 def reference_prop_d1(campaign: Campaign, rng: np.random.Generator) -> Report:
     rec = _Recorder("propD1")
     data = standard_g2()
@@ -289,6 +336,59 @@ def reference_cor_d2(campaign: Campaign, rng: np.random.Generator) -> Report:
                    cube_lhs <= cube_rhs * (1.0 + campaign.tol_rel) + 1e-12,
                    sample=i, lhs=cube_lhs, rhs=cube_rhs, form=beta)
     rec.details = {"solutions_checked": solutions, "families": draws}
+    return rec.report()
+
+
+def reference_dhym(campaign: Campaign, rng: np.random.Generator) -> Report:
+    rec = _Recorder("dhym")
+    point2 = standard_kahler(2)
+    golden = dhym_report(point2, point2.omega)
+    rec.check("fundamental form radius",
+              abs(golden.r - 2.0), campaign.tol_rel)
+    rec.check("fundamental form angle",
+              abs(golden.theta - pi / 2.0), campaign.tol_rel)
+
+    for i in range(campaign.samples):
+        n = (1, 2, 3)[i % 3]
+        point = standard_kahler(n)
+        f = _random_two_form(rng, 2 * n)
+        rep = dhym_report(point, f)
+        rec.check("rotated top power is real",
+                  rep.im_residual, campaign.tol_rel, sample=i, n=n, form=f)
+        rec.check("volume ratio identity",
+                  rep.vol_identity_residual, campaign.tol_rel,
+                  sample=i, n=n, form=f)
+        rec.check("lower power reproduction",
+                  rep.im_identity_residual, campaign.tol_rel,
+                  sample=i, n=n, form=f)
+        rec.expect("radius at least one", rep.r >= 1.0 - campaign.tol_rel,
+                   sample=i, n=n, r=rep.r, form=f)
+
+        invariant, nf = rep.f11, rep.normal
+        xi = KForm(2 * n, 1, rng.standard_normal(2 * n))
+        try:
+            sigma, floor = symbol_bound(point, nf, xi,
+                                        tol_identity=campaign.tol_identity)
+            rec.expect("symbol dominates its floor",
+                       sigma >= floor - campaign.tol_rel,
+                       sample=i, n=n, sigma=sigma, floor=floor,
+                       form=invariant, covector=xi)
+        except ValueError as err:
+            rec.expect("symbol dominates its floor", False,
+                       sample=i, n=n, error=str(err),
+                       form=invariant, covector=xi)
+        rec.check("duality against the complex structure",
+                  j_duality_residual(point, xi),
+                  campaign.tol_rel, sample=i, n=n, covector=xi)
+
+        if n >= 2:
+            rotation = random_unitary_rotation(rng, point)
+            rotated = normal_form(point, pullback(rotation, invariant))
+            rec.check("eigenvalues invariant under rotation",
+                      rel_residual(np.sort(rotated.lambdas),
+                                   np.sort(nf.lambdas)),
+                      campaign.tol_identity, sample=i, n=n, form=invariant)
+    rec.details = {"complex_dimensions": [1, 2, 3]}
     return rec.report()
 
 

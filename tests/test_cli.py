@@ -120,6 +120,24 @@ class TestMain:
         assert payload[0]["worst_residual"] == "NaN"
         assert {w["residual"] for w in payload[0]["witnesses"]} == {"NaN"}
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_timings_go_to_stderr_only(self, capsysbinary, monkeypatch, fmt):
+        monkeypatch.delenv("G2CALC_SEED", raising=False)
+        argv = ["verify", "--samples", "5", "--suite", "dhym", "--suite", "thmC1",
+                "--suite", "propD1", "--format", fmt]
+        assert main(argv) == 0
+        plain = capsysbinary.readouterr()
+        assert main(argv + ["--timings"]) == 0
+        timed = capsysbinary.readouterr()
+        assert timed.out == plain.out
+        assert plain.err == b""
+        lines = timed.err.decode().splitlines()
+        assert [line.split()[1] for line in lines] == ["thmC1", "propD1", "dhym"]
+        for line in lines:
+            word, _, seconds, unit = line.split()
+            assert word == "timing" and unit == "s"
+            assert float(seconds) >= 0.0
+
     def test_text_output_is_deterministic(self, capsysbinary, monkeypatch):
         monkeypatch.delenv("G2CALC_SEED", raising=False)
         argv = ["verify", "--seed", "5", "--samples", "5", "--suite", "dhym"]

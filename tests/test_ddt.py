@@ -123,6 +123,23 @@ class TestCartanFamily:
                     1.0, form_norm(f) ** 3
                 )
 
+    @pytest.mark.parametrize("x, lambdas", [
+        (0.0, (0.0, 0.0, 0.0)),
+        (-0.0, (-0.0, 0.0, -0.0)),
+        (1.25, (-1.25, 0.5, 0.75)),
+        (-SQ3, (0.3, -0.1, -0.2)),
+    ])
+    def test_two_form_is_the_monomial_sum_bit_for_bit(self, x, lambdas):
+        l1, l2, l3 = lambdas
+        want = (KForm.monomial(7, (1, 2), x + l1)
+                + KForm.monomial(7, (3, 4), x + l2)
+                + KForm.monomial(7, (5, 6), x + l3))
+        got = cartan_two_form(x, lambdas)
+        assert (got.dim, got.grade, got.coeffs.dtype) == (7, 2, np.float64)
+        # tobytes tells 0.0 from -0.0.
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert not got.coeffs.flags.writeable
+
     def test_solutions_come_in_sign_pairs(self, G):
         for x in cartan_solve(0.0, 0.0, 0.0):
             f = cartan_two_form(x, (0.0, 0.0, 0.0))
@@ -243,6 +260,30 @@ class TestSolutionReport:
         with pytest.raises(ValueError):
             solution_report(KForm.monomial(7, (0, 1)), G)
 
+    def test_batch_reports_each_row(self, G):
+        rng = np.random.default_rng(60)
+        fluxes = [f for _ in range(3) for f in cartan_solutions(*random_zero_sum(rng))]
+        fluxes.append(pullback(random_structure_rotation(rng, G), fluxes[0]))
+        rep = solution_report(KForm(7, 2, np.stack([f.coeffs for f in fluxes])), G)
+        assert rep.residual.coeffs.shape == (len(fluxes), 7)
+        for i, f in enumerate(fluxes):
+            one = solution_report(f, G)
+            assert rel_residual(rep.residual.coeffs[i], one.residual.coeffs) <= 1e-12
+            for name in ("residual_norm", "lhs_minus_rhs_norm", "conformal_residual"):
+                assert getattr(rep, name).shape == (len(fluxes),)
+                assert abs(getattr(rep, name)[i] - getattr(one, name)) <= 1e-12
+            for name in ("scalar_factor", "bound_lhs", "bound_rhs"):
+                assert getattr(rep, name)[i] == pytest.approx(getattr(one, name), rel=1e-12)
+            assert rep.sign_C[i] == one.sign_C
+        assert isinstance(one.sign_C, int) and isinstance(one.conformal_residual, float)
+
+    def test_one_non_solution_rejects_the_batch(self, G):
+        good = cartan_solutions(0.5, -0.2, -0.3)[0]
+        batch = KForm(7, 2, np.stack([good.coeffs, KForm.monomial(7, (0, 1)).coeffs]))
+        assert is_solution(batch, G).tolist() == [True, False]
+        with pytest.raises(ValueError, match="does not solve"):
+            solution_report(batch, G)
+
     def test_serialised_field_names(self, G):
         rep = solution_report(KForm.zero(7, 2), G)
         assert set(rep.to_dict()) == {
@@ -293,6 +334,29 @@ class TestLinearization:
     def test_non_solution_rejected(self, G):
         with pytest.raises(ValueError):
             linearization_density(KForm.monomial(7, (0, 1)), KForm.zero(7, 2), G)
+
+    def test_batch_gives_each_row_density(self, G):
+        rng = np.random.default_rng(61)
+        fluxes = np.stack([cartan_solutions(*random_zero_sum(rng))[-1].coeffs for _ in range(4)])
+        b2 = rng.standard_normal((4, 21))
+        got = linearization_density(KForm(7, 2, fluxes), KForm(7, 2, b2), G)
+        for row, f, b in zip(got.coeffs, fluxes, b2):
+            want = linearization_density(KForm(7, 2, f), KForm(7, 2, b), G).coeffs
+            assert rel_residual(row, want) <= 1e-14
+
+    def test_one_non_solution_rejects_the_batch(self, G):
+        # The package's error, not numpy's "truth value of an array is ambiguous".
+        good = cartan_solutions(0.5, -0.2, -0.3)[0]
+        batch = KForm(7, 2, np.stack([good.coeffs, KForm.monomial(7, (0, 1)).coeffs]))
+        with pytest.raises(ValueError, match="does not solve the deformed equation"):
+            linearization_density(batch, KForm(7, 2, np.ones((2, 21))), G)
+
+    def test_one_disagreeing_row_rejects_the_batch(self, G):
+        good = cartan_solutions(0.5, -0.2, -0.3)[0]
+        batch = KForm(7, 2, np.stack([good.coeffs, good.coeffs]))
+        b2 = KForm(7, 2, np.stack([np.zeros(21), np.ones(21)]))
+        with pytest.raises(ValueError, match="routes disagree"):
+            linearization_density(batch, b2, G, tol_identity=0.0)
 
 
 class TestNormBound:

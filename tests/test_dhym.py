@@ -20,6 +20,7 @@ from g2calc.forms import (
 from g2calc.dhym import (
     DhymReport,
     HermitianPoint,
+    NormalForm,
     dhym_report,
     j_duality_residual,
     normal_form,
@@ -29,6 +30,7 @@ from g2calc.dhym import (
     random_unitary_rotation,
     standard_kahler,
     symbol_bound,
+    _pq_parts,
 )
 
 
@@ -172,6 +174,20 @@ class TestTypeDecomposition:
                     got = pq_project(point, a, p, grade - p).coeffs
                     want = fresh_pq_project(point, a, p, grade - p).coeffs
                     assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_report_masks_both_parts_from_one_pullback(self, n):
+        rng = np.random.default_rng(130 + n)
+        for point in (standard_kahler(n), transported(n, 140 + n)):
+            f = KForm(2 * n, 2, rng.standard_normal(comb(2 * n, 2)))
+            p02, p20 = _pq_parts(point, f, (0, 2))
+            want02, want20 = pq_project(point, f, 0, 2), pq_project(point, f, 2, 0)
+            assert p02.coeffs.tobytes() == want02.coeffs.tobytes()
+            assert p20.coeffs.tobytes() == want20.coeffs.tobytes()
+            rep = dhym_report(point, f)
+            assert rep.p02_norm == form_norm(want02, point.metric)
+            invariant = np.real(f.coeffs - want02.coeffs - want20.coeffs)
+            assert rep.f11.coeffs.tobytes() == invariant.tobytes()
 
     def test_second_call_builds_no_pullback_matrix(self, monkeypatch):
         point = transported(3, 120)
@@ -374,6 +390,83 @@ class TestReport:
             assert np.array_equal(rep.normal.frame, nf.frame)
             assert set(rep.to_dict()) == {"r", "theta", "p02_norm", "im_residual"}
             assert "f11" not in repr(rep) and "normal" not in repr(rep)
+
+
+class TestBatches:
+    """A batch of forms (and covectors) gives each row's single-form result."""
+
+    @staticmethod
+    def batch(rng, point, rows=5):
+        n = point.n
+        coeffs = rng.standard_normal((rows, comb(2 * n, 2)))
+        return KForm(2 * n, 2, coeffs), [KForm(2 * n, 2, c) for c in coeffs]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_report_and_normal_form_rows(self, n, transported_point):
+        rng = np.random.default_rng(150 + n)
+        points = [standard_kahler(n)] + ([transported_point[1]] if n == 3 else [])
+        for point in points:
+            f, rows = self.batch(rng, point)
+            rep = dhym_report(point, f)
+            nf = rep.normal
+            assert nf.lambdas.shape == (5, n) and nf.frame.shape == (5, 2 * n, 2 * n)
+            assert np.all(np.diff(nf.lambdas, axis=-1) <= 0)
+            for i, row in enumerate(rows):
+                one = dhym_report(point, row)
+                for name in ("r", "theta", "p02_norm"):
+                    assert getattr(rep, name)[i] == pytest.approx(getattr(one, name), rel=1e-12)
+                for name in ("im_residual", "vol_identity_residual", "im_identity_residual"):
+                    assert abs(getattr(rep, name)[i] - getattr(one, name)) <= 1e-12
+                assert rel_residual(rep.f11.coeffs[i], one.f11.coeffs) <= 1e-14
+                assert rel_residual(nf.lambdas[i], one.normal.lambdas) <= 1e-12
+                assert rel_residual(nf.frame[i], one.normal.frame) <= 1e-12
+                assert rel_residual(nf.omega_nabla.coeffs[i], one.normal.omega_nabla.coeffs) <= 1e-12
+                assert rel_residual(nf.eta.gram[i], one.normal.eta.gram) <= 1e-12
+                assert rep.to_dict()["theta"][i] == pytest.approx(one.to_dict()["theta"], rel=1e-12)
+            assert one_one_residual(point, rep.f11).shape == (5,)
+            assert np.all(one_one_residual(point, rep.f11) <= 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_symbol_and_duality_rows(self, n):
+        rng = np.random.default_rng(160 + n)
+        point = standard_kahler(n)
+        f, rows = self.batch(rng, point)
+        nf = dhym_report(point, f).normal
+        xi = rng.standard_normal((5, 2 * n))
+        sigma, floor = symbol_bound(point, nf, KForm(2 * n, 1, xi))
+        duality = j_duality_residual(point, KForm(2 * n, 1, xi))
+        assert sigma.shape == floor.shape == duality.shape == (5,)
+        for i, row in enumerate(rows):
+            one_nf = dhym_report(point, row).normal
+            one = symbol_bound(point, one_nf, KForm(2 * n, 1, xi[i]))
+            assert (sigma[i], floor[i]) == pytest.approx(one, rel=1e-12)
+            assert abs(duality[i] - j_duality_residual(point, KForm(2 * n, 1, xi[i]))) <= 1e-12
+            # A row of a batched normal form is a normal form of its own.
+            row_nf = NormalForm(point, nf.lambdas[i], nf.frame[i])
+            assert symbol_bound(point, row_nf, KForm(2 * n, 1, xi[i])) == pytest.approx(one, rel=1e-12)
+        with pytest.raises(ValueError, match="symbol routes disagree"):
+            symbol_bound(point, nf, KForm(2 * n, 1, xi), tol_identity=-1.0)
+
+    def test_one_bad_row_rejects_the_batch(self):
+        point = standard_kahler(2)
+        good = KForm(4, 2, point.omega.coeffs)
+        mixed = KForm(4, 2, np.stack([good.coeffs, KForm.monomial(4, (0, 2)).coeffs]))
+        assert one_one_residual(point, mixed)[0] == 0.0
+        with pytest.raises(ValueError, match="not of type"):
+            normal_form(point, mixed)
+
+    def test_frames_must_match_the_eigenvalue_rows(self):
+        point = standard_kahler(2)
+        with pytest.raises(ValueError, match="one per row"):
+            NormalForm(point, np.zeros((3, 2)), np.stack([np.eye(4)] * 2))
+        with pytest.raises(ValueError, match="eigenvalues"):
+            NormalForm(point, np.zeros((3, 3)), np.stack([np.eye(4)] * 3))
+
+    def test_radius_angle_per_row(self):
+        lam = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, -2.0]])
+        r, theta = radius_angle(lam)
+        for i, row in enumerate(lam):
+            assert (r[i], theta[i]) == radius_angle(row)
 
 
 class TestRescaled:

@@ -460,7 +460,8 @@ class TestKernels:
                     a = KForm(n, k, random_form(rng, n, k).coeffs
                               + imag * 1j * rng.standard_normal(comb(n, k)))
                     b = random_form(rng, n, l)
-                    want = wedge(a, b).coeffs
+                    # wedge is wedge_matrix applied to b, so the oracle is the scatter sum.
+                    want = scatter_wedge(a, b).coeffs
                     got = wedge_matrix(a, l) @ b.coeffs
                     assert got.shape == want.shape
                     assert np.iscomplexobj(got) == np.iscomplexobj(a.coeffs)
@@ -758,6 +759,37 @@ class TestBatches:
                     got = form_norm(a, m)
                     want = [form_norm(x, g) for x, g in zip(rows, per_row)]
                     assert np.all(np.abs(got - want) <= BATCH_TOL * np.maximum(want, 1.0))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stacked_maps_act_row_by_row(self, n):
+        rng = np.random.default_rng(345 + n)
+        mats = np.eye(n) + 0.3 * rng.standard_normal((BATCH, n, n))
+        stacked = LinearMap(n, mats)
+        maps = [LinearMap(n, m) for m in mats]
+        assert stacked.matrix.shape == (BATCH, n, n)
+        assert np.array_equal(stacked.compose(maps[0]).matrix, mats @ mats[0])
+        for k in range(1, n + 1):
+            a = batch_of_forms(rng, n, k, 0.0)
+            rows = [KForm(n, k, c) for c in a.coeffs]
+            scales = [np.linalg.norm(m.pullback_matrix(k)) for m in maps]
+            rows_close(pullback(stacked, a).coeffs,
+                       [pullback(m, r).coeffs for m, r in zip(maps, rows)],
+                       norms(a.coeffs) * scales)
+            rows_close(pullback(stacked, rows[0]).coeffs,
+                       [pullback(m, rows[0]).coeffs for m in maps],
+                       norms(a.coeffs[0]) * scales)
+        f = batch_of_forms(rng, n, 2, 0.0)
+        m = random_metric(rng, n)
+        got = sharp2(f, m)
+        assert got.matrix.shape == (BATCH, n, n)
+        for row, c in zip(got.matrix, f.coeffs):
+            assert rel_residual(row, sharp2(KForm(n, 2, c), m).matrix) <= 1e-14
+
+    def test_map_stack_needs_square_trailing_axes(self):
+        with pytest.raises(ValueError, match="matrix must be 3x3"):
+            LinearMap(3, np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="matrix must be 3x3"):
+            LinearMap(3, np.zeros(3))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_exterior_power_of_a_stack(self, n):

@@ -97,6 +97,31 @@ class TestInducedMetric:
         with pytest.raises(ValueError):
             metric_from_three_form(KForm.zero(7, 2))
 
+    def test_batch_gives_the_stack_of_row_metrics(self, G):
+        rng = np.random.default_rng(31)
+        maps = np.eye(7) + 0.15 * rng.standard_normal((5, 7, 7))
+        phis = pullback(LinearMap(7, maps), G.phi)
+        m = metric_from_three_form(phis)
+        assert m.gram.shape == (5, 7, 7)
+        for gram, L, c in zip(m.gram, maps, phis.coeffs):
+            single = metric_from_three_form(KForm(7, 3, c))
+            assert single.orientation == m.orientation
+            assert rel_residual(gram, single.gram) < 1e-14
+            assert rel_residual(gram, L.T @ L) < 1e-9
+
+    def test_one_indefinite_row_rejects_the_batch(self, G):
+        bad = G.phi.coeffs.copy()
+        bad[0] = -1.0
+        with pytest.raises(ValueError, match="not a G2 structure"):
+            metric_from_three_form(KForm(7, 3, np.stack([G.phi.coeffs, bad])))
+
+    def test_mixed_orientations_reject_the_batch(self, G):
+        flip = np.diag([-1.0] + [1.0] * 6)
+        phis = pullback(LinearMap(7, np.stack([np.eye(7), flip])), G.phi)
+        assert metric_from_three_form(KForm(7, 3, phis.coeffs[1])).orientation == -1
+        with pytest.raises(ValueError, match="one orientation"):
+            metric_from_three_form(phis)
+
 
 class TestTwoFormSplit:
     def test_traces(self, G):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import support
-from g2calc import g2, suites
+from g2calc import ddt, g2, suites
 from g2calc.suites import (
     CHUNK_ROWS,
     MAX_WITNESSES,
@@ -23,8 +23,10 @@ from support import (
     reference_appendix_a,
     reference_appendix_b,
     reference_cor_d2,
+    reference_dhym,
     reference_prop_d1,
     reference_product,
+    reference_thm_c1,
 )
 
 
@@ -72,6 +74,12 @@ class TestCampaign:
 
     def test_zero_tolerance_accepted(self):
         assert Campaign(seed=0, tol_rel=0.0, tol_identity=0.0).tol_rel == 0.0
+
+    def test_run_suite_gives_the_report_run_gives(self):
+        campaign = Campaign(seed=4, samples=9, suites=("propD1", "dhym"))
+        assert [campaign.run_suite(name) for name in campaign.suites] == campaign.run()
+        with pytest.raises(ValueError, match="unknown suite 'appendixZ'"):
+            campaign.run_suite("appendixZ")
 
     def test_to_dict_round_trips_through_json(self):
         campaign = Campaign(seed=5, samples=10, suites=("dhym",))
@@ -215,14 +223,16 @@ class TestNonFinite:
 REFERENCES = {
     "appendixA": reference_appendix_a,
     "appendixB": reference_appendix_b,
+    "thmC1": reference_thm_c1,
     "propD1": reference_prop_d1,
     "corD2": reference_cor_d2,
+    "dhym": reference_dhym,
     "product": reference_product,
 }
 
 # Witness fields that are drawn inputs or labels rather than computed values.
 INPUT_FIELDS = {"check", "sample", "tolerance", "dim", "grade", "branch", "scale",
-                "form", "flux", "vector"}
+                "form", "flux", "vector", "n", "covector"}
 
 
 @pytest.fixture
@@ -280,6 +290,29 @@ def fingerprint(lhs, rhs, floor=None):
     return float(fingerprint_rows(np.ravel(lhs), np.ravel(rhs)))
 
 
+def fingerprint_duality(point, alpha):
+    """A stand-in for j_duality_residual that differs from covector to covector."""
+    value = np.linalg.norm(alpha.coeffs - 0.5, axis=-1)
+    return float(value) if value.ndim == 0 else value
+
+
+def assert_same_witness(got, want, path="witness"):
+    """Equal structure, labels, strings and integers; floats equal to 1e-12 on the scale of one."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_same_witness(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (x, y) in enumerate(zip(got, want)):
+            assert_same_witness(x, y, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), path
+    else:
+        assert got == want, path
+
+
 class TestBatchedSuites:
     @pytest.mark.parametrize("seed", [0, 1, 42])
     @pytest.mark.parametrize("name", REFERENCES)
@@ -290,19 +323,48 @@ class TestBatchedSuites:
         assert_same_log(*check_log)
 
     @pytest.mark.parametrize("name, samples", [("appendixA", 800), ("appendixB", 60),
-                                               ("propD1", 60)])
+                                               ("propD1", 60), ("thmC1", 60), ("dhym", 200)])
     def test_each_row_keeps_its_sample(self, monkeypatch, check_log, name, samples):
         # The identities hold, so true residuals are rounding noise that would
         # not show two samples' rows swapped; this stand-in is O(1) per sample.
-        for module in (suites, g2):
+        # dhym's own residuals stay real, since its normal form is gated by them;
+        # its reports' radii and symbols are O(1) per sample already.
+        for module in (suites, g2, ddt):
             monkeypatch.setattr(module, "row_residual", fingerprint_rows)
-        for module in (suites, support):
+        for module in (suites, support, ddt):
             monkeypatch.setattr(module, "rel_residual", fingerprint)
-        assert samples > CHUNK_ROWS * (24 if name == "appendixA" else 1)
-        got, want = run_both(name, Campaign(seed=7, samples=samples, suites=(name,)), check_log)
+        for module in (suites, support):
+            monkeypatch.setattr(module, "j_duality_residual", fingerprint_duality)
+        rows = {"appendixA": samples // 24, "thmC1": 67, "dhym": samples // 3}.get(name, samples)
+        assert rows > CHUNK_ROWS
+        # At 8 about half of thmC1's stand-in density residuals pass, so the
+        # log's order of failing samples shows a density row moved between samples.
+        tol_identity = 8.0 if name == "thmC1" else 1e-8
+        campaign = Campaign(seed=7, samples=samples, tol_identity=tol_identity, suites=(name,))
+        got, want = run_both(name, campaign, check_log)
         assert (got.passed, got.failed) == (want.passed, want.failed)
         assert got.failed > 0
         assert_same_log(*check_log)
+        if name == "thmC1":
+            density = [entry[1] for entry in check_log[0]
+                       if entry[0] == "linearised density routes agree"]
+            assert None in density and len(set(density)) > 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    @pytest.mark.parametrize("name, error", [
+        ("thmC1", "linearised density routes disagree beyond tolerance"),
+        ("dhym", "symbol routes disagree beyond tolerance"),
+    ])
+    def test_every_witness_matches_the_reference(self, monkeypatch, name, error, seed):
+        # Uncapped, the witnesses include the failures rebuilt by single-form calls.
+        monkeypatch.setattr(suites, "MAX_WITNESSES", 10**6)
+        campaign = Campaign(seed=seed, samples=60, tol_rel=1e-30, tol_identity=1e-30,
+                            suites=(name,))
+        got, want = run_both(name, campaign)
+        assert (got.passed, got.failed) == (want.passed, want.failed)
+        assert len(got.witnesses) == got.failed
+        assert_same_witness(list(got.witnesses), list(want.witnesses))
+        assert any(w.get("error") == error for w in got.witnesses)
 
     @pytest.mark.parametrize("seed", [0, 1, 42])
     @pytest.mark.parametrize("name", REFERENCES)
