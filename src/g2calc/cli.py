@@ -18,6 +18,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
@@ -35,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run randomised verification suites and report pass/fail counts",
     )
-    verify.add_argument("--seed", type=int, default=0,
+    verify.add_argument("--seed", type=nonnegative_int, default=0,
                         help="campaign seed (the G2CALC_SEED variable wins)")
     verify.add_argument("--samples", type=positive_int, default=1000,
                         help="random trials per suite")
@@ -60,9 +67,9 @@ def main(argv=None) -> int:
     env_seed = os.environ.get("G2CALC_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"G2CALC_SEED must be an integer, got {env_seed!r}",
+            seed = nonnegative_int(env_seed)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"G2CALC_SEED must be a nonnegative integer, got {env_seed!r}",
                   file=sys.stderr)
             return 2
     campaign = Campaign(

@@ -35,7 +35,6 @@ from .forms import (
     hodge,
     interior,
     pullback,
-    rel_residual,
     row_residual,
     sharp2,
     wedge,
@@ -76,12 +75,6 @@ class DdtReport:
             "bound_lhs": self.bound_lhs,
             "bound_rhs": self.bound_rhs,
         }
-
-
-def _rel(lhs, rhs):
-    # rel_residual of one form, the value the single-form reports have always
-    # carried; row_residual over a batch.
-    return rel_residual(lhs, rhs) if np.ndim(lhs) == 1 else row_residual(lhs, rhs)
 
 
 def _require_flux(f: KForm) -> None:
@@ -151,7 +144,10 @@ def _require_solution(f: KForm, data: G2Data, tol: float) -> None:
 
 
 def orthogonality_check(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL) -> float:
-    """On solutions, |i(u)F14| and |phi ^ star(F^2)| both vanish; return the max."""
+    """On solutions, |i(u)F14| and |phi ^ star(F^2)| both vanish; return the max.
+
+    A batch gives one value per row; a NaN in either norm is kept.
+    """
     if data is None:
         data = standard_g2()
     _require_flux(f)
@@ -160,7 +156,7 @@ def orthogonality_check(f: KForm, data: G2Data | None = None, tol: float = SOLUT
     contraction = form_norm(interior(split.u, split.f14), data.metric)
     f_sq = wedge(f, f)
     seven_part = form_norm(wedge(data.phi, hodge(f_sq, data.metric)), data.metric)
-    return max(contraction, seven_part)
+    return _scalar(np.maximum(contraction, seven_part))
 
 
 def cartan_solve(l1: float, l2: float, l3: float, tol: float = 1e-12) -> list[float]:
@@ -287,14 +283,14 @@ def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_
     routes = [own_star.coeffs, transported.coeffs, closed.coeffs]
     # np.max, unlike max(), lets a NaN deviation through.
     deviation = _scalar(np.max([
-        _rel(routes[i], routes[j])
+        row_residual(routes[i], routes[j])
         for i in range(3)
         for j in range(i + 1, 3)
     ], axis=0))
 
     sign_c = _scalar(np.where(factor > 0, 1, -1))
     tilde_star = hodge(tilde_phi, metric_from_three_form(tilde_phi))
-    conformal = _rel(tilde_star.coeffs, (sign_c * dual_target).coeffs)
+    conformal = _scalar(row_residual(tilde_star.coeffs, (sign_c * dual_target).coeffs))
 
     bound_lhs, bound_rhs, _ = norm_bound_check(f, data)
     return DdtReport(
@@ -356,7 +352,7 @@ def _density_routes(f: KForm, b2: KForm, data: G2Data):
     factor, _, tilde_phi = _induced(f_sq, graph_map(f, data), data)
     tilde_star = hodge(tilde_phi, metric_from_three_form(tilde_phi))
     other = np.sign(factor) * wedge(b2, tilde_star)
-    return density, _rel(density.coeffs, other.coeffs)
+    return density, _scalar(row_residual(density.coeffs, other.coeffs))
 
 
 def norm_bound_check(

@@ -28,7 +28,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-import scipy.linalg
 
 from .forms import (
     ABS_FLOOR,
@@ -51,6 +50,10 @@ from .forms import (
 
 ONE_ONE_TOL = 1e-8
 FRAME_TOL = 1e-10
+# Size of the skew-Hermitian generator of random_unitary_rotation, and the
+# tolerance to which the rotation must preserve omega.
+ROTATION_MAGNITUDE = 0.6
+ROTATION_TOL = 1e-9
 
 
 def _wedge_power(a: KForm, k: int) -> KForm:
@@ -417,22 +420,31 @@ def j_duality_residual(point: HermitianPoint, alpha: KForm) -> float:
     return _scalar(row_residual(lhs.coeffs, rhs.coeffs))
 
 
-def random_unitary_rotation(rng: np.random.Generator, point: HermitianPoint,
-                            magnitude: float = 0.6, tol: float = 1e-9,
-                            attempts: int = 5) -> LinearMap:
-    """A random isometry commuting with J, drawn from the exponential chart."""
+def random_unitary_rotation(rng: np.random.Generator, point: HermitianPoint) -> LinearMap:
+    """A random isometry commuting with J, drawn from the exponential chart.
+
+    A skew-Hermitian X of size ROTATION_MAGNITUDE is realified, in the
+    frame of ``point``, to a real skew matrix S.  Its exponential comes
+    from the Hermitian eigenproblem of iS: with (mu, W) = eigh(iS),
+    exp(S) = Re(W diag(e^{-i mu}) W^H).  The result must preserve omega,
+    R^T A R = A for A the skew matrix of omega, to ROTATION_TOL.  A draw
+    that does not raises ValueError rather than drawing again, as does one
+    whose eigenproblem fails (numpy's LinAlgError is a ValueError).
+    """
     n = point.n
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = ROTATION_MAGNITUDE * 0.5 * (x - x.conj().T)
+    real = np.zeros((2 * n, 2 * n))
+    real[0::2, 0::2] = x.real
+    real[0::2, 1::2] = -x.imag
+    real[1::2, 0::2] = x.imag
+    real[1::2, 1::2] = x.real
+    mu, w = np.linalg.eigh(1j * real)
+    expm = ((w * np.exp(-1j * mu)) @ w.conj().T).real
     q = point.frame
-    q_inv = q.T @ point.metric.gram
-    for _ in range(attempts):
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        x = magnitude * 0.5 * (x - x.conj().T)
-        real = np.zeros((2 * n, 2 * n))
-        real[0::2, 0::2] = x.real
-        real[0::2, 1::2] = -x.imag
-        real[1::2, 0::2] = x.imag
-        real[1::2, 1::2] = x.real
-        rot = LinearMap(2 * n, q @ scipy.linalg.expm(real) @ q_inv)
-        if rel_residual(pullback(rot, point.omega).coeffs, point.omega.coeffs) < tol:
-            return rot
-    raise ValueError("could not draw a unitary rotation")
+    rot = q @ expm @ (q.T @ point.metric.gram)
+    a = _skew(point.omega)
+    # Written so that a NaN residual fails the check.
+    if not rel_residual(rot.T @ a @ rot, a) < ROTATION_TOL:
+        raise ValueError("could not draw a unitary rotation")
+    return LinearMap(2 * n, rot)

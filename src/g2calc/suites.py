@@ -8,6 +8,7 @@ same campaign twice produces byte-identical output.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from math import comb, isfinite, isnan, pi, sqrt
 from typing import NamedTuple
@@ -646,6 +647,14 @@ class Campaign:
                 f"unknown suites: {', '.join(unknown)}; "
                 f"valid names are {', '.join(SUITE_IDS)}"
             )
+        for name in ("seed", "samples"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.samples < 1:
             raise ValueError("samples must be positive")
         for name in ("tol_rel", "tol_identity"):

@@ -1,4 +1,7 @@
-"""The public names exported from the package."""
+"""The public names exported from the package, and what importing it loads."""
+
+import subprocess
+import sys
 
 import g2calc
 
@@ -34,3 +37,19 @@ def test_exported_names_are_pinned():
 def test_every_exported_name_resolves():
     for name in g2calc.__all__:
         assert getattr(g2calc, name) is not None
+
+
+def test_standard_structures_do_not_load_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    code = (
+        "import sys\n"
+        "import g2calc\n"
+        "g2calc.standard_g2()\n"
+        "for n in (1, 2, 3):\n"
+        "    g2calc.standard_kahler(n)\n"
+        "g2calc.standard_su3()\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

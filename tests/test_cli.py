@@ -43,6 +43,8 @@ class TestParser:
         ("--samples", "0"),
         ("--samples", "-3"),
         ("--samples", "many"),
+        ("--seed", "-1"),
+        ("--seed", "x"),
         ("--tol-rel", "nan"),
         ("--tol-rel", "-1"),
         ("--tol-rel", "inf"),
@@ -100,6 +102,15 @@ class TestMain:
         captured = capsysbinary.readouterr()
         assert code == 2
         assert b"G2CALC_SEED" in captured.err
+
+    def test_negative_environment_seed_reports_usage_error(self, capsysbinary,
+                                                           monkeypatch):
+        monkeypatch.setenv("G2CALC_SEED", "-5")
+        code = main(["verify", "--samples", "4", "--suite", "propD1"])
+        captured = capsysbinary.readouterr()
+        assert code == 2
+        assert captured.out == b""
+        assert b"G2CALC_SEED must be a nonnegative integer" in captured.err
 
     def test_json_output_is_strict(self, capsysbinary, monkeypatch):
         # A NaN residual fails the run and is written as the string "NaN".

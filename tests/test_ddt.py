@@ -12,6 +12,7 @@ from g2calc.forms import (
     multi_indices,
     pullback,
     rel_residual,
+    row_residual,
     wedge,
 )
 from g2calc.g2 import metric_from_three_form, project2, standard_g2
@@ -158,6 +159,16 @@ class TestOrthogonality:
     def test_zero_flux(self, G):
         assert orthogonality_check(KForm.zero(7, 2), G) == 0.0
 
+    def test_batch_gives_single_form_values_row_by_row(self, G):
+        solutions = cartan_solutions(0.5, -1.0, 0.5)
+        batch = KForm(7, 2, np.stack([f.coeffs for f in solutions]))
+        got = orthogonality_check(batch, G)
+        assert got.shape == (len(solutions),)
+        for i, f in enumerate(solutions):
+            one = orthogonality_check(f, G)
+            assert isinstance(one, float)
+            assert abs(got[i] - one) <= 1e-12
+
     def test_non_solution_rejected(self, G):
         f = interior(np.eye(7)[0], G.phi) + KForm.monomial(7, (0, 1))
         with pytest.raises(ValueError):
@@ -243,14 +254,15 @@ class TestSolutionReport:
                 (factor * dual).coeffs,
             ]
             sign = 1 if factor > 0 else -1
-            conformal = rel_residual(hodge(tilde, metric_from_three_form(tilde)).coeffs,
-                                     (float(sign) * dual).coeffs)
+            conformal = float(row_residual(hodge(tilde, metric_from_three_form(tilde)).coeffs,
+                                           (float(sign) * dual).coeffs))
             bound_lhs, bound_rhs, _ = norm_bound_check(f, G)
             assert np.array_equal(rep.residual.coeffs, residual.coeffs)
             assert rep.residual_norm == form_norm(residual, G.metric)
             assert rep.scalar_factor == factor
             assert rep.lhs_minus_rhs_norm == max(
-                rel_residual(routes[i], routes[j]) for i in range(3) for j in range(i + 1, 3)
+                float(row_residual(routes[i], routes[j]))
+                for i in range(3) for j in range(i + 1, 3)
             )
             assert rep.sign_C == sign
             assert rep.conformal_residual == conformal

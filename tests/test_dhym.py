@@ -4,6 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import g2calc.forms as forms_module
 from g2calc.forms import (
@@ -18,6 +19,7 @@ from g2calc.forms import (
     wedge,
 )
 from g2calc.dhym import (
+    ROTATION_MAGNITUDE,
     DhymReport,
     HermitianPoint,
     NormalForm,
@@ -568,3 +570,40 @@ class TestTransportedPoint:
         rng = np.random.default_rng(105)
         alpha = KForm(6, 1, rng.standard_normal(6))
         assert j_duality_residual(point, alpha) < 1e-12
+
+
+def rotation_points(n):
+    return [standard_kahler(n), transported(n, 110 + n)]
+
+
+class TestRandomUnitaryRotation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_scipy_expm_of_the_same_generator(self, n):
+        for k, point in enumerate(rotation_points(n)):
+            rot = random_unitary_rotation(np.random.default_rng([111, n, k]), point)
+            rng = np.random.default_rng([111, n, k])
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x = ROTATION_MAGNITUDE * 0.5 * (x - x.conj().T)
+            # The realification of x in the frame u_1, v_1, ..., u_n, v_n.
+            real = np.kron(x.real, np.eye(2)) + np.kron(x.imag, np.array([[0.0, -1.0], [1.0, 0.0]]))
+            q = point.frame
+            want = q @ scipy.linalg.expm(real) @ q.T @ point.metric.gram
+            assert np.max(np.abs(rot.matrix - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_commutes_with_j_and_is_an_isometry(self, n):
+        rng = np.random.default_rng(112 + n)
+        for point in rotation_points(n):
+            r = random_unitary_rotation(rng, point).matrix
+            jm, g = point.j_map.matrix, point.metric.gram
+            assert rel_residual(r @ jm, jm @ r) < 1e-12
+            assert rel_residual(r.T @ g @ r, g) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_nan_draw_raises(self, n):
+        class NanGenerator:
+            def standard_normal(self, shape):
+                return np.full(shape, np.nan)
+
+        with pytest.raises(ValueError):
+            random_unitary_rotation(NanGenerator(), standard_kahler(n))

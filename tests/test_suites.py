@@ -66,6 +66,23 @@ class TestCampaign:
         with pytest.raises(ValueError, match="samples must be positive"):
             Campaign(seed=0, samples=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            Campaign(seed=-1, samples=3)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.0), ("seed", "0"), ("seed", None), ("samples", 2.5), ("samples", "3"),
+    ])
+    def test_non_integer_seed_or_samples_rejected(self, name, value):
+        kwargs = {"seed": 0, "samples": 3, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Campaign(**kwargs)
+
+    def test_integer_like_seed_and_samples_become_ints(self):
+        campaign = Campaign(seed=np.int64(4), samples=np.int32(3), suites=("propD1",))
+        assert type(campaign.seed) is int and type(campaign.samples) is int
+        assert campaign == Campaign(seed=4, samples=3, suites=("propD1",))
+
     @pytest.mark.parametrize("name", ["tol_rel", "tol_identity"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-12])
     def test_bad_tolerance_rejected(self, name, value):
@@ -331,9 +348,8 @@ class TestBatchedSuites:
         # its reports' radii and symbols are O(1) per sample already.
         for module in (suites, g2, ddt):
             monkeypatch.setattr(module, "row_residual", fingerprint_rows)
-        for module in (suites, support, ddt):
-            monkeypatch.setattr(module, "rel_residual", fingerprint)
         for module in (suites, support):
+            monkeypatch.setattr(module, "rel_residual", fingerprint)
             monkeypatch.setattr(module, "j_duality_residual", fingerprint_duality)
         rows = {"appendixA": samples // 24, "thmC1": 67, "dhym": samples // 3}.get(name, samples)
         assert rows > CHUNK_ROWS
