@@ -44,7 +44,7 @@ from .forms import (
     _scalar,
     _vecmat,
 )
-from .g2 import G2Data, metric_from_three_form, project2, standard_g2
+from .g2 import G2Data, metric_from_three_form, project2, standard_g2, _require_two_form
 
 SOLUTION_TOL = 1e-9
 DEGENERATE_TOL = 1e-10
@@ -77,16 +77,11 @@ class DdtReport:
         }
 
 
-def _require_flux(f: KForm) -> None:
-    if (f.dim, f.grade) != (7, 2):
-        raise ValueError("expected a 2-form on R^7")
-
-
 def ddt_residual(f: KForm, data: G2Data | None = None) -> KForm:
     """The 6-form -F^3/6 + F ^ star(phi)."""
     if data is None:
         data = standard_g2()
-    _require_flux(f)
+    _require_two_form(f)
     return _residual(f, wedge(f, f), data)
 
 
@@ -106,7 +101,7 @@ def ddt_residual_decomposed(f: KForm, data: G2Data | None = None) -> KForm:
     """
     if data is None:
         data = standard_g2()
-    _require_flux(f)
+    _require_two_form(f)
     split = project2(f, data)
     u, f14 = split.u, split.f14
     m = data.metric
@@ -150,7 +145,7 @@ def orthogonality_check(f: KForm, data: G2Data | None = None, tol: float = SOLUT
     """
     if data is None:
         data = standard_g2()
-    _require_flux(f)
+    _require_two_form(f)
     _require_solution(f, data, tol)
     split = project2(f, data)
     contraction = form_norm(interior(split.u, split.f14), data.metric)
@@ -219,7 +214,7 @@ def scalar_factor(f: KForm, data: G2Data | None = None) -> float:
     """The factor 1 - <F^2, star(phi)>/2 controlling the induced structure."""
     if data is None:
         data = standard_g2()
-    _require_flux(f)
+    _require_two_form(f)
     return _factor(wedge(f, f), data)
 
 
@@ -242,7 +237,7 @@ def induced_phi(f: KForm, data: G2Data | None = None) -> tuple[KForm, KForm]:
     """
     if data is None:
         data = standard_g2()
-    _require_flux(f)
+    _require_two_form(f)
     _, phi_f, tilde_phi = _induced(wedge(f, f), graph_map(f, data), data)
     return phi_f, tilde_phi
 
@@ -267,7 +262,7 @@ def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_
     """
     if data is None:
         data = standard_g2()
-    _require_flux(f)
+    _require_two_form(f)
     f_sq = wedge(f, f)
     residual = _residual(f, f_sq, data)
     residual_norm = form_norm(residual, data.metric)
@@ -313,7 +308,7 @@ def reformulation_residual(f: KForm, data: G2Data | None = None) -> float:
     """
     if data is None:
         data = standard_g2()
-    _require_flux(f)
+    _require_two_form(f)
     m = data.metric
     star_cube = hodge(wedge(wedge(f, f), f), m)
     combo = hodge(f, m) + wedge(data.phi, f) - (1.0 / 6.0) * wedge(star_cube, data.star_phi)
@@ -335,8 +330,8 @@ def linearization_density(
     """
     if data is None:
         data = standard_g2()
-    _require_flux(f)
-    _require_flux(b2)
+    _require_two_form(f)
+    _require_two_form(b2)
     _require_solution(f, data, tol)
     density, disagreement = _density_routes(f, b2, data)
     if not np.all(disagreement <= tol_identity):
@@ -361,7 +356,7 @@ def norm_bound_check(
     """Sharp bound |F7| <= sqrt(2|F14|^2 + 12) cos(arccos(...)/3) on solutions."""
     if data is None:
         data = standard_g2()
-    _require_flux(f)
+    _require_two_form(f)
     split = project2(f, data)
     m = data.metric
     seven = interior(split.u, data.phi)
@@ -376,7 +371,7 @@ def cube_norm_bound(beta: KForm, data: G2Data | None = None) -> tuple[float, flo
     """(|beta^3|, sqrt(6)/3 |beta|^3) for a 2-form in the 14-part."""
     if data is None:
         data = standard_g2()
-    _require_flux(beta)
+    _require_two_form(beta)
     m = data.metric
     lhs = form_norm(wedge(wedge(beta, beta), beta), m)
     rhs = _scalar(np.sqrt(6.0) / 3.0 * form_norm(beta, m) ** 3)
@@ -392,7 +387,7 @@ def wedge_injectivity(f: KForm, data: G2Data | None = None) -> tuple[int, float]
     """
     if data is None:
         data = standard_g2()
-    _require_flux(f)
+    _require_two_form(f)
     singular = np.linalg.svd(wedge_matrix(f, 2), compute_uv=False)
     top = singular.max(axis=-1, initial=0.0, keepdims=True)
     count = np.count_nonzero(singular > RANK_CUTOFF * top, axis=-1)

@@ -35,28 +35,26 @@ MAX_DIM = 8
 ABS_FLOOR = 1e-12
 
 
-def rel_residual(lhs, rhs, floor: float = ABS_FLOOR) -> float:
+def rel_residual(lhs, rhs) -> float:
     """Deviation between two coefficient arrays, relative to their scale.
 
-    Falls back to the absolute difference when both operands are smaller
-    than ``floor``, so that identities with vanishing sides still report 0.
+    This is row_residual of the flattened arrays, as a float.
     """
-    a = np.asarray(lhs, dtype=complex).ravel()
-    b = np.asarray(rhs, dtype=complex).ravel()
-    diff = float(np.linalg.norm(a - b))
-    scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    if scale <= floor:
-        return diff
-    return diff / scale
+    return float(row_residual(np.ravel(lhs), np.ravel(rhs)))
 
 
-def row_residual(lhs, rhs, floor: float = ABS_FLOOR):
-    """rel_residual of each row along the last axis, as an array over the leading axes."""
+def row_residual(lhs, rhs):
+    """Deviation of each row along the last axis, relative to the larger row norm.
+
+    Returns an array over the leading axes.  Falls back to the absolute
+    difference when both rows are smaller than ABS_FLOOR, so that
+    identities with vanishing sides still report 0.
+    """
     a = np.asarray(lhs)
     b = np.asarray(rhs)
     diff = np.asarray(np.linalg.norm(a - b, axis=-1))
     scale = np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))
-    return np.divide(diff, scale, out=diff, where=scale > floor)
+    return np.divide(diff, scale, out=diff, where=scale > ABS_FLOOR)
 
 
 def _scalar(x):
@@ -97,14 +95,14 @@ def _positions(n: int, k: int) -> dict[tuple[int, ...], int]:
 @lru_cache(maxsize=None)
 def _wedge_table(n: int, k: int, l: int):
     rows_a, rows_b, rows_out, signs = [], [], [], []
+    pos_b = _positions(n, l)
     pos_out = _positions(n, k + l)
     for ia, idx_a in enumerate(multi_indices(n, k)):
-        taken = set(idx_a)
-        for ib, idx_b in enumerate(multi_indices(n, l)):
-            if taken.intersection(idx_b):
-                continue
+        # The l-tuples disjoint from idx_a, in the order of multi_indices(n, l).
+        free = [i for i in range(n) if i not in idx_a]
+        for idx_b in itertools.combinations(free, l):
             rows_a.append(ia)
-            rows_b.append(ib)
+            rows_b.append(pos_b[idx_b])
             rows_out.append(pos_out[tuple(sorted(idx_a + idx_b))])
             signs.append(_permutation_sign(idx_a + idx_b))
     return (
@@ -124,43 +122,12 @@ def _wedge_fill(n: int, k: int, l: int):
 
 
 @lru_cache(maxsize=None)
-def _interior_table(n: int, k: int):
-    vec_idx, src, dst, signs = [], [], [], []
-    pos_out = _positions(n, k - 1)
-    for ia, idx in enumerate(multi_indices(n, k)):
-        for p, entry in enumerate(idx):
-            vec_idx.append(entry)
-            src.append(ia)
-            dst.append(pos_out[idx[:p] + idx[p + 1 :]])
-            signs.append(-1.0 if p % 2 else 1.0)
-    return (
-        np.array(vec_idx, dtype=np.intp),
-        np.array(src, dtype=np.intp),
-        np.array(dst, dtype=np.intp),
-        np.array(signs, dtype=np.float64),
-    )
-
-
-@lru_cache(maxsize=None)
 def _interior_fill(n: int, k: int):
-    # The _interior_table entries as (gather index into a, flat index into the
+    # i(e_j) is the transpose of e^j ^ . on coefficients: the _wedge_table(n, 1, k-1)
+    # entry (j, J, I, sign) as (gather index I into a, flat index of (J, j) in the
     # C(n,k-1) x n matrix of v -> i(v) a, sign).
-    vec_idx, src, dst, signs = _interior_table(n, k)
-    return src, dst * n + vec_idx, signs
-
-
-@lru_cache(maxsize=None)
-def _complement_table(n: int, k: int):
-    # For each increasing k-tuple I: position of its complement among the
-    # (n-k)-tuples, and the sign of the permutation (I, I^c) of (1..n).
-    pos_out = _positions(n, n - k)
-    dst = np.empty(comb(n, k), dtype=np.intp)
-    signs = np.empty(comb(n, k), dtype=np.float64)
-    for ia, idx in enumerate(multi_indices(n, k)):
-        comp = tuple(sorted(set(range(n)) - set(idx)))
-        dst[ia] = pos_out[comp]
-        signs[ia] = _permutation_sign(idx + comp)
-    return dst, signs
+    j, rest, out, signs = _wedge_table(n, 1, k - 1)
+    return out, rest * n + j, signs
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +142,17 @@ def _wedge_step(n: int, k: int):
     ia, ib, out, signs = _wedge_table(n, 1, k - 1)
     mat = np.zeros((n * comb(n, k - 1), comb(n, k)))
     mat[ia * comb(n, k - 1) + ib, out] = signs
+    mat.setflags(write=False)
     return first, rest, mat
+
+
+def _coordinate_wedge(n: int, g: int) -> np.ndarray:
+    """W[j] is the matrix of beta -> e^j ^ beta from grade g to g + 1.
+
+    A read-only view, of shape (n, C(n,g+1), C(n,g)), of the wedge step matrix.
+    """
+    mat = _wedge_step(n, g + 1)[2]
+    return mat.reshape(n, comb(n, g), comb(n, g + 1)).swapaxes(1, 2)
 
 
 def exterior_power(a: np.ndarray, k: int) -> np.ndarray:
@@ -380,7 +357,8 @@ class Metric:
         """Matrix of the Hodge star from grade k to grade dim - k coefficients."""
         key = ("hodge", k)
         if key not in self._cache:
-            dst, signs = _complement_table(self.dim, k)
+            # Each k-tuple's only partner of grade dim - k is its complement, in row order.
+            _, dst, _, signs = _wedge_table(self.dim, k, self.dim - k)
             gk = self.gram_on_forms(k)
             scale = np.asarray(self.orientation * self.sqrt_det)[..., None, None]
             mat = np.zeros(gk.shape[:-2] + (comb(self.dim, self.dim - k), comb(self.dim, k)))
@@ -525,8 +503,9 @@ def hodge(a: KForm, m: Metric | None = None) -> KForm:
 
 
 def flat(v: np.ndarray, m: Metric) -> KForm:
-    """The covector g(v, .) of a vector."""
-    v = np.asarray(v, dtype=np.float64)
+    """The covector g(v, .) of a vector; complex for a complex vector."""
+    v = np.asarray(v)
+    v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
     if v.shape[-1:] != (m.dim,):
         raise ValueError(f"vector must have shape (..., {m.dim}), got {v.shape}")
     return KForm(m.dim, 1, _matvec(m.gram, v))

@@ -31,7 +31,7 @@ from .g2 import G2Data, g2_bundle
 from .ddt import ddt_residual, _solves
 from .dhym import (
     HermitianPoint,
-    NormalForm,
+    normal_form,
     pq_project,
     random_unitary_rotation,
     standard_kahler,
@@ -222,6 +222,6 @@ def zero_phase_flux(rng: np.random.Generator, su3: SU3Point,
         if abs(l1 * l2) < 0.99:
             break
     l3 = -(l1 + l2) / (1.0 - l1 * l2)
-    diag = NormalForm(su3.point, np.zeros(3), su3.point.frame).diagonal((l1, l2, l3))
+    diag = normal_form(su3.point).diagonal((l1, l2, l3))
     rotation = random_unitary_rotation(rng, su3.point)
     return pullback(rotation, diag)

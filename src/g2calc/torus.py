@@ -13,23 +13,17 @@ Betti number, the obstruction count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .forms import KForm, rel_residual, wedge_matrix
+from .forms import _coordinate_wedge, rel_residual, wedge_matrix
 from .g2 import G2Data, standard_g2
 
 # A singular value of a mode block at most this fraction of its largest
 # counts as zero: exact kernels sit below 1e-7, genuine ones above 0.4.
 KERNEL_RTOL = 1e-6
-
-
-@lru_cache(maxsize=None)
-def _coordinate_wedge(n: int, g: int) -> np.ndarray:
-    """W[j] is the matrix of beta -> e^j ^ beta from grade g to g + 1."""
-    return np.stack([wedge_matrix(KForm.monomial(n, (j,)), g) for j in range(n)])
 
 
 def _base_tensors(data: G2Data) -> tuple[np.ndarray, np.ndarray]:
@@ -71,6 +65,8 @@ def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> ModeBlock:
     kvec = np.asarray(k, dtype=np.float64)
     if kvec.shape != (7,):
         raise ValueError(f"mode must have seven components, got shape {kvec.shape}")
+    if not (np.isfinite(kvec) & (kvec == np.trunc(kvec))).all():
+        raise ValueError(f"mode components must be finite integers, got {kvec.tolist()}")
     t, u = _base_tensors(data)
     w2 = _coordinate_wedge(7, 1)
     return ModeBlock(
@@ -104,6 +100,13 @@ def _mode_grams(q: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return ((k[j] * k[l]).T @ q.reshape(len(q), -1)).reshape(-1, *q.shape[1:])
 
 
+def _index(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _kernel_total(tensor: np.ndarray, cutoff: int, chunk: int) -> int:
     """Sum per-mode kernel dimensions of i * sum k_j tensor[j] over the box.
 
@@ -111,6 +114,7 @@ def _kernel_total(tensor: np.ndarray, cutoff: int, chunk: int) -> int:
     total - 1 - i, so only the half from the centre (k = 0) on is evaluated:
     the centre counts once and every other mode twice.
     """
+    cutoff, chunk = _index("cutoff", cutoff), _index("chunk", chunk)
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     if chunk < 1:

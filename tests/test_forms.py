@@ -22,11 +22,12 @@ from g2calc.forms import (
     multi_indices,
     pullback,
     rel_residual,
+    row_residual,
     sharp,
     sharp2,
     wedge,
     wedge_matrix,
-    _interior_table,
+    _matvec,
     _skew,
     _two_form,
     _wedge_table,
@@ -262,6 +263,16 @@ class TestHodge:
                     form_inner(hodge(a, m), hodge(b, m), m) - form_inner(a, b, m)
                 ) < REL * max(1.0, abs(form_inner(a, b, m)))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_euclidean_star_is_signed_complement(self, n, orientation):
+        m = Metric(n, np.eye(n), orientation)
+        for k in range(n + 1):
+            dst, signs = reference_complement_table(n, k)
+            want = np.zeros((comb(n, n - k), comb(n, k)))
+            want[dst, np.arange(comb(n, k))] = orientation * signs
+            assert np.array_equal(m.hodge_matrix(k), want)
+
     def test_orientation_flips_star(self):
         a = KForm.monomial(7, (0, 1, 2))
         plus = hodge(a, Metric(7, np.eye(7), 1))
@@ -315,6 +326,25 @@ class TestMusical:
         v = random_vector(rng, 6)
         assert np.allclose(sharp(flat(v, m), m), v)
 
+    def test_complex_flat_sharp_roundtrip(self):
+        rng = np.random.default_rng(14)
+        m = random_metric(rng, 6)
+        alpha = KForm(6, 1, random_vector(rng, 6) + 1j * random_vector(rng, 6))
+        back = flat(sharp(alpha, m), m)
+        assert back.coeffs.dtype == np.complex128
+        assert rel_residual(back.coeffs, alpha.coeffs) < REL
+        assert flat(np.array([1j, 0, 0]), euclidean_metric(3)).coeffs[0] == 1j
+
+    def test_real_flat_is_unchanged(self):
+        # The real path as it was before complex vectors were kept: g @ v in float64.
+        rng = np.random.default_rng(15)
+        m = random_metric(rng, 7)
+        vs = [random_vector(rng, 7), rng.standard_normal((3, 7)), np.arange(7), [1, 0, 0, 0, 0, 0, 2]]
+        for v in vs:
+            got = flat(v, m).coeffs
+            assert got.dtype == np.float64
+            assert np.array_equal(got, _matvec(m.gram, np.asarray(v, dtype=np.float64)))
+
     def test_flat_is_metric_pairing(self):
         rng = np.random.default_rng(13)
         m = random_metric(rng, 7)
@@ -353,6 +383,33 @@ class TestMusical:
     def test_sharp2_requires_two_form(self):
         with pytest.raises(ValueError):
             sharp2(KForm.zero(7, 1), euclidean_metric(7))
+
+
+class TestResiduals:
+    def test_rel_residual_is_row_residual_of_flattened_operands(self):
+        rng = np.random.default_rng(380)
+        real = rng.standard_normal((2, 35))
+        cplx = real + 1j * rng.standard_normal((2, 35))
+        mat = rng.standard_normal((2, 5, 7))
+        tiny = 0.1 * ABS_FLOOR * rng.standard_normal((2, 4))
+        nan_row = np.array([1.0, np.nan, 2.0])
+        pairs = [
+            (real[0], real[1]), (cplx[0], cplx[1]), (real[0], cplx[1]),
+            (mat[0], mat[1]), (real[0].tolist(), real[1].tolist()), (2.0, 3.0),
+            (tiny[0], tiny[1]), (tiny[0], np.zeros(4)),
+            (nan_row, np.ones(3)), (np.ones(3), nan_row),
+        ]
+        for lhs, rhs in pairs:
+            got = rel_residual(lhs, rhs)
+            want = row_residual(np.ravel(lhs), np.ravel(rhs))
+            assert type(got) is float
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_operands_below_the_floor_compare_absolutely(self):
+        a, b = np.array([3e-13, 0.0]), np.array([0.0, 4e-13])
+        assert rel_residual(a, b) == float(np.linalg.norm(a - b))
+        assert np.isnan(rel_residual([np.nan], [0.0]))
+        assert np.isnan(rel_residual([0.0], [np.nan]))
 
 
 class TestPullback:
@@ -588,11 +645,43 @@ def scatter_wedge(a, b):
     return KForm(n, a.grade + b.grade, res)
 
 
+def reference_interior_table(n, k):
+    """i(e_j) on each k-tuple I with I[p] = j: row I minus I[p], sign (-1)^p.
+
+    Built from the multi-indices alone, independently of _wedge_table.
+    """
+    vec_idx, src, dst, signs = [], [], [], []
+    pos_out = {idx: pos for pos, idx in enumerate(multi_indices(n, k - 1))}
+    for ia, idx in enumerate(multi_indices(n, k)):
+        for p, entry in enumerate(idx):
+            vec_idx.append(entry)
+            src.append(ia)
+            dst.append(pos_out[idx[:p] + idx[p + 1 :]])
+            signs.append(-1.0 if p % 2 else 1.0)
+    return np.array(vec_idx), np.array(src), np.array(dst), np.array(signs)
+
+
+def reference_complement_table(n, k):
+    """For each k-tuple I: the position of its complement among the (n-k)-tuples,
+    and the sign of the permutation (I, I^c) of (0..n-1).
+
+    The permutation has sum_p (I[p] - p) inversions: I[p] passes the I[p] - p
+    entries of I^c below it.
+    """
+    pos_out = {idx: pos for pos, idx in enumerate(multi_indices(n, n - k))}
+    dst, signs = [], []
+    for idx in multi_indices(n, k):
+        comp = tuple(sorted(set(range(n)) - set(idx)))
+        dst.append(pos_out[comp])
+        signs.append(-1.0 if sum(i - p for p, i in enumerate(idx)) % 2 else 1.0)
+    return np.array(dst, dtype=np.intp), np.array(signs)
+
+
 def scatter_interior(v, a):
-    """Reference interior product: _interior_table products summed with np.add.at."""
+    """Reference interior product: reference_interior_table products summed with np.add.at."""
     if a.grade == 0:
         return KForm.zero(a.dim, 0)
-    vec_idx, src, dst, signs = _interior_table(a.dim, a.grade)
+    vec_idx, src, dst, signs = reference_interior_table(a.dim, a.grade)
     vals = signs * v[vec_idx] * a.coeffs[src]
     res = np.zeros(comb(a.dim, a.grade - 1), dtype=vals.dtype)
     np.add.at(res, dst, vals)

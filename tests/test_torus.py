@@ -1,5 +1,7 @@
 """Unit tests for the mode-by-mode torus analysis."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,15 @@ class TestModeBlock:
         with pytest.raises(ValueError):
             mode_block((1, 2, 3))
 
+    @pytest.mark.parametrize("bad", [0.5, -2.25, np.nan, np.inf])
+    def test_rejects_non_integer_mode(self, bad):
+        # A block built at 0.5 used to be labelled k = 0, and its adjoint check read 0.0.
+        k = (bad, 0, 0, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match="finite integers"):
+            mode_block(k)
+        with pytest.raises(ValueError, match="finite integers"):
+            adjoint_check(k)
+
 
 class TestProjectionDiagram:
     def test_fourteen_part_drops_out(self, G):
@@ -219,12 +230,19 @@ class TestKernelCounter:
         assert _kernel_total(_coordinate_wedge(7, 1), cutoff, 65536) == 7 + side**7 - 1
 
     def test_coordinate_wedge_slices(self):
+        # The same matrices drive every exterior-power step, so every (n, g) is checked.
         rng = np.random.default_rng(140)
-        for g in range(7):
-            beta = KForm(7, g, rng.standard_normal(_coordinate_wedge(7, g).shape[2]))
-            for j in range(7):
-                want = wedge(KForm.monomial(7, (j,)), beta).coeffs
-                assert np.array_equal(_coordinate_wedge(7, g)[j] @ beta.coeffs, want)
+        for n in range(1, 9):
+            for g in range(n):
+                w = _coordinate_wedge(n, g)
+                assert w.shape == (n, comb(n, g + 1), comb(n, g))
+                assert not w.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    w[0, 0, 0] = 2.0
+                beta = KForm(n, g, rng.standard_normal(comb(n, g)))
+                for j in range(n):
+                    want = wedge(KForm.monomial(n, (j,)), beta).coeffs
+                    assert np.array_equal(w[j] @ beta.coeffs, want)
 
 
     @pytest.mark.parametrize("chunk", [1, 2, 100, 65536])
@@ -245,6 +263,7 @@ class TestKernelCounter:
 
     @pytest.mark.parametrize("cutoff, chunk, match", [
         (-1, 65536, "cutoff"), (1, 0, "chunk"), (1, -5, "chunk"),
+        (1.5, 65536, "cutoff"), (None, 65536, "cutoff"), (1, 2.5, "chunk"),
     ])
     def test_rejects_bad_box(self, cutoff, chunk, match):
         # At the old counter these returned 0 (an empty box) instead of failing.
