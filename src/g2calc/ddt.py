@@ -248,7 +248,8 @@ def _induced(f_sq: KForm, graph: LinearMap, data: G2Data) -> tuple[float, KForm,
     if np.any(abs(factor) <= DEGENERATE_TOL):
         raise ValueError("degenerate induced structure: scalar factor is numerically zero")
     phi_f = pullback(graph, data.phi)
-    return factor, phi_f, abs(factor) ** (-0.75) * phi_f
+    # The ufunc, not Python's float power, so that a single form scales as a batch row does.
+    return factor, phi_f, np.power(np.abs(factor), -0.75) * phi_f
 
 
 def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL) -> DdtReport:

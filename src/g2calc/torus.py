@@ -167,6 +167,8 @@ def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0,
     """
     if data is None:
         data = standard_g2()
+    # A plain int, so that the summary serialises and numpy integers share the cache.
+    cutoff = _index("cutoff", cutoff)
     t, u = _base_tensors(data)
     tensor = np.concatenate([c * t, u[:, None, :]], axis=1)
     check_h1 = _kernel_total(tensor, cutoff, chunk)

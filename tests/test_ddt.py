@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import g2calc.forms as forms_module
 from g2calc.forms import (
     KForm,
     form_inner,
@@ -16,7 +17,9 @@ from g2calc.forms import (
     wedge,
 )
 from g2calc.g2 import metric_from_three_form, project2, standard_g2
+from g2calc.suites import SUITE_IDS, _random_two_form, _zero_sum_weights
 from g2calc.ddt import (
+    _density_routes,
     cartan_solutions,
     cartan_solve,
     cartan_two_form,
@@ -201,6 +204,21 @@ class TestInducedStructure:
         phi_f, tilde = induced_phi(f, G)
         assert rel_residual(tilde.coeffs, 8.0 ** (-0.75) * phi_f.coeffs) < 1e-14
 
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_batch_rows_equal_single_forms_bit_for_bit(self, G, seed):
+        # The thmC1 suite's solutions at this seed: it certifies them in batches
+        # and rebuilds a failing row as a single form, which must agree exactly.
+        rng = np.random.default_rng([seed, SUITE_IDS["thmC1"]])
+        fluxes = []
+        for _ in range(67):
+            fluxes.extend(f.coeffs for f in cartan_solutions(*_zero_sum_weights(rng)))
+            _random_two_form(rng, 7)
+        phi_f, tilde = induced_phi(KForm(7, 2, np.array(fluxes)), G)
+        for i, coeffs in enumerate(fluxes):
+            one_phi_f, one_tilde = induced_phi(KForm(7, 2, coeffs), G)
+            assert np.array_equal(phi_f.coeffs[i], one_phi_f.coeffs), i
+            assert np.array_equal(tilde.coeffs[i], one_tilde.coeffs), i
+
     def test_transported_dual_matches_expansion(self, G):
         rng = np.random.default_rng(54)
         for _ in range(10):
@@ -305,6 +323,32 @@ class TestSolutionReport:
             "bound_lhs",
             "bound_rhs",
         }
+
+
+class TestExteriorPowerBudget:
+    def test_certificate_builds_no_power_above_two(self, G, monkeypatch):
+        # The graph maps and induced metrics of a batch act once each, on phi,
+        # star(phi) and the induced 3-forms: contracted, never built as Λ^3 or Λ^4.
+        rng = np.random.default_rng(62)
+        fluxes = []
+        while len(fluxes) < 32:
+            fluxes.extend(f.coeffs for f in cartan_solutions(*random_zero_sum(rng)))
+        f = KForm(7, 2, np.array(fluxes[:32]))
+        b2 = KForm(7, 2, rng.standard_normal((32, 21)))
+        # The shared structure builds its own Grams once, on the first call.
+        solution_report(KForm(7, 2, f.coeffs[0]), G)
+        _density_routes(KForm(7, 2, f.coeffs[0]), KForm(7, 2, b2.coeffs[0]), G)
+        grades = []
+        original = forms_module.exterior_power
+
+        def counted(a, k):
+            grades.append(k)
+            return original(a, k)
+
+        monkeypatch.setattr(forms_module, "exterior_power", counted)
+        solution_report(f, G)
+        _density_routes(f, b2, G)
+        assert all(k < 3 for k in grades), grades
 
 
 class TestReformulation:

@@ -191,9 +191,8 @@ class TestTypeDecomposition:
             invariant = np.real(f.coeffs - want02.coeffs - want20.coeffs)
             assert rep.f11.coeffs.tobytes() == invariant.tobytes()
 
-    def test_second_call_builds_no_pullback_matrix(self, monkeypatch):
-        point = transported(3, 120)
-        f = KForm(6, 2, np.random.default_rng(121).standard_normal(15))
+    @staticmethod
+    def count_builds(monkeypatch):
         builds = []
         original = forms_module.exterior_power
 
@@ -202,11 +201,26 @@ class TestTypeDecomposition:
             return original(a, k)
 
         monkeypatch.setattr(forms_module, "exterior_power", counted)
-        first = pq_project(point, f, 1, 1)
-        assert builds == [2, 2]
-        second = pq_project(point, f, 1, 1)
-        assert builds == [2, 2]
+        return builds
+
+    def test_second_call_builds_no_pullback_matrix(self, monkeypatch):
+        # On R^6 pullbacks of grade 4 are above the contraction bound, so they
+        # go through the cached exterior powers of the change of basis.
+        point = transported(3, 120)
+        f = KForm(6, 4, np.random.default_rng(121).standard_normal(15))
+        builds = self.count_builds(monkeypatch)
+        first = pq_project(point, f, 2, 2)
+        assert builds == [4, 4]
+        second = pq_project(point, f, 2, 2)
+        assert builds == [4, 4]
         assert np.array_equal(first.coeffs, second.coeffs)
+
+    def test_low_grades_build_no_pullback_matrix(self, monkeypatch):
+        point = transported(3, 122)
+        f = KForm(6, 2, np.random.default_rng(123).standard_normal(15))
+        builds = self.count_builds(monkeypatch)
+        pq_project(point, f, 1, 1)
+        assert builds == []
 
 
 class TestNormalForm:

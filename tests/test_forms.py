@@ -30,7 +30,6 @@ from g2calc.forms import (
     _matvec,
     _skew,
     _two_form,
-    _wedge_table,
 )
 from g2calc.g2 import metric_from_three_form, standard_g2
 
@@ -633,12 +632,33 @@ class TestExteriorPower:
             exterior_power(np.eye(4), k)
 
 
+def reference_wedge_table(n, k, l):
+    """e^I ^ e^J for disjoint I, J: the position of I u J and the sign of the merge.
+
+    Merging I and J into increasing order moves each entry of J past the
+    entries of I above it, so the sign is (-1)^#{(i, j) in I x J : i > j}.
+    Built from the multi-indices alone, independently of _wedge_table.
+    """
+    pos_out = {idx: pos for pos, idx in enumerate(multi_indices(n, k + l))}
+    ia, ib, out, signs = [], [], [], []
+    for pa, idx_a in enumerate(multi_indices(n, k)):
+        for pb, idx_b in enumerate(multi_indices(n, l)):
+            if set(idx_a) & set(idx_b):
+                continue
+            ia.append(pa)
+            ib.append(pb)
+            out.append(pos_out[tuple(sorted(idx_a + idx_b))])
+            signs.append(-1.0 if sum(i > j for i in idx_a for j in idx_b) % 2 else 1.0)
+    return (np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp),
+            np.array(out, dtype=np.intp), np.array(signs))
+
+
 def scatter_wedge(a, b):
-    """Reference wedge: the signed products of _wedge_table summed with np.add.at."""
+    """Reference wedge: the signed products of reference_wedge_table summed with np.add.at."""
     n = a.dim
     if a.grade + b.grade > n:
         return KForm.zero(n, n)
-    ia, ib, out, signs = _wedge_table(n, a.grade, b.grade)
+    ia, ib, out, signs = reference_wedge_table(n, a.grade, b.grade)
     vals = signs * a.coeffs[ia] * b.coeffs[ib]
     res = np.zeros(comb(n, a.grade + b.grade), dtype=vals.dtype)
     np.add.at(res, out, vals)
@@ -675,6 +695,97 @@ def reference_complement_table(n, k):
         dst.append(pos_out[comp])
         signs.append(-1.0 if sum(i - p for p, i in enumerate(idx)) % 2 else 1.0)
     return np.array(dst, dtype=np.intp), np.array(signs)
+
+
+def minors_pullback(coeffs, mat, k):
+    """Reference pullback: sum_I a[I] det mat[I, J], every minor a determinant."""
+    return coeffs @ det_exterior_power(mat, k)
+
+
+def minors_hodge(coeffs, gram, orientation, k):
+    """Reference Hodge star: minors of the inverse gram moved to the complements."""
+    n = gram.shape[0]
+    dst, signs = reference_complement_table(n, k)
+    values = det_exterior_power(np.linalg.inv(gram), k) @ coeffs
+    out = np.zeros(comb(n, n - k), dtype=values.dtype)
+    out[dst] = orientation * np.sqrt(np.linalg.det(gram)) * signs * values
+    return out
+
+
+# Contracting slot by slot and taking determinants round differently, each to
+# a small multiple of eps times the size of the terms, sum_I |a[I]| |mat|^k.
+CONTRACT_TOL = 64 * np.finfo(np.float64).eps
+# The metrics of random_metric are well conditioned, so stars compare relatively.
+HODGE_TOL = 1e-13
+
+
+class TestContractedKernels:
+    """Low-grade pullbacks and Hodge stars contract the form through the map or
+    metric; high-grade Grams come from complementary minors.  Each is checked
+    against determinants of submatrices, which share no table with forms."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pullback_matches_minors(self, n):
+        rng = np.random.default_rng(380 + n)
+        mats = oracle_matrices(rng, n)
+        # A real and a complex stack, each of a matrix and two relatives.
+        stacks = [np.stack([m, m[::-1], 0.5 * m.T]) for m in mats[:2]]
+        singles = [LinearMap(n, m) for m in mats]
+        stacked = [LinearMap(n, stack) for stack in stacks]
+        for k in range(n + 1):
+            forms = real_and_complex_forms(rng, n, k)
+            for L in singles:
+                minors = det_exterior_power(L.matrix, k)
+                scale = np.linalg.norm(L.matrix, 2) ** k
+                for a in forms:
+                    error = np.abs(pullback(L, a).coeffs - a.coeffs @ minors).max()
+                    assert error <= CONTRACT_TOL * np.abs(a.coeffs).sum() * scale
+            if k == 0:
+                continue  # a function pulls back to itself, whatever the maps
+            for L in stacked:
+                minors = [det_exterior_power(m, k) for m in L.matrix]
+                scales = [np.linalg.norm(m, 2) ** k for m in L.matrix]
+                for a in forms:
+                    batch = np.stack([a.coeffs, -2.0 * a.coeffs, a.coeffs.conj()])
+                    one = pullback(L, a).coeffs
+                    rows = pullback(L, KForm(n, k, batch)).coeffs
+                    assert one.shape == rows.shape == (3, comb(n, k))
+                    for got, c in ((one, [a.coeffs] * 3), (rows, batch)):
+                        for row, x, minor, scale in zip(got, c, minors, scales):
+                            size = np.abs(x).sum() * scale
+                            assert np.abs(row - x @ minor).max() <= CONTRACT_TOL * size
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_hodge_matches_minors(self, n):
+        rng = np.random.default_rng(390 + n)
+        grams = [random_metric(rng, n).gram for _ in range(3)]
+        stacked = Metric(n, np.stack(grams), orientation=-1)
+        for k in range(n + 1):
+            for a in real_and_complex_forms(rng, n, k):
+                batch = KForm(n, k, np.stack([a.coeffs, 3.0 * a.coeffs, a.coeffs.conj()]))
+                for gram in grams:
+                    got = hodge(a, Metric(n, gram)).coeffs
+                    assert rel_residual(got, minors_hodge(a.coeffs, gram, 1, k)) <= HODGE_TOL
+                got = hodge(a, stacked).coeffs
+                assert got.shape == (3, comb(n, n - k))
+                for row, gram in zip(got, grams):
+                    assert rel_residual(row, minors_hodge(a.coeffs, gram, -1, k)) <= HODGE_TOL
+                got = hodge(batch, stacked).coeffs
+                for row, c, gram in zip(got, batch.coeffs, grams):
+                    assert rel_residual(row, minors_hodge(c, gram, -1, k)) <= HODGE_TOL
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_high_grade_grams_are_complementary_minors(self, n):
+        rng = np.random.default_rng(400 + n)
+        grams = np.stack([random_metric(rng, n).gram for _ in range(3)])
+        stacked = Metric(n, grams)
+        for k in range(n + 1):
+            got = stacked.gram_on_forms(k)
+            assert got.shape == (3, comb(n, k), comb(n, k))
+            for row, gram in zip(got, grams):
+                want = exterior_power(np.linalg.inv(gram), k)
+                for mat in (row, Metric(n, gram).gram_on_forms(k)):
+                    assert np.abs(mat - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def scatter_interior(v, a):

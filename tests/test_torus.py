@@ -1,5 +1,6 @@
 """Unit tests for the mode-by-mode torus analysis."""
 
+import json
 from math import comb
 
 import numpy as np
@@ -219,6 +220,11 @@ class TestDimensionCounts:
     def test_summary_serialises(self):
         payload = harmonic_dim(1).to_dict()
         assert payload == {"cutoff": 1, "dim_check_H1": 7, "dim_H2": 0, "b1": 7}
+
+    def test_numpy_cutoff_is_stored_as_int(self):
+        summary = harmonic_dim(np.int64(1))
+        assert type(summary.cutoff) is int
+        assert json.loads(json.dumps(summary.to_dict())) == harmonic_dim(1).to_dict()
 
 
 class TestKernelCounter:
