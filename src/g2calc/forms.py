@@ -650,7 +650,8 @@ def pullback(L: LinearMap, a: KForm) -> KForm:
     if L.dim != a.dim:
         raise ValueError(f"map on R^{L.dim} does not match form on R^{a.dim}")
     if a.grade == 0:
-        return a
+        # A function pulls back to itself, broadcast against the map stack like other grades.
+        return KForm._made(a.dim, 0, a.coeffs * np.ones(L.matrix.shape[:-2] + (1,), L.matrix.dtype))
     if _contracts(a.dim, a.grade):
         return KForm._made(a.dim, a.grade, _contract(a.coeffs, L.matrix, a.grade))
     return KForm._made(a.dim, a.grade, _vecmat(a.coeffs, L.pullback_matrix(a.grade)))

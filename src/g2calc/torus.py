@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forms import _coordinate_wedge, rel_residual, wedge_matrix
+from .forms import _coordinate_wedge, row_residual, wedge_matrix
 from .g2 import G2Data, standard_g2
 
 # A singular value of a mode block at most this fraction of its largest
@@ -94,10 +94,32 @@ def _gram_form(tensor: np.ndarray) -> np.ndarray:
 
 
 def _mode_grams(q: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Gram matrices S^H S at each row of modes, from the table of _gram_form."""
+    """Gram matrices S^H S at each column of modes (7, n), from the table of _gram_form.
+
+    The result is entry-major, of shape (7, 7, n), so that the screen's
+    reductions run along contiguous rows.
+    """
     j, l = _PAIRS
-    k = np.ascontiguousarray(modes.T, dtype=np.float64)
-    return ((k[j] * k[l]).T @ q.reshape(len(q), -1)).reshape(-1, *q.shape[1:])
+    k = np.asarray(modes, dtype=np.float64)
+    return (q.reshape(len(q), -1).T @ (k[j] * k[l])).reshape(*q.shape[1:], -1)
+
+
+def _screen_open(grams: np.ndarray) -> np.ndarray:
+    """Columns of an entry-major Gram stack (7, 7, n) that may have a kernel.
+
+    By Gershgorin's theorem every eigenvalue of a symmetric G lies in
+    [lo, hi], with lo = min_i (G_ii - sum_{j != i} |G_ij|) and
+    hi = max_i (G_ii + sum_{j != i} |G_ij|).  A column with
+    lo > 2 rtol^2 hi has lambda_min > 2 rtol^2 lambda_max; eigvalsh errs
+    there by about 1e-15 lambda_max, far below the threshold, so it would
+    count no kernel either.  NaN and inf columns compare false and stay open.
+    """
+    diag = np.einsum("iin->in", grams)
+    radius = np.abs(grams).sum(axis=1) - np.abs(diag)
+    lo = (diag - radius).min(axis=0)
+    hi = (diag + radius).max(axis=0)
+    # The factor 2 leaves room for rounding in the Gram, the bounds and eigvalsh.
+    return ~(lo > 2 * KERNEL_RTOL**2 * hi)
 
 
 def _index(name: str, value) -> int:
@@ -112,7 +134,12 @@ def _kernel_total(tensor: np.ndarray, cutoff: int, chunk: int) -> int:
 
     The Gram matrix is even in k, and k and -k sit at flat indices i and
     total - 1 - i, so only the half from the centre (k = 0) on is evaluated:
-    the centre counts once and every other mode twice.
+    the centre counts once and every other mode twice.  A Gershgorin screen
+    (_screen_open) settles the modes whose Grams are too well conditioned
+    to have a kernel; eigvalsh counts the zero eigenvalues of the rest.  The
+    screen settles only modes where eigvalsh, within its rounding error,
+    would count none, so the total is the same integer.  betti_one and
+    harmonic_dim walk the box in chunks of 8192 modes by default.
     """
     cutoff, chunk = _index("cutoff", cutoff), _index("chunk", chunk)
     if cutoff < 0:
@@ -122,14 +149,17 @@ def _kernel_total(tensor: np.ndarray, cutoff: int, chunk: int) -> int:
     side = 2 * cutoff + 1
     total = side**7
     centre = total // 2
+    # Flat index to mode, as unravel_index in C order: coordinate p has stride side^(6 - p).
+    strides = side ** np.arange(6, -1, -1)[:, None]
     q = _gram_form(tensor)
     count = 0
     for lo in range(centre, total, chunk):
         flat = np.arange(lo, min(lo + chunk, total))
-        modes = np.stack(np.unravel_index(flat, (side,) * 7), axis=1) - cutoff
-        eigs = np.linalg.eigvalsh(_mode_grams(q, modes))
+        grams = _mode_grams(q, flat // strides % side - cutoff)
+        open_ = _screen_open(grams)
+        eigs = np.linalg.eigvalsh(np.moveaxis(grams[..., open_], -1, 0))
         hits = np.sum(eigs <= KERNEL_RTOL**2 * eigs[:, -1:], axis=1)
-        count += int(hits @ np.where(flat == centre, 1, 2))
+        count += int(hits @ np.where(flat[open_] == centre, 1, 2))
     return count
 
 
@@ -146,7 +176,7 @@ class CohomologySummary:
         return asdict(self)
 
 
-def betti_one(cutoff: int, data: G2Data | None = None, chunk: int = 65536) -> int:
+def betti_one(cutoff: int, data: G2Data | None = None, chunk: int = 8192) -> int:
     """First Betti number from closed and coclosed one-forms, mode by mode."""
     if data is None:
         data = standard_g2()
@@ -157,7 +187,7 @@ def betti_one(cutoff: int, data: G2Data | None = None, chunk: int = 65536) -> in
 
 
 def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0,
-                 chunk: int = 65536) -> CohomologySummary:
+                 chunk: int = 8192) -> CohomologySummary:
     """Count check-harmonic one-forms over the mode box and derive the rest.
 
     dim_check_H1 sums the kernels of the stacked (d1_prime; dstar1) blocks;
@@ -192,8 +222,7 @@ def adjoint_check(k, data: G2Data | None = None, c: float = 1.0) -> float:
     opposite = mode_block(tuple(-v for v in np.asarray(k).ravel()), data, c).d1_prime
     g1 = data.metric.gram_on_forms(1)
     weighted = g1 @ block @ np.linalg.inv(g1)
-    return max(
-        rel_residual(block.conj().T, weighted),
-        rel_residual(block.conj(), opposite),
-        rel_residual(opposite.T, weighted),
-    )
+    # One residual per identity, as rows; np.max keeps a NaN in any of them.
+    lhs = np.array([block.conj().T, block.conj(), opposite.T]).reshape(3, -1)
+    rhs = np.array([weighted, opposite, weighted]).reshape(3, -1)
+    return float(np.max(row_residual(lhs, rhs)))

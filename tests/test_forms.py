@@ -968,7 +968,7 @@ class TestBatches:
         maps = [LinearMap(n, m) for m in mats]
         assert stacked.matrix.shape == (BATCH, n, n)
         assert np.array_equal(stacked.compose(maps[0]).matrix, mats @ mats[0])
-        for k in range(1, n + 1):
+        for k in range(n + 1):
             a = batch_of_forms(rng, n, k, 0.0)
             rows = [KForm(n, k, c) for c in a.coeffs]
             scales = [np.linalg.norm(m.pullback_matrix(k)) for m in maps]
@@ -984,6 +984,23 @@ class TestBatches:
         assert got.matrix.shape == (BATCH, n, n)
         for row, c in zip(got.matrix, f.coeffs):
             assert rel_residual(row, sharp2(KForm(n, 2, c), m).matrix) <= 1e-14
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_functions_pull_back_through_a_stack(self, imag):
+        # A 0-form used to come back unchanged, with shape (1,), through a stack of maps.
+        n = 4
+        rng = np.random.default_rng(360)
+        stacked = LinearMap(n, np.eye(n) + 0.3 * rng.standard_normal((BATCH, n, n)))
+        metrics = Metric(n, np.stack([random_metric(rng, n).gram for _ in range(BATCH)]))
+        for k in range(n + 1):
+            single = KForm(n, k, rng.standard_normal(comb(n, k)) * (1 + imag * 1j))
+            batch = batch_of_forms(rng, n, k, imag)
+            for a in (single, batch):
+                got = pullback(stacked, a).coeffs
+                assert got.shape == (BATCH, comb(n, k))
+                assert got.shape[:-1] == hodge(a, metrics).coeffs.shape[:-1]
+        f = KForm(n, 0, np.array([2.5 - imag * 1j]))
+        assert np.array_equal(pullback(stacked, f).coeffs, np.full((BATCH, 1), 2.5 - imag * 1j))
 
     def test_map_stack_needs_square_trailing_axes(self):
         with pytest.raises(ValueError, match="matrix must be 3x3"):

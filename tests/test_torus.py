@@ -1,10 +1,12 @@
 """Unit tests for the mode-by-mode torus analysis."""
 
+import dataclasses
 import json
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2calc.forms import KForm, hodge, pullback, rel_residual, wedge
 from g2calc.g2 import g2_bundle, standard_g2
@@ -17,6 +19,7 @@ from g2calc.torus import (
     _gram_form,
     _kernel_total,
     _mode_grams,
+    _screen_open,
     CohomologySummary,
     adjoint_check,
     betti_one,
@@ -178,6 +181,24 @@ class TestAdjoint:
         for _ in range(20):
             assert adjoint_check(rng.integers(-4, 5, size=7), perturbed) < 1e-10
 
+    def test_nan_in_a_later_identity_is_reported(self, monkeypatch):
+        # A NaN block at -k spoils only the second and third residuals; the
+        # builtin max() of the three used to return the first, a finite value.
+        k = (1, -2, 0, 3, 0, 0, 1)
+        opposite = tuple(-v for v in k)
+        unpatched = torus.mode_block
+
+        def nan_at_opposite(mode, *args):
+            block = unpatched(mode, *args)
+            if tuple(int(v) for v in mode) != opposite:
+                return block
+            return dataclasses.replace(block, d1_prime=np.full_like(block.d1_prime, np.nan))
+
+        monkeypatch.setattr(torus, "mode_block", nan_at_opposite)
+        assert np.isnan(adjoint_check(k))
+        # Modes whose pair does not meet the NaN block still read finite and small.
+        assert adjoint_check(tuple(reversed(k))) < 1e-12
+
 
 class TestDimensionCounts:
     def test_flat_box_one(self):
@@ -289,12 +310,106 @@ class TestGramForm:
     @pytest.mark.parametrize("name", ["flat_check", "perturbed_check", "flat_b1"])
     def test_even_in_k(self, tensors, modes, name):
         q = _gram_form(tensors[name])
-        assert np.array_equal(_mode_grams(q, -modes), _mode_grams(q, modes))
+        assert np.array_equal(_mode_grams(q, -modes.T), _mode_grams(q, modes.T))
 
     @pytest.mark.parametrize("structure", ["G", "perturbed"])
     def test_matches_direct_gram(self, request, modes, structure):
         data = request.getfixturevalue(structure)
-        grams = _mode_grams(_gram_form(check_tensor(data)), modes)
-        for k, gram in zip(modes, grams):
+        grams = _mode_grams(_gram_form(check_tensor(data)), modes.T)
+        assert grams.shape == (7, 7, len(modes))
+        for k, gram in zip(modes, np.moveaxis(grams, -1, 0)):
             s = mode_block(k, data).stacked
             assert rel_residual(gram, (s.conj().T @ s).real) <= 1e-13
+
+
+def near_threshold_tensor(ratio, diagonal):
+    """A random tensor whose Gram at k = e_1 has lambda_min / lambda_max = ratio * rtol^2.
+
+    Column 0 is scaled to reach the ratio.  A dense tensor's Grams are far
+    from diagonal, so Gershgorin's bounds are loose and the screen leaves its
+    modes open.  With column c on row c alone the Gram is diagonal at every
+    mode, the bounds are the extreme eigenvalues, and the screen settles the
+    modes above 2 rtol^2 but must leave those at or below rtol^2 open.
+    """
+    tensor = np.random.default_rng(142).standard_normal((7, 8, 7))
+    if diagonal:
+        tensor[:, :7] *= np.eye(7)
+        tensor[:, 7] = 0.0
+    scale = 1.0
+    for _ in range(6):
+        tensor[:, :, 0] *= scale
+        eigs = np.linalg.eigvalsh(tensor[0].T @ tensor[0])
+        scale = np.sqrt(ratio * KERNEL_RTOL**2 * eigs[-1] / eigs[0])
+    return tensor
+
+
+def hits(grams):
+    """eigvalsh's kernel count of each Gram in a stack (n, 7, 7), as the counter takes it."""
+    eigs = np.linalg.eigvalsh(grams)
+    return np.sum(eigs <= KERNEL_RTOL**2 * eigs[:, -1:], axis=1)
+
+
+class TestScreen:
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("ratio", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_near_threshold_counts_match_full_box(self, ratio, diagonal, cutoff):
+        tensor = near_threshold_tensor(ratio, diagonal)
+        eigs = np.linalg.eigvalsh(tensor[0].T @ tensor[0])
+        assert eigs[0] / eigs[-1] == pytest.approx(ratio * KERNEL_RTOL**2, rel=1e-6)
+        assert _kernel_total(tensor, cutoff, 8192) == full_box_total(tensor, cutoff)
+
+    def test_diagonal_tensors_put_modes_on_both_sides_of_the_screen(self):
+        # Without this the near-threshold counts would not reach the screen's boundary.
+        side = 5
+        modes = np.array(np.unravel_index(np.arange(side**7), (side,) * 7)) - 2
+        for ratio in (0.5, 1.5, 3.0):
+            grams = _mode_grams(_gram_form(near_threshold_tensor(ratio, True)), modes)
+            open_ = _screen_open(grams)
+            counted = hits(np.moveaxis(grams, -1, 0)) > 0
+            assert 0 < counted.sum() < open_.sum() < len(open_)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           rank=st.integers(0, 7),
+           tilt=st.sampled_from([0.0, 1e-14, 1e-13, 1e-6, 1.0]),
+           ratio=st.floats(0.05, 5.0))
+    def test_settled_rows_have_no_kernel(self, seed, rank, tilt, ratio):
+        # PSD Grams with eigenvalues 1, a near-threshold ratio * rtol^2 and
+        # 7 - rank zeros, in a basis tilted from the axes by up to `tilt`.
+        # Only a tilt below rtol^2 lets the screen settle a near-threshold row.
+        rng = np.random.default_rng(seed)
+        n = 64
+        values = rng.uniform(0.1, 1.0, size=(n, 7))
+        values[:, 0] = 1.0
+        values[:, 1] = ratio * KERNEL_RTOL**2
+        values[:, rank:] = 0.0
+        values *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        basis = np.linalg.qr(np.eye(7) + tilt * rng.standard_normal((n, 7, 7)))[0]
+        grams = (basis * values[:, None, :]) @ basis.swapaxes(1, 2)
+        grams = (grams + grams.swapaxes(1, 2)) / 2
+        settled = ~_screen_open(np.moveaxis(grams, 0, -1))
+        assert np.all(hits(grams)[settled] == 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("cutoff", [0, 1])
+    def test_non_finite_tensor_still_fails(self, bad, cutoff):
+        tensor = np.random.default_rng(143).standard_normal((7, 8, 7))
+        tensor[2, 3, 4] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _kernel_total(tensor, cutoff, 8192)
+
+    @pytest.mark.parametrize("name", ["flat_check", "flat_b1"])
+    def test_screen_settles_every_nonzero_flat_mode(self, tensors, monkeypatch, name):
+        # Guards the speed of the counter: if the screen stopped settling
+        # modes, eigvalsh would see the whole half box and this would fail.
+        solved = []
+        unpatched = np.linalg.eigvalsh
+
+        def counting_eigvalsh(grams):
+            solved.append(len(grams))
+            return unpatched(grams)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        assert _kernel_total(tensors[name], 2, 8192) == 7
+        assert sum(solved) <= 1
