@@ -44,7 +44,7 @@ from .forms import (
     _scalar,
     _vecmat,
 )
-from .g2 import G2Data, metric_from_three_form, project2, standard_g2, _require_two_form
+from .g2 import G2Data, metric_from_three_form, project2, _or_standard, _require_two_form
 
 SOLUTION_TOL = 1e-9
 DEGENERATE_TOL = 1e-10
@@ -79,8 +79,7 @@ class DdtReport:
 
 def ddt_residual(f: KForm, data: G2Data | None = None) -> KForm:
     """The 6-form -F^3/6 + F ^ star(phi)."""
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(f)
     return _residual(f, wedge(f, f), data)
 
@@ -99,8 +98,7 @@ def ddt_residual_decomposed(f: KForm, data: G2Data | None = None) -> KForm:
                    - star(phi) ^ u_flat ^ i(u)F14
                    - phi ^ F14 ^ i(u)F14.
     """
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(f)
     split = project2(f, data)
     u, f14 = split.u, split.f14
@@ -126,8 +124,7 @@ def _solves(residual_norm, flux_norm, tol: float):
 
 def is_solution(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL) -> bool:
     """Whether F solves the deformed equation; a batch gives one answer per row."""
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     m = data.metric
     return _scalar(_solves(form_norm(ddt_residual(f, data), m), form_norm(f, m), tol))
 
@@ -143,8 +140,7 @@ def orthogonality_check(f: KForm, data: G2Data | None = None, tol: float = SOLUT
 
     A batch gives one value per row; a NaN in either norm is kept.
     """
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(f)
     _require_solution(f, data, tol)
     split = project2(f, data)
@@ -212,8 +208,7 @@ def cartan_solutions(l1: float, l2: float, l3: float) -> list[KForm]:
 
 def scalar_factor(f: KForm, data: G2Data | None = None) -> float:
     """The factor 1 - <F^2, star(phi)>/2 controlling the induced structure."""
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(f)
     return _factor(wedge(f, f), data)
 
@@ -224,8 +219,7 @@ def _factor(f_sq: KForm, data: G2Data):
 
 def graph_map(f: KForm, data: G2Data | None = None) -> LinearMap:
     """The endomorphism 1 + F# whose pullback transports the structure; a stack for a batch."""
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     return LinearMap(7, np.eye(7) + sharp2(f, data.metric).matrix)
 
 
@@ -235,8 +229,7 @@ def induced_phi(f: KForm, data: G2Data | None = None) -> tuple[KForm, KForm]:
     Raises ValueError when the scalar factor is too close to zero for the
     normalisation |factor|^(-3/4) to make sense.
     """
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(f)
     _, phi_f, tilde_phi = _induced(wedge(f, f), graph_map(f, data), data)
     return phi_f, tilde_phi
@@ -261,8 +254,7 @@ def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_
     factor * (star(phi) - F^2/2).  The conformal normalisation is checked
     to reproduce sign(factor) * (star(phi) - F^2/2) through its own star.
     """
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(f)
     f_sq = wedge(f, f)
     residual = _residual(f, f_sq, data)
@@ -307,8 +299,7 @@ def reformulation_residual(f: KForm, data: G2Data | None = None) -> float:
     An equivalent first-order shape of the deformed equation; the sign of
     the cubic term is pinned by the diagonal solution family.
     """
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(f)
     m = data.metric
     star_cube = hodge(wedge(wedge(f, f), f), m)
@@ -329,8 +320,7 @@ def linearization_density(
     the induced conformal structure; a mismatch raises.  A batch raises
     when any row is not a solution or its routes disagree.
     """
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(f)
     _require_two_form(b2)
     _require_solution(f, data, tol)
@@ -355,8 +345,7 @@ def norm_bound_check(
     f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL
 ) -> tuple[float, float, bool]:
     """Sharp bound |F7| <= sqrt(2|F14|^2 + 12) cos(arccos(...)/3) on solutions."""
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(f)
     split = project2(f, data)
     m = data.metric
@@ -370,8 +359,7 @@ def norm_bound_check(
 
 def cube_norm_bound(beta: KForm, data: G2Data | None = None) -> tuple[float, float]:
     """(|beta^3|, sqrt(6)/3 |beta|^3) for a 2-form in the 14-part."""
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(beta)
     m = data.metric
     lhs = form_norm(wedge(wedge(beta, beta), beta), m)
@@ -386,8 +374,7 @@ def wedge_injectivity(f: KForm, data: G2Data | None = None) -> tuple[int, float]
     i(u)F14 = 0 and F^3 is nonzero; the rank drops without the cubic
     condition.
     """
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(f)
     singular = np.linalg.svd(wedge_matrix(f, 2), compute_uv=False)
     top = singular.max(axis=-1, initial=0.0, keepdims=True)

@@ -156,6 +156,11 @@ def standard_g2() -> G2Data:
     return g2_bundle(_from_monomials(3, PHI_MONOMIALS))
 
 
+def _or_standard(data: G2Data | None) -> G2Data:
+    """The given structure, or the standard one for None."""
+    return standard_g2() if data is None else data
+
+
 def _require_two_form(f: KForm) -> None:
     if (f.dim, f.grade) != (7, 2):
         raise ValueError("expected a 2-form on R^7")
@@ -163,8 +168,7 @@ def _require_two_form(f: KForm) -> None:
 
 def project2(f: KForm, data: G2Data | None = None) -> TwoFormSplit:
     """Split a 2-form into i(u)phi and its 14-part; a batch gives u of shape (..., 7)."""
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(f)
     part7 = _matvec(data.proj2_7, f.coeffs)
     cols = data.basis2_7
@@ -177,15 +181,13 @@ def project2(f: KForm, data: G2Data | None = None) -> TwoFormSplit:
 
 def assemble2(split: TwoFormSplit, data: G2Data | None = None) -> KForm:
     """Inverse of project2."""
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     return interior(split.u, data.phi) + split.f14
 
 
 def project3(gamma: KForm, data: G2Data | None = None) -> tuple[KForm, KForm, KForm]:
     """Split a 3-form into its 1, 7 and 27 dimensional components."""
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     if (gamma.dim, gamma.grade) != (7, 3):
         raise ValueError("expected a 3-form on R^7")
     return (
@@ -197,8 +199,7 @@ def project3(gamma: KForm, data: G2Data | None = None) -> tuple[KForm, KForm, KF
 
 def lambda14_wedge_norm(beta: KForm, data: G2Data | None = None) -> float:
     """Norm of beta ^ star(phi); zero exactly on the 14-dimensional part."""
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(beta)
     return form_norm(wedge(beta, data.star_phi), data.metric)
 
@@ -210,8 +211,7 @@ def identity_battery(u: np.ndarray, beta: KForm, data: G2Data | None = None) -> 
     need beta to lie in the 14-dimensional part of the 2-forms.  Batches of
     vectors and forms give the maximum of each row.
     """
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     _require_two_form(beta)
     u = np.asarray(u, dtype=float)
     m = data.metric

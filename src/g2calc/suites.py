@@ -318,18 +318,27 @@ def _run_appendix_b(campaign: Campaign, rng: np.random.Generator) -> Report:
     return rec.report()
 
 
-def _run_thm_c1(campaign: Campaign, rng: np.random.Generator) -> Report:
-    rec = _Recorder("thmC1")
-    data = standard_g2()
-    draws = max(67, campaign.samples // 5)
-    fluxes, families = [], []
-    directions = np.empty((draws, 21))
-    for i in range(draws):
+def _cartan_families(campaign: Campaign, rng: np.random.Generator, extra):
+    """Draw families of Cartan solutions, with one extra() row after each family's weights.
+
+    Returns the solutions' coefficients stacked, each family's range of rows
+    in them, and the extra rows stacked.
+    """
+    fluxes, families, extras = [], [], []
+    for _ in range(max(67, campaign.samples // 5)):
         solutions = cartan_solutions(*_zero_sum_weights(rng))
         families.append(range(len(fluxes), len(fluxes) + len(solutions)))
         fluxes.extend(f.coeffs for f in solutions)
-        directions[i] = _random_two_form(rng, 7).coeffs
-    fluxes = np.array(fluxes)
+        extras.append(extra())
+    return np.array(fluxes), families, np.array(extras)
+
+
+def _run_thm_c1(campaign: Campaign, rng: np.random.Generator) -> Report:
+    rec = _Recorder("thmC1")
+    data = standard_g2()
+    fluxes, families, directions = _cartan_families(
+        campaign, rng, lambda: _random_two_form(rng, 7).coeffs)
+    draws = len(families)
     firsts = np.array([family[0] for family in families])
 
     def per_solution(idx):
@@ -409,15 +418,9 @@ def _run_cor_d2(campaign: Campaign, rng: np.random.Generator) -> Report:
                and abs(rhs - 3.0) < campaign.tol_identity,
                lhs=lhs, rhs=rhs)
 
-    draws = max(67, campaign.samples // 5)
-    fluxes, families = [], []
-    betas = np.empty((draws, 21))
-    for i in range(draws):
-        solutions = cartan_solutions(*_zero_sum_weights(rng))
-        families.append(range(len(fluxes), len(fluxes) + len(solutions)))
-        fluxes.extend(f.coeffs for f in solutions)
-        betas[i] = data.proj2_14 @ rng.standard_normal(21)
-    fluxes = np.array(fluxes)
+    fluxes, families, betas = _cartan_families(
+        campaign, rng, lambda: data.proj2_14 @ rng.standard_normal(21))
+    draws = len(families)
 
     def per_solution(idx):
         f = KForm(7, 2, fluxes[idx])

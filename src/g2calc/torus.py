@@ -19,26 +19,27 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .forms import _coordinate_wedge, row_residual, wedge_matrix
-from .g2 import G2Data, standard_g2
+from .g2 import G2Data, _or_standard
 
 # A singular value of a mode block at most this fraction of its largest
 # counts as zero: exact kernels sit below 1e-7, genuine ones above 0.4.
 KERNEL_RTOL = 1e-6
 
+# Modes per batch of Gram matrices in betti_one and harmonic_dim.
+CHUNK = 8192
 
-def _base_tensors(data: G2Data) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate pieces (T, U) with D1'(k) = ic sum k_j T[j] and
-    dstar1(k) = i sum k_j U[j]."""
+
+def _base_tensors(data: G2Data) -> np.ndarray:
+    """Per-coordinate pieces T with D1'(k) = ic sum k_j T[j].
+
+    The gauge row needs no table: d* of e^{ik.x} alpha is -i <k, alpha>_g,
+    so dstar1(k) = i sum k_j U[j] with U = -G_1, the gram on one-forms.
+    """
     if "torus_base" not in data._cache:
         w2 = _coordinate_wedge(7, 1)
         # beta ^ star_phi = star_phi ^ beta on 2-forms.
         project = data.metric.hodge_matrix(6) @ wedge_matrix(data.star_phi, 2)
-        t = np.einsum("pa,jab->jpb", project, w2)
-        w6 = _coordinate_wedge(7, 6)
-        h1 = data.metric.hodge_matrix(1)
-        h7 = data.metric.hodge_matrix(7)
-        u = -float(h7[0, 0]) * np.einsum("jxa,ab->jxb", w6, h1)[:, 0, :]
-        data._cache["torus_base"] = (t, u)
+        data._cache["torus_base"] = np.einsum("pa,jab->jpb", project, w2)
     return data._cache["torus_base"]
 
 
@@ -60,21 +61,19 @@ class ModeBlock:
 
 def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> ModeBlock:
     """Assemble the mode matrices for one integer frequency vector."""
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     kvec = np.asarray(k, dtype=np.float64)
     if kvec.shape != (7,):
         raise ValueError(f"mode must have seven components, got shape {kvec.shape}")
     if not (np.isfinite(kvec) & (kvec == np.trunc(kvec))).all():
         raise ValueError(f"mode components must be finite integers, got {kvec.tolist()}")
-    t, u = _base_tensors(data)
     w2 = _coordinate_wedge(7, 1)
     return ModeBlock(
         k=tuple(int(v) for v in np.asarray(k).ravel()),
         d0=1j * kvec,
         d1=1j * np.einsum("j,jab->ab", kvec, w2),
-        d1_prime=1j * c * np.einsum("j,jab->ab", kvec, t),
-        dstar1=1j * np.einsum("j,ja->a", kvec, u),
+        d1_prime=1j * c * np.einsum("j,jab->ab", kvec, _base_tensors(data)),
+        dstar1=-1j * (kvec @ data.metric.gram_on_forms(1)),
     )
 
 
@@ -138,8 +137,9 @@ def _kernel_total(tensor: np.ndarray, cutoff: int, chunk: int) -> int:
     (_screen_open) settles the modes whose Grams are too well conditioned
     to have a kernel; eigvalsh counts the zero eigenvalues of the rest.  The
     screen settles only modes where eigvalsh, within its rounding error,
-    would count none, so the total is the same integer.  betti_one and
-    harmonic_dim walk the box in chunks of 8192 modes by default.
+    would count none, so the total is the same integer.  The half box is
+    walked in chunks of `chunk` modes; betti_one and harmonic_dim pass
+    CHUNK, and any chunk gives the same total.
     """
     cutoff, chunk = _index("cutoff", cutoff), _index("chunk", chunk)
     if cutoff < 0:
@@ -176,18 +176,18 @@ class CohomologySummary:
         return asdict(self)
 
 
-def betti_one(cutoff: int, data: G2Data | None = None, chunk: int = 8192) -> int:
+def _with_gauge_row(tensor: np.ndarray, data: G2Data) -> np.ndarray:
+    """Stack the coclosed row's tensor U = -G_1 under each tensor[j]."""
+    return np.concatenate([tensor, -data.metric.gram_on_forms(1)[:, None, :]], axis=1)
+
+
+def betti_one(cutoff: int, data: G2Data | None = None) -> int:
     """First Betti number from closed and coclosed one-forms, mode by mode."""
-    if data is None:
-        data = standard_g2()
-    _, u = _base_tensors(data)
-    w2 = _coordinate_wedge(7, 1)
-    tensor = np.concatenate([w2, u[:, None, :]], axis=1)
-    return _kernel_total(tensor, cutoff, chunk)
+    data = _or_standard(data)
+    return _kernel_total(_with_gauge_row(_coordinate_wedge(7, 1), data), cutoff, CHUNK)
 
 
-def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0,
-                 chunk: int = 8192) -> CohomologySummary:
+def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0) -> CohomologySummary:
     """Count check-harmonic one-forms over the mode box and derive the rest.
 
     dim_check_H1 sums the kernels of the stacked (d1_prime; dstar1) blocks;
@@ -195,34 +195,28 @@ def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0,
     and dim_H2 is their difference.  b1 does not depend on c, so it is
     counted once per structure and cutoff and kept in the structure's cache.
     """
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     # A plain int, so that the summary serialises and numpy integers share the cache.
     cutoff = _index("cutoff", cutoff)
-    t, u = _base_tensors(data)
-    tensor = np.concatenate([c * t, u[:, None, :]], axis=1)
-    check_h1 = _kernel_total(tensor, cutoff, chunk)
+    check_h1 = _kernel_total(_with_gauge_row(c * _base_tensors(data), data), cutoff, CHUNK)
     key = ("betti_one", cutoff)
     if key not in data._cache:
-        data._cache[key] = betti_one(cutoff, data, chunk)
+        data._cache[key] = betti_one(cutoff, data)
     b1 = data._cache[key]
     return CohomologySummary(cutoff, check_h1, check_h1 - b1, b1)
 
 
 def adjoint_check(k, data: G2Data | None = None, c: float = 1.0) -> float:
-    """Residuals of the adjoint identities of the middle operator at one mode.
+    """Residual of the adjoint identity of the middle operator at one mode.
 
     The operator is formally self-adjoint, so the conjugate transpose of its
-    block must equal the gram-conjugated block at the same mode, and by
-    reality the plain transpose at the opposite mode must agree with it.
+    block must equal the gram-conjugated block g1 B g1^-1 at the same mode.
+    The block is i times a real matrix odd in k, so its conjugate is exactly
+    the block at -k: comparing with the opposite mode, or transposing it,
+    would repeat this residual bit for bit.  A NaN in the block reads NaN.
     """
-    if data is None:
-        data = standard_g2()
+    data = _or_standard(data)
     block = mode_block(k, data, c).d1_prime
-    opposite = mode_block(tuple(-v for v in np.asarray(k).ravel()), data, c).d1_prime
     g1 = data.metric.gram_on_forms(1)
     weighted = g1 @ block @ np.linalg.inv(g1)
-    # One residual per identity, as rows; np.max keeps a NaN in any of them.
-    lhs = np.array([block.conj().T, block.conj(), opposite.T]).reshape(3, -1)
-    rhs = np.array([weighted, opposite, weighted]).reshape(3, -1)
-    return float(np.max(row_residual(lhs, rhs)))
+    return float(row_residual(block.conj().T.ravel(), weighted.ravel()))

@@ -1,6 +1,5 @@
 """Unit tests for the mode-by-mode torus analysis."""
 
-import dataclasses
 import json
 from math import comb
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2calc.forms import KForm, hodge, pullback, rel_residual, wedge
+from g2calc.forms import KForm, LinearMap, hodge, pullback, rel_residual, wedge
 from g2calc.g2 import g2_bundle, standard_g2
 from g2calc import torus
 from g2calc.ddt import graph_map
@@ -20,6 +19,7 @@ from g2calc.torus import (
     _kernel_total,
     _mode_grams,
     _screen_open,
+    _with_gauge_row,
     CohomologySummary,
     adjoint_check,
     betti_one,
@@ -57,13 +57,23 @@ def full_box_total(tensor, cutoff, chunk=65536):
 
 
 def check_tensor(data, c=1.0):
-    t, u = _base_tensors(data)
-    return np.concatenate([c * t, u[:, None, :]], axis=1)
+    return _with_gauge_row(c * _base_tensors(data), data)
 
 
 def b1_tensor(data):
-    _, u = _base_tensors(data)
-    return np.concatenate([_coordinate_wedge(7, 1), u[:, None, :]], axis=1)
+    return _with_gauge_row(_coordinate_wedge(7, 1), data)
+
+
+def reference_gauge_row(data):
+    """The coclosed row's tensor U from Hodge stars: d* = -star d star on one-forms.
+
+    Row j is the coefficient map of -star(e^j ^ star alpha), read off the
+    volume coefficient, so that dstar1(k) = i sum k_j U[j].
+    """
+    w6 = _coordinate_wedge(7, 6)
+    h1 = data.metric.hodge_matrix(1)
+    h7 = data.metric.hodge_matrix(7)
+    return -float(h7[0, 0]) * np.einsum("jxa,ab->jxb", w6, h1)[:, 0, :]
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +114,17 @@ class TestModeBlock:
             k = rng.integers(-4, 5, size=7)
             mb = mode_block(k)
             assert np.abs(mb.d1_prime @ k.astype(float)).max() < 1e-12
+
+    def test_gauge_row_is_minus_gram(self, G, perturbed):
+        rng = np.random.default_rng(137)
+        structures = [G, perturbed] + [
+            g2_bundle(pullback(LinearMap(7, np.eye(7) + 0.3 * rng.standard_normal((7, 7))), G.phi))
+            for _ in range(20)
+        ]
+        for data in structures:
+            u = -data.metric.gram_on_forms(1)
+            assert rel_residual(reference_gauge_row(data), u) <= 1e-14
+            assert np.array_equal(b1_tensor(data)[:, -1, :], u)
 
     def test_coclosed_row_golden(self):
         mb = mode_block((1, 0, 0, 0, 0, 0, 0))
@@ -171,6 +192,21 @@ class TestAdjoint:
             assert rel_residual(mb.d1_prime.conj(), opp.d1_prime) == 0.0
             assert rel_residual(opp.d1_prime.T, mb.d1_prime) == 0.0
 
+    def test_opposite_mode_repeats_the_first_identity(self, perturbed):
+        # Why adjoint_check compares one pair: T is real and the block is odd
+        # in k, so the reality identity is exact and the opposite-mode one
+        # equals the first bit for bit, on any structure.
+        rng = np.random.default_rng(139)
+        g1 = perturbed.metric.gram_on_forms(1)
+        for _ in range(20):
+            k = rng.integers(-4, 5, size=7)
+            block = mode_block(k, perturbed, -2.0).d1_prime
+            opposite = mode_block(-k, perturbed, -2.0).d1_prime
+            weighted = g1 @ block @ np.linalg.inv(g1)
+            assert np.array_equal(block.conj(), opposite)
+            assert rel_residual(opposite.T, weighted) == rel_residual(block.conj().T, weighted)
+            assert rel_residual(block.conj().T, weighted) == adjoint_check(k, perturbed, -2.0)
+
     def test_check_function_flat(self):
         rng = np.random.default_rng(135)
         for _ in range(20):
@@ -181,23 +217,23 @@ class TestAdjoint:
         for _ in range(20):
             assert adjoint_check(rng.integers(-4, 5, size=7), perturbed) < 1e-10
 
-    def test_nan_in_a_later_identity_is_reported(self, monkeypatch):
-        # A NaN block at -k spoils only the second and third residuals; the
-        # builtin max() of the three used to return the first, a finite value.
+    def test_wrong_metric_fails(self, G, perturbed, monkeypatch):
+        # The perturbed middle operator is self-adjoint only for its own metric.
+        monkeypatch.setitem(G._cache, "torus_base", _base_tensors(perturbed))
+        rng = np.random.default_rng(138)
+        for _ in range(20):
+            k = rng.integers(-4, 5, size=7)
+            if k.any():
+                assert adjoint_check(k, G) > 1e-3
+
+    def test_nan_in_tensor_is_reported(self, monkeypatch):
+        data = g2_bundle(standard_g2().phi)
         k = (1, -2, 0, 3, 0, 0, 1)
-        opposite = tuple(-v for v in k)
-        unpatched = torus.mode_block
-
-        def nan_at_opposite(mode, *args):
-            block = unpatched(mode, *args)
-            if tuple(int(v) for v in mode) != opposite:
-                return block
-            return dataclasses.replace(block, d1_prime=np.full_like(block.d1_prime, np.nan))
-
-        monkeypatch.setattr(torus, "mode_block", nan_at_opposite)
-        assert np.isnan(adjoint_check(k))
-        # Modes whose pair does not meet the NaN block still read finite and small.
-        assert adjoint_check(tuple(reversed(k))) < 1e-12
+        assert adjoint_check(k, data) < 1e-12
+        tensor = _base_tensors(data).copy()
+        tensor[2, 3, 4] = np.nan
+        monkeypatch.setitem(data._cache, "torus_base", tensor)
+        assert np.isnan(adjoint_check(k, data))
 
 
 class TestDimensionCounts:
@@ -235,8 +271,10 @@ class TestDimensionCounts:
         assert harmonic_dim(2, data).b1 == 7
         assert counted == [1, 2]
 
-    def test_chunking_does_not_change_counts(self):
-        assert harmonic_dim(1, chunk=100) == harmonic_dim(1)
+    def test_chunking_does_not_change_counts(self, G):
+        tensor = check_tensor(G)
+        count = _kernel_total(tensor, 1, 100)
+        assert count == _kernel_total(tensor, 1, torus.CHUNK) == harmonic_dim(1).dim_check_H1
 
     def test_summary_serialises(self):
         payload = harmonic_dim(1).to_dict()
@@ -296,10 +334,11 @@ class TestKernelCounter:
         # At the old counter these returned 0 (an empty box) instead of failing.
         with pytest.raises(ValueError, match=match):
             _kernel_total(_coordinate_wedge(7, 1), cutoff, chunk)
-        with pytest.raises(ValueError, match=match):
-            harmonic_dim(cutoff, chunk=chunk)
-        with pytest.raises(ValueError, match=match):
-            betti_one(cutoff, chunk=chunk)
+        if match == "cutoff":
+            with pytest.raises(ValueError, match=match):
+                harmonic_dim(cutoff)
+            with pytest.raises(ValueError, match=match):
+                betti_one(cutoff)
 
 
 class TestGramForm:
