@@ -49,6 +49,7 @@ from .g2 import G2Data, metric_from_three_form, project2, _or_standard, _require
 SOLUTION_TOL = 1e-9
 DEGENERATE_TOL = 1e-10
 RANK_CUTOFF = 1e-10
+DENSITY_ROUTES_ERROR = "linearised density routes disagree beyond tolerance"
 
 # Positions of e23, e45 and e67 among the 2-form coefficients.
 _CARTAN_POSITIONS = [_positions(7, 2)[idx] for idx in ((1, 2), (3, 4), (5, 6))]
@@ -326,7 +327,7 @@ def linearization_density(
     _require_solution(f, data, tol)
     density, disagreement = _density_routes(f, b2, data)
     if not np.all(disagreement <= tol_identity):
-        raise ValueError("linearised density routes disagree beyond tolerance")
+        raise ValueError(DENSITY_ROUTES_ERROR)
     return density
 
 

@@ -54,6 +54,7 @@ FRAME_TOL = 1e-10
 # tolerance to which the rotation must preserve omega.
 ROTATION_MAGNITUDE = 0.6
 ROTATION_TOL = 1e-9
+SYMBOL_ROUTES_ERROR = "symbol routes disagree beyond tolerance"
 
 
 def _wedge_power(a: KForm, k: int) -> KForm:
@@ -388,7 +389,7 @@ def symbol_bound(point: HermitianPoint, f: KForm | NormalForm, xi: KForm,
         raise ValueError(f"expected a 1-form on R^{2 * point.n}")
     sigma, bound, disagreement = _symbol_routes(point, nf, xi)
     if not np.all(disagreement <= tol_identity):
-        raise ValueError("symbol routes disagree beyond tolerance")
+        raise ValueError(SYMBOL_ROUTES_ERROR)
     return sigma, bound
 
 

@@ -9,8 +9,8 @@ Every form may carry leading batch axes: ``KForm.coeffs`` has shape
 ``(..., C(n, k))``, and the products, the Hodge star, pullbacks and inner
 products act row by row, broadcasting those axes as numpy does.  A single
 form is the case with no leading axes; results on it are Python scalars
-where they always were.  A ``Metric`` may likewise hold a stack of Gram
-matrices, one per row.
+where they always were, and each row of a batch equals them bit for bit.
+A ``Metric`` may likewise hold a stack of Gram matrices, one per row.
 
 Conventions.  Basis covectors are written e^1, ..., e^n in prose but indexed
 from zero in code.  The volume form of a metric with gram matrix G and
@@ -63,16 +63,16 @@ def _scalar(x):
 
 
 def _matvec(mat, x):
-    """mat @ x over leading axes; one matrix product when mat has none."""
-    if mat.ndim == 2:
-        return mat @ x if x.ndim == 1 else x @ mat.T
+    """mat @ x over leading axes, as one matrix-vector product per row.
+
+    A shared matrix applied to a whole batch as one matrix product would sum
+    in another order; row by row, each batch row equals its single-form call.
+    """
     return np.matmul(mat, x[..., None])[..., 0]
 
 
 def _vecmat(x, mat):
-    """x @ mat over leading axes; one matrix product when mat has none."""
-    if mat.ndim == 2:
-        return x @ mat
+    """x @ mat over leading axes, as one vector-matrix product per row (see _matvec)."""
     return np.matmul(x[..., None, :], mat)[..., 0, :]
 
 
@@ -392,12 +392,14 @@ class Metric:
         arr = np.asarray(self.gram, dtype=np.float64).copy()
         if arr.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"gram matrix must be {self.dim}x{self.dim}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("gram matrix must be finite")
         transposed = arr.swapaxes(-1, -2)
         scale = np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
         if (np.abs(arr - transposed).max(axis=(-2, -1)) > 1e-10 * scale).any():
             raise ValueError("gram matrix must be symmetric")
         arr = 0.5 * (arr + transposed)
-        if np.linalg.eigvalsh(arr).min() <= 0:
+        if not (np.linalg.eigvalsh(arr) > 0).all():
             raise ValueError("gram matrix must be positive definite")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")

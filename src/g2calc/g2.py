@@ -173,8 +173,8 @@ def project2(f: KForm, data: G2Data | None = None) -> TwoFormSplit:
     part7 = _matvec(data.proj2_7, f.coeffs)
     cols = data.basis2_7
     rhs = _matvec(cols.T, part7)
-    # One solve with a column per row of the batch.
-    u = np.linalg.solve(cols.T @ cols, rhs.reshape(-1, 7).T).T.reshape(rhs.shape)
+    # One right-hand side per row, so that a batch row solves as a single form does.
+    u = np.linalg.solve(cols.T @ cols, rhs[..., None])[..., 0]
     f14 = KForm(7, 2, f.coeffs - _matvec(cols, u))
     return TwoFormSplit(u=u, f14=f14)
 

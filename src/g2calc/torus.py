@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forms import _coordinate_wedge, row_residual, wedge_matrix
+from .forms import KForm, Metric, _coordinate_wedge, row_residual, wedge_matrix
 from .g2 import G2Data, _or_standard
 
 # A singular value of a mode block at most this fraction of its largest
@@ -29,18 +29,25 @@ KERNEL_RTOL = 1e-6
 CHUNK = 8192
 
 
-def _base_tensors(data: G2Data) -> np.ndarray:
-    """Per-coordinate pieces T with D1'(k) = ic sum k_j T[j].
+def _symbol(rows: np.ndarray, metric: Metric) -> np.ndarray:
+    """S with block i sum k_j S[j] at mode k: rows @ (e^j ^ .) on one-forms over -G_1[j].
 
-    The gauge row needs no table: d* of e^{ik.x} alpha is -i <k, alpha>_g,
-    so dstar1(k) = i sum k_j U[j] with U = -G_1, the gram on one-forms.
+    d* of e^{ik.x} alpha is -i <k, alpha>_g, so the gauge row's tensor is -G_1.
     """
-    if "torus_base" not in data._cache:
-        w2 = _coordinate_wedge(7, 1)
-        # beta ^ star_phi = star_phi ^ beta on 2-forms.
-        project = data.metric.hodge_matrix(6) @ wedge_matrix(data.star_phi, 2)
-        data._cache["torus_base"] = np.einsum("pa,jab->jpb", project, w2)
-    return data._cache["torus_base"]
+    # Each column of e^j ^ . has at most one nonzero, so the product is exact in any order.
+    middle = rows @ _coordinate_wedge(7, 1)
+    return np.concatenate([middle, -metric.gram_on_forms(1)[:, None, :]], axis=1)
+
+
+def symbol_tensors(psi: KForm, metric: Metric) -> np.ndarray:
+    """The (7, 8, 7) symbol of alpha -> (star(d alpha ^ psi), d* alpha) in the metric.
+
+    psi = c star_phi gives the check-harmonic condition at coupling scale c.
+    """
+    if (psi.dim, psi.grade) != (7, 4):
+        raise ValueError("expected a 4-form on R^7")
+    # beta ^ psi = psi ^ beta on 2-forms.
+    return _symbol(metric.hodge_matrix(6) @ wedge_matrix(psi, 2), metric)
 
 
 @dataclass(frozen=True)
@@ -67,13 +74,13 @@ def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> ModeBlock:
         raise ValueError(f"mode must have seven components, got shape {kvec.shape}")
     if not (np.isfinite(kvec) & (kvec == np.trunc(kvec))).all():
         raise ValueError(f"mode components must be finite integers, got {kvec.tolist()}")
-    w2 = _coordinate_wedge(7, 1)
+    symbol = 1j * np.einsum("j,jab->ab", kvec, symbol_tensors(c * data.star_phi, data.metric))
     return ModeBlock(
         k=tuple(int(v) for v in np.asarray(k).ravel()),
         d0=1j * kvec,
-        d1=1j * np.einsum("j,jab->ab", kvec, w2),
-        d1_prime=1j * c * np.einsum("j,jab->ab", kvec, _base_tensors(data)),
-        dstar1=-1j * (kvec @ data.metric.gram_on_forms(1)),
+        d1=1j * np.einsum("j,jab->ab", kvec, _coordinate_wedge(7, 1)),
+        d1_prime=symbol[:7],
+        dstar1=symbol[7],
     )
 
 
@@ -176,15 +183,10 @@ class CohomologySummary:
         return asdict(self)
 
 
-def _with_gauge_row(tensor: np.ndarray, data: G2Data) -> np.ndarray:
-    """Stack the coclosed row's tensor U = -G_1 under each tensor[j]."""
-    return np.concatenate([tensor, -data.metric.gram_on_forms(1)[:, None, :]], axis=1)
-
-
 def betti_one(cutoff: int, data: G2Data | None = None) -> int:
-    """First Betti number from closed and coclosed one-forms, mode by mode."""
+    """First Betti number from one-forms with d alpha = 0 and d* alpha = 0, mode by mode."""
     data = _or_standard(data)
-    return _kernel_total(_with_gauge_row(_coordinate_wedge(7, 1), data), cutoff, CHUNK)
+    return _kernel_total(_symbol(np.eye(21), data.metric), cutoff, CHUNK)
 
 
 def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0) -> CohomologySummary:
@@ -198,7 +200,7 @@ def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0) -> Coh
     data = _or_standard(data)
     # A plain int, so that the summary serialises and numpy integers share the cache.
     cutoff = _index("cutoff", cutoff)
-    check_h1 = _kernel_total(_with_gauge_row(c * _base_tensors(data), data), cutoff, CHUNK)
+    check_h1 = _kernel_total(symbol_tensors(c * data.star_phi, data.metric), cutoff, CHUNK)
     key = ("betti_one", cutoff)
     if key not in data._cache:
         data._cache[key] = betti_one(cutoff, data)

@@ -500,6 +500,22 @@ class TestMetricValidation:
         with pytest.raises(ValueError):
             Metric(4, np.eye(4), 2)
 
+    def test_nan_eigenvalue_fails_the_definiteness_test(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+        with pytest.raises(ValueError, match="positive definite"):
+            Metric(2, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries(self, bad, entry):
+        # Metric(2, [[inf, 0], [0, 1]]) used to construct.
+        g = np.eye(2)
+        g[entry] = g[entry[::-1]] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Metric(2, g)
+        with pytest.raises(ValueError, match="finite"):
+            Metric(2, np.stack([np.eye(2), g, 2.0 * np.eye(2)]))
+
     def test_volume_uses_orientation_and_determinant(self):
         g = 4.0 * np.eye(2)
         m = Metric(2, g, -1)

@@ -1,11 +1,15 @@
 """Unit tests for the standard G2 package and its decompositions."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
+from g2calc.ddt import graph_map
 from g2calc.forms import (
     KForm,
     LinearMap,
+    flat,
     form_inner,
     form_norm,
     hodge,
@@ -288,3 +292,53 @@ class TestPerturbedBundle:
             u = random_vector(rng, 7)
             beta = KForm(7, 2, data.proj2_14 @ random_form(rng, 7, 2).coeffs)
             assert identity_battery(u, beta, data) < 1e-8
+
+
+ROWS = 32
+
+
+def exact_row_cases():
+    """(name, batched result, per-row single-form results) on a perturbed structure."""
+    rng = np.random.default_rng(130)
+    base = standard_g2()
+    move = graph_map(KForm(7, 2, 0.1 * rng.standard_normal(21)), base)
+    data = g2_bundle(pullback(move, base.phi))
+    m = data.metric
+    rng = np.random.default_rng(150)
+
+    def batch(k):
+        coeffs = rng.standard_normal((ROWS, comb(7, k)))
+        return KForm(7, k, coeffs), [KForm(7, k, c) for c in coeffs]
+
+    vectors = rng.standard_normal((ROWS, 7))
+    for k in range(8):
+        a, a_rows = batch(k)
+        b, b_rows = batch(k)
+        yield f"hodge {k}", hodge(a, m).coeffs, [hodge(r, m).coeffs for r in a_rows]
+        yield (f"form_inner {k}", form_inner(a, b, m),
+               [form_inner(x, y, m) for x, y in zip(a_rows, b_rows)])
+        yield f"pullback {k}", pullback(move, a).coeffs, [pullback(move, r).coeffs for r in a_rows]
+        yield (f"interior {k}", interior(vectors, a).coeffs,
+               [interior(v, r).coeffs for v, r in zip(vectors, a_rows)])
+        for l in range(8 - k):
+            c, c_rows = batch(l)
+            yield (f"wedge {k} {l}", wedge(a, c).coeffs,
+                   [wedge(x, y).coeffs for x, y in zip(a_rows, c_rows)])
+    f, f_rows = batch(2)
+    split, splits = project2(f, data), [project2(r, data) for r in f_rows]
+    yield "project2 u", split.u, [x.u for x in splits]
+    yield "project2 f14", split.f14.coeffs, [x.f14.coeffs for x in splits]
+    yield "flat", flat(vectors, m).coeffs, [flat(v, m).coeffs for v in vectors]
+
+
+class TestExactBatchRows:
+    def test_each_row_is_its_single_form_call(self):
+        # A shared matrix is applied to each row as to one form, so a batch row
+        # sums in the same order as its single-form call and equals it bit for bit.
+        cases = list(exact_row_cases())
+        assert len(cases) == 8 * 4 + 36 + 3
+        for name, batched, singles in cases:
+            assert len(batched) == ROWS, name
+            for row, single in zip(batched, singles):
+                assert np.array_equal(row, single), name
+

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import support
-from g2calc import ddt, g2, suites
+from g2calc import ddt, dhym, g2, suites
 from g2calc.suites import (
     CHUNK_ROWS,
     MAX_WITNESSES,
@@ -88,6 +88,18 @@ class TestCampaign:
     def test_bad_tolerance_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
             Campaign(seed=0, samples=3, suites=("propD1",), **{name: value})
+
+    @pytest.mark.parametrize("name", ["tol_rel", "tol_identity"])
+    @pytest.mark.parametrize("value", ["x", None, 1j])
+    def test_non_number_tolerance_rejected(self, name, value):
+        # These used to raise a bare TypeError from math.isfinite.
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative, got"):
+            Campaign(seed=0, samples=3, suites=("propD1",), **{name: value})
+
+    def test_bare_suite_name_rejected(self):
+        # A string used to be read letter by letter: "unknown suites: o, r, s, t, u".
+        with pytest.raises(ValueError, match="suites must be a list of names, not the string 'torus'"):
+            Campaign(seed=0, suites="torus")
 
     def test_zero_tolerance_accepted(self):
         assert Campaign(seed=0, tol_rel=0.0, tol_identity=0.0).tol_rel == 0.0
@@ -372,7 +384,17 @@ class TestBatchedSuites:
         ("dhym", "symbol routes disagree beyond tolerance"),
     ])
     def test_every_witness_matches_the_reference(self, monkeypatch, name, error, seed):
-        # Uncapped, the witnesses include the failures rebuilt by single-form calls.
+        # Uncapped, the witnesses include every row whose routes disagree, each
+        # with the error that the single-form call raises on it.  The suites
+        # record those rows from the batch: a single-form call raises here,
+        # while the reference loop keeps the functions it bound on import.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a suite re-ran a failing row")
+
+        for module in (ddt, suites):
+            monkeypatch.setattr(module, "linearization_density", refuse, raising=False)
+        for module in (dhym, suites):
+            monkeypatch.setattr(module, "symbol_bound", refuse, raising=False)
         monkeypatch.setattr(suites, "MAX_WITNESSES", 10**6)
         campaign = Campaign(seed=seed, samples=60, tol_rel=1e-30, tol_identity=1e-30,
                             suites=(name,))

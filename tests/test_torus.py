@@ -1,5 +1,6 @@
 """Unit tests for the mode-by-mode torus analysis."""
 
+import dataclasses
 import json
 from math import comb
 
@@ -7,24 +8,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2calc.forms import KForm, LinearMap, hodge, pullback, rel_residual, wedge
+from g2calc.forms import KForm, LinearMap, hodge, pullback, rel_residual, wedge, wedge_matrix
 from g2calc.g2 import g2_bundle, standard_g2
 from g2calc import torus
 from g2calc.ddt import graph_map
 from g2calc.torus import (
     KERNEL_RTOL,
-    _base_tensors,
     _coordinate_wedge,
     _gram_form,
     _kernel_total,
     _mode_grams,
     _screen_open,
-    _with_gauge_row,
+    _symbol,
     CohomologySummary,
     adjoint_check,
     betti_one,
     harmonic_dim,
     mode_block,
+    symbol_tensors,
 )
 
 
@@ -57,11 +58,22 @@ def full_box_total(tensor, cutoff, chunk=65536):
 
 
 def check_tensor(data, c=1.0):
-    return _with_gauge_row(c * _base_tensors(data), data)
+    return symbol_tensors(c * data.star_phi, data.metric)
 
 
 def b1_tensor(data):
-    return _with_gauge_row(_coordinate_wedge(7, 1), data)
+    return _symbol(np.eye(21), data.metric)
+
+
+def reference_middle_rows(data):
+    """A second construction of the middle rows T[j] = star(e^j ^ . ^ star_phi), on their own."""
+    project = data.metric.hodge_matrix(6) @ wedge_matrix(data.star_phi, 2)
+    return np.einsum("pa,jab->jpb", project, _coordinate_wedge(7, 1))
+
+
+def reference_with_gauge_row(tensor, data):
+    """Stack the coclosed row's tensor U = -G_1 under each tensor[j]."""
+    return np.concatenate([tensor, -data.metric.gram_on_forms(1)[:, None, :]], axis=1)
 
 
 def reference_gauge_row(data):
@@ -125,6 +137,24 @@ class TestModeBlock:
             u = -data.metric.gram_on_forms(1)
             assert rel_residual(reference_gauge_row(data), u) <= 1e-14
             assert np.array_equal(b1_tensor(data)[:, -1, :], u)
+
+    def test_symbol_matches_the_reference_construction(self, G, perturbed):
+        rng = np.random.default_rng(144)
+        structures = [(G, 1.0), (G, -2.0), (perturbed, 1.0)] + [
+            (g2_bundle(pullback(LinearMap(7, np.eye(7) + 0.3 * rng.standard_normal((7, 7))),
+                                G.phi)), 1.0)
+            for _ in range(20)
+        ]
+        for data, c in structures:
+            got = check_tensor(data, c)
+            assert got.shape == (7, 8, 7)
+            assert np.array_equal(got, reference_with_gauge_row(c * reference_middle_rows(data), data))
+            assert np.array_equal(b1_tensor(data),
+                                  reference_with_gauge_row(_coordinate_wedge(7, 1), data))
+
+    def test_symbol_needs_a_four_form(self, G):
+        with pytest.raises(ValueError, match="4-form on R\\^7"):
+            symbol_tensors(G.phi, G.metric)
 
     def test_coclosed_row_golden(self):
         mb = mode_block((1, 0, 0, 0, 0, 0, 0))
@@ -218,22 +248,24 @@ class TestAdjoint:
             assert adjoint_check(rng.integers(-4, 5, size=7), perturbed) < 1e-10
 
     def test_wrong_metric_fails(self, G, perturbed, monkeypatch):
-        # The perturbed middle operator is self-adjoint only for its own metric.
-        monkeypatch.setitem(G._cache, "torus_base", _base_tensors(perturbed))
+        # The middle operator is self-adjoint only for the metric its Hodge star uses.
+        build = torus.symbol_tensors
+        monkeypatch.setattr(torus, "symbol_tensors",
+                            lambda psi, metric: build(psi, perturbed.metric))
         rng = np.random.default_rng(138)
         for _ in range(20):
             k = rng.integers(-4, 5, size=7)
             if k.any():
                 assert adjoint_check(k, G) > 1e-3
 
-    def test_nan_in_tensor_is_reported(self, monkeypatch):
-        data = g2_bundle(standard_g2().phi)
+    def test_nan_in_tensor_is_reported(self, G):
         k = (1, -2, 0, 3, 0, 0, 1)
-        assert adjoint_check(k, data) < 1e-12
-        tensor = _base_tensors(data).copy()
-        tensor[2, 3, 4] = np.nan
-        monkeypatch.setitem(data._cache, "torus_base", tensor)
-        assert np.isnan(adjoint_check(k, data))
+        assert adjoint_check(k, G) < 1e-12
+        psi = G.star_phi.coeffs.copy()
+        psi[3] = np.nan
+        broken = dataclasses.replace(G, star_phi=KForm(7, 4, psi))
+        assert np.isnan(symbol_tensors(broken.star_phi, broken.metric)).any()
+        assert np.isnan(adjoint_check(k, broken))
 
 
 class TestDimensionCounts:
