@@ -159,34 +159,37 @@ def cartan_solve(l1: float, l2: float, l3: float, tol: float = 1e-12) -> list[fl
     trigonometric closed form applies; each root is polished by Newton
     steps and near-coincident roots are merged.
     """
-    if abs(l1 + l2 + l3) > tol * max(1.0, abs(l1), abs(l2), abs(l3)):
+    return _merged_roots(_cartan_roots(np.array([l1, l2, l3], dtype=np.float64), tol))
+
+
+def _cartan_roots(weights: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    # cartan_solve's three polished roots for weights of shape (..., 3), sorted
+    # along the last axis and not yet merged; each row equals the single call's.
+    # Raises when any row's weights do not sum to zero.
+    l1, l2, l3 = weights[..., 0], weights[..., 1], weights[..., 2]
+    if np.any(np.abs(l1 + l2 + l3) > tol * np.maximum(1.0, np.abs(weights).max(axis=-1))):
         raise ValueError("lambdas must sum to zero")
-    s = l1 * l1 + l2 * l2 + l3 * l3
-    p = -(3.0 + 0.5 * s)
-    q = l1 * l2 * l3
+    p = (-(3.0 + 0.5 * (l1 * l1 + l2 * l2 + l3 * l3)))[..., None]
+    q = (l1 * l2 * l3)[..., None]
 
     radius = 2.0 * np.sqrt(-p / 3.0)
     argument = np.clip(3.0 * q / (p * radius), -1.0, 1.0)
     theta = np.arccos(argument) / 3.0
-    raw = [radius * np.cos(theta - 2.0 * np.pi * k / 3.0) for k in range(3)]
+    x = radius * np.cos(theta - 2.0 * np.pi * np.arange(3) / 3.0)
+    # Three Newton steps; a root stops for good where the slope vanishes.
+    moving = np.ones(x.shape, dtype=bool)
+    for _ in range(3):
+        slope = 3.0 * x * x + p
+        moving &= ~(np.abs(slope) < 1e-12)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(moving, x - (x * (x * x + p) + q) / slope, x)
+    return np.sort(x, axis=-1, kind="stable")
 
-    def poly(x: float) -> float:
-        return x * (x * x + p) + q
 
-    def dpoly(x: float) -> float:
-        return 3.0 * x * x + p
-
-    roots: list[float] = []
-    for x in raw:
-        for _ in range(3):
-            slope = dpoly(x)
-            if abs(slope) < 1e-12:
-                break
-            x -= poly(x) / slope
-        roots.append(float(x))
-    roots.sort()
+def _merged_roots(roots: np.ndarray) -> list[float]:
+    # One row of _cartan_roots with near-coincident roots merged.
     merged: list[float] = []
-    for x in roots:
+    for x in roots.tolist():
         if merged and abs(x - merged[-1]) < 1e-8 * max(1.0, abs(x)):
             continue
         merged.append(x)
@@ -195,11 +198,16 @@ def cartan_solve(l1: float, l2: float, l3: float, tol: float = 1e-12) -> list[fl
 
 def cartan_two_form(x: float, lambdas: tuple[float, float, float]) -> KForm:
     """The diagonal flux x i(e1)phi + l1 e23 + l2 e45 + l3 e67."""
-    l1, l2, l3 = lambdas
-    coeffs = np.zeros(21)
+    return KForm._made(7, 2, _cartan_coeffs(np.asarray(x, dtype=np.float64),
+                                            np.asarray(lambdas, dtype=np.float64)))
+
+
+def _cartan_coeffs(x: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    # cartan_two_form's coefficients for roots x of shape (...) and weights (..., 3).
+    coeffs = np.zeros(x.shape + (21,))
     # Added to zeros, as a sum of monomials would be, so that -0.0 becomes 0.0.
-    coeffs[_CARTAN_POSITIONS] += (x + l1, x + l2, x + l3)
-    return KForm._made(7, 2, coeffs)
+    coeffs[..., _CARTAN_POSITIONS] += x[..., None] + lambdas
+    return coeffs
 
 
 def cartan_solutions(l1: float, l2: float, l3: float) -> list[KForm]:

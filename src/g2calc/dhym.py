@@ -55,6 +55,7 @@ FRAME_TOL = 1e-10
 ROTATION_MAGNITUDE = 0.6
 ROTATION_TOL = 1e-9
 SYMBOL_ROUTES_ERROR = "symbol routes disagree beyond tolerance"
+ROTATION_ERROR = "could not draw a unitary rotation"
 
 
 def _wedge_power(a: KForm, k: int) -> KForm:
@@ -430,22 +431,37 @@ def random_unitary_rotation(rng: np.random.Generator, point: HermitianPoint) -> 
     exp(S) = Re(W diag(e^{-i mu}) W^H).  The result must preserve omega,
     R^T A R = A for A the skew matrix of omega, to ROTATION_TOL.  A draw
     that does not raises ValueError rather than drawing again, as does one
-    whose eigenproblem fails (numpy's LinAlgError is a ValueError).
+    whose eigenproblem fails.
     """
+    return _unitary_rotations(point, _rotation_generator(rng, point.n))
+
+
+def _rotation_generator(rng: np.random.Generator, n: int) -> np.ndarray:
+    # The draws of one random_unitary_rotation: a complex Gaussian n x n matrix.
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _unitary_rotations(point: HermitianPoint, x: np.ndarray) -> LinearMap:
+    # random_unitary_rotation's arithmetic on drawn generators x of shape
+    # (..., n, n): a stack of rotations, each row equal to the single call's.
+    # Any row that fails the omega check, a NaN row included, raises.
     n = point.n
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x = ROTATION_MAGNITUDE * 0.5 * (x - x.conj().T)
-    real = np.zeros((2 * n, 2 * n))
-    real[0::2, 0::2] = x.real
-    real[0::2, 1::2] = -x.imag
-    real[1::2, 0::2] = x.imag
-    real[1::2, 1::2] = x.real
-    mu, w = np.linalg.eigh(1j * real)
-    expm = ((w * np.exp(-1j * mu)) @ w.conj().T).real
+    x = ROTATION_MAGNITUDE * 0.5 * (x - x.conj().swapaxes(-1, -2))
+    real = np.zeros(x.shape[:-2] + (2 * n, 2 * n))
+    real[..., 0::2, 0::2] = x.real
+    real[..., 0::2, 1::2] = -x.imag
+    real[..., 1::2, 0::2] = x.imag
+    real[..., 1::2, 1::2] = x.real
+    try:
+        mu, w = np.linalg.eigh(1j * real)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(ROTATION_ERROR) from err
+    expm = ((w * np.exp(-1j * mu)[..., None, :]) @ w.conj().swapaxes(-1, -2)).real
     q = point.frame
     rot = q @ expm @ (q.T @ point.metric.gram)
     a = _skew(point.omega)
+    preserved = (rot.swapaxes(-1, -2) @ a @ rot).reshape(rot.shape[:-2] + (-1,))
     # Written so that a NaN residual fails the check.
-    if not rel_residual(rot.T @ a @ rot, a) < ROTATION_TOL:
-        raise ValueError("could not draw a unitary rotation")
+    if not np.all(row_residual(preserved, a.ravel()) < ROTATION_TOL):
+        raise ValueError(ROTATION_ERROR)
     return LinearMap(2 * n, rot)

@@ -33,8 +33,9 @@ from .dhym import (
     HermitianPoint,
     normal_form,
     pq_project,
-    random_unitary_rotation,
     standard_kahler,
+    _rotation_generator,
+    _unitary_rotations,
     _wedge_power,
 )
 
@@ -217,11 +218,24 @@ def zero_phase_flux(rng: np.random.Generator, su3: SU3Point,
     arctangent addition law, which is exact while the drawn product stays
     below one in magnitude.
     """
+    pair, generator = _zero_phase_draw(rng, su3, bound)
+    return _zero_phase_fluxes(su3, pair, generator)
+
+
+def _zero_phase_draw(rng: np.random.Generator, su3: SU3Point,
+                     bound: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+    # The draws of one zero_phase_flux: the eigenvalue pair, then the rotation's generator.
     while True:
-        l1, l2 = rng.uniform(-bound, bound, size=2)
-        if abs(l1 * l2) < 0.99:
+        pair = rng.uniform(-bound, bound, size=2)
+        if abs(pair[0] * pair[1]) < 0.99:
             break
+    return pair, _rotation_generator(rng, su3.point.n)
+
+
+def _zero_phase_fluxes(su3: SU3Point, pair: np.ndarray, generator: np.ndarray) -> KForm:
+    # zero_phase_flux's arithmetic on drawn pairs (..., 2) and generators
+    # (..., 3, 3): a batch of fluxes, each row equal to the single call's.
+    l1, l2 = pair[..., 0], pair[..., 1]
     l3 = -(l1 + l2) / (1.0 - l1 * l2)
-    diag = normal_form(su3.point).diagonal((l1, l2, l3))
-    rotation = random_unitary_rotation(rng, su3.point)
-    return pullback(rotation, diag)
+    diag = normal_form(su3.point).diagonal(np.stack([l1, l2, l3], axis=-1))
+    return pullback(_unitary_rotations(su3.point, generator), diag)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .ddt import (
     DENSITY_ROUTES_ERROR,
-    cartan_solutions,
     cartan_solve,
     cartan_two_form,
     cube_norm_bound,
@@ -29,20 +28,23 @@ from .ddt import (
     reformulation_residual,
     solution_report,
     wedge_injectivity,
+    _cartan_coeffs,
+    _cartan_roots,
     _density_routes,
+    _merged_roots,
 )
 from .dhym import (
     SYMBOL_ROUTES_ERROR,
     dhym_report,
     j_duality_residual,
     normal_form,
-    random_unitary_rotation,
     standard_kahler,
+    _rotation_generator,
     _symbol_routes,
+    _unitary_rotations,
 )
 from .forms import (
     KForm,
-    LinearMap,
     Metric,
     euclidean_metric,
     flat,
@@ -56,7 +58,7 @@ from .forms import (
     wedge,
 )
 from .g2 import g2_bundle, identity_battery, standard_g2
-from .product import correspondence_check, standard_su3, zero_phase_flux
+from .product import correspondence_check, standard_su3, _zero_phase_draw, _zero_phase_fluxes
 from .torus import adjoint_check, harmonic_dim
 
 SUITE_IDS: dict[str, int] = {
@@ -183,13 +185,21 @@ def _batched(evaluate, rows) -> dict[str, np.ndarray]:
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
-def _random_metric(rng: np.random.Generator, n: int) -> Metric:
+def _random_gram(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
-    return Metric(n, a @ a.T + 0.5 * np.eye(n))
+    return a @ a.T + 0.5 * np.eye(n)
+
+
+def _random_metric(rng: np.random.Generator, n: int) -> Metric:
+    return Metric(n, _random_gram(rng, n))
+
+
+def _two_form_draw(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+    return scale * rng.standard_normal(comb(n, 2))
 
 
 def _random_two_form(rng: np.random.Generator, n: int, scale: float = 1.0) -> KForm:
-    return KForm(n, 2, scale * rng.standard_normal(comb(n, 2)))
+    return KForm(n, 2, _two_form_draw(rng, n, scale))
 
 
 def _zero_sum_weights(rng: np.random.Generator, bound: float = 3.0):
@@ -203,7 +213,7 @@ def _run_appendix_a(campaign: Campaign, rng: np.random.Generator) -> Report:
     draws = []
     for i in range(campaign.samples):
         n = dims[i % 3]
-        gram = _random_metric(rng, n).gram if i % 3 == 0 else None
+        gram = _random_gram(rng, n) if i % 3 == 0 else None
         k = int(rng.integers(0, n + 1))
         a = rng.standard_normal(comb(n, k))
         b = rng.standard_normal(comb(n, k))
@@ -235,7 +245,7 @@ def _run_appendix_a(campaign: Campaign, rng: np.random.Generator) -> Report:
 def _appendix_a_rows(draws: list, idx: np.ndarray) -> dict[str, np.ndarray]:
     """The star and contraction residuals of draws[idx], which share (n, k)."""
     n, k, gram, *_ = draws[idx[0]]
-    # The random Gram matrices (n = 6) were each checked as a Metric when drawn.
+    # The chunk's stacked Metric checks its random Gram matrices (n = 6).
     m = euclidean_metric(n) if gram is None else Metric(n, np.stack([draws[i][2] for i in idx]))
     a, b, v = (np.stack([draws[i][col] for i in idx]) for col in (3, 4, 5))
     a, b = KForm(n, k, a), KForm(n, k, b)
@@ -322,22 +332,26 @@ def _cartan_families(campaign: Campaign, rng: np.random.Generator, extra):
     """Draw families of Cartan solutions, with one extra() row after each family's weights.
 
     Returns the solutions' coefficients stacked, each family's range of rows
-    in them, and the extra rows stacked.
+    in them, and the extra rows stacked.  The roots of all families are
+    solved at once after the draws.
     """
-    fluxes, families, extras = [], [], []
+    weights, extras = [], []
     for _ in range(max(67, campaign.samples // 5)):
-        solutions = cartan_solutions(*_zero_sum_weights(rng))
-        families.append(range(len(fluxes), len(fluxes) + len(solutions)))
-        fluxes.extend(f.coeffs for f in solutions)
+        weights.append(_zero_sum_weights(rng))
         extras.append(extra())
-    return np.array(fluxes), families, np.array(extras)
+    weights = np.array(weights)
+    roots = [_merged_roots(row) for row in _cartan_roots(weights)]
+    sizes = [len(r) for r in roots]
+    families = [range(end - size, end) for size, end in zip(sizes, np.cumsum(sizes).tolist())]
+    fluxes = _cartan_coeffs(np.concatenate(roots), np.repeat(weights, sizes, axis=0))
+    return fluxes, families, np.array(extras)
 
 
 def _run_thm_c1(campaign: Campaign, rng: np.random.Generator) -> Report:
     rec = _Recorder("thmC1")
     data = standard_g2()
     fluxes, families, directions = _cartan_families(
-        campaign, rng, lambda: _random_two_form(rng, 7).coeffs)
+        campaign, rng, lambda: _two_form_draw(rng, 7))
     draws = len(families)
     firsts = np.array([family[0] for family in families])
 
@@ -384,7 +398,7 @@ def _run_prop_d1(campaign: Campaign, rng: np.random.Generator) -> Report:
     fluxes = np.empty((campaign.samples, 21))
     for i in range(campaign.samples):
         scales[i] = float(10.0 ** rng.uniform(-1.0, 1.0))
-        fluxes[i] = _random_two_form(rng, 7, scales[i]).coeffs
+        fluxes[i] = _two_form_draw(rng, 7, scales[i])
 
     def evaluate(idx):
         f = KForm(7, 2, fluxes[idx])
@@ -462,10 +476,10 @@ def _run_dhym(campaign: Campaign, rng: np.random.Generator) -> Report:
     draws = []
     for i in range(campaign.samples):
         n = (1, 2, 3)[i % 3]
-        f = _random_two_form(rng, 2 * n).coeffs
+        f = _two_form_draw(rng, 2 * n)
         xi = rng.standard_normal(2 * n)
-        rotation = random_unitary_rotation(rng, standard_kahler(n)).matrix if n >= 2 else None
-        draws.append((n, f, xi, rotation))
+        generator = _rotation_generator(rng, n) if n >= 2 else None
+        draws.append((n, f, xi, generator))
 
     groups: dict[int, list[int]] = {}
     for i, (n, *_) in enumerate(draws):
@@ -525,7 +539,7 @@ def _dhym_rows(draws: list, rows: list, idx: np.ndarray) -> dict:
            "f11": rep.f11.coeffs, "sigma": sigma, "floor": floor, "routes": routes,
            "duality": j_duality_residual(point, xi)}
     if n >= 2:
-        rotations = LinearMap(2 * n, np.stack([d[3] for d in picked]))
+        rotations = _unitary_rotations(point, np.stack([d[3] for d in picked]))
         rotated = normal_form(point, pullback(rotations, rep.f11))
         out["rotation"] = row_residual(np.sort(rotated.lambdas), np.sort(nf.lambdas))
     return out
@@ -535,12 +549,20 @@ def _run_product(campaign: Campaign, rng: np.random.Generator) -> Report:
     rec = _Recorder("product")
     su3 = standard_su3()
     fluxes = np.empty((campaign.samples, 15))
+    pairs, generators = [], []
     for i in range(campaign.samples):
         branch = i % 3
         if branch == 0:
-            fluxes[i] = zero_phase_flux(rng, su3).coeffs
+            pair, generator = _zero_phase_draw(rng, su3)
+            pairs.append(pair)
+            generators.append(generator)
         else:
-            fluxes[i] = _random_two_form(rng, 6, 1.5 if branch == 1 else 0.3).coeffs
+            fluxes[i] = _two_form_draw(rng, 6, 1.5 if branch == 1 else 0.3)
+    pairs, generators = np.array(pairs), np.array(generators)
+    fluxes[0::3] = _batched(
+        lambda idx: {"flux": _zero_phase_fluxes(su3, pairs[idx], generators[idx]).coeffs},
+        range(len(pairs)),
+    )["flux"]
     reports = _batched(
         lambda idx: correspondence_check(su3, KForm(6, 2, fluxes[idx]),
                                          tol=campaign.tol_identity).to_dict(),
@@ -637,7 +659,16 @@ class Campaign:
     def __post_init__(self):
         if isinstance(self.suites, str):
             raise ValueError(f"suites must be a list of names, not the string {self.suites!r}")
-        unknown = sorted(set(self.suites) - set(SUITE_IDS))
+        try:
+            names = tuple(self.suites)
+        except TypeError:
+            raise ValueError(f"suites must be a list of names, got {self.suites!r}") from None
+        if not names:
+            raise ValueError("suites must name at least one suite")
+        for name in names:
+            if not isinstance(name, str):
+                raise ValueError(f"suites must be a list of names, got {name!r} in it")
+        unknown = sorted(set(names) - set(SUITE_IDS))
         if unknown:
             raise ValueError(
                 f"unknown suites: {', '.join(unknown)}; "
@@ -657,7 +688,7 @@ class Campaign:
             value = getattr(self, name)
             if not (isinstance(value, Real) and isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        ordered = tuple(sorted(set(self.suites), key=SUITE_IDS.__getitem__))
+        ordered = tuple(sorted(set(names), key=SUITE_IDS.__getitem__))
         object.__setattr__(self, "suites", ordered)
 
     def to_dict(self) -> dict:

@@ -19,7 +19,10 @@ from g2calc.forms import (
 from g2calc.g2 import metric_from_three_form, project2, standard_g2
 from g2calc.suites import SUITE_IDS, _random_two_form, _zero_sum_weights
 from g2calc.ddt import (
+    _cartan_coeffs,
+    _cartan_roots,
     _density_routes,
+    _merged_roots,
     cartan_solutions,
     cartan_solve,
     cartan_two_form,
@@ -149,6 +152,66 @@ class TestCartanFamily:
             f = cartan_two_form(x, (0.0, 0.0, 0.0))
             assert is_solution(f, G)
             assert is_solution(-1.0 * f, G)
+
+
+def reference_cartan_solve(l1, l2, l3):
+    """The scalar body cartan_solve had before its roots were solved for a stack of weights."""
+    s = l1 * l1 + l2 * l2 + l3 * l3
+    p = -(3.0 + 0.5 * s)
+    q = l1 * l2 * l3
+    radius = 2.0 * np.sqrt(-p / 3.0)
+    argument = np.clip(3.0 * q / (p * radius), -1.0, 1.0)
+    theta = np.arccos(argument) / 3.0
+    roots = []
+    for x in [radius * np.cos(theta - 2.0 * np.pi * k / 3.0) for k in range(3)]:
+        for _ in range(3):
+            slope = 3.0 * x * x + p
+            if abs(slope) < 1e-12:
+                break
+            x -= (x * (x * x + p) + q) / slope
+        roots.append(float(x))
+    roots.sort()
+    merged = []
+    for x in roots:
+        if merged and abs(x - merged[-1]) < 1e-8 * max(1.0, abs(x)):
+            continue
+        merged.append(x)
+    return merged
+
+
+class TestStackedCartanRoots:
+    def weights(self):
+        rng = np.random.default_rng(54)
+        drawn = [_zero_sum_weights(rng) for _ in range(500)]
+        return np.array(drawn + [(0.0, 0.0, 0.0), (1e9, 1e9, -2e9), (-1e12, -1e12, 2e12)])
+
+    def test_each_row_is_the_single_call(self):
+        weights = self.weights()
+        roots = _cartan_roots(weights)
+        assert roots.shape == (503, 3)
+        merged_rows = 0
+        for row, lambdas in zip(roots, weights):
+            single = cartan_solve(*lambdas.tolist())
+            assert _merged_roots(row) == single == reference_cartan_solve(*lambdas.tolist())
+            merged_rows += len(single) < 3
+        # The last two weights' roots lie within the merge tolerance of each other.
+        assert merged_rows == 2
+
+    def test_coefficients_are_the_single_two_forms(self):
+        weights = self.weights()
+        x = _cartan_roots(weights)
+        coeffs = _cartan_coeffs(x, weights[:, None, :])
+        for i, lambdas in enumerate(weights.tolist()):
+            for k in range(3):
+                want = cartan_two_form(x[i, k].item(), tuple(lambdas)).coeffs
+                # tobytes tells 0.0 from -0.0.
+                assert coeffs[i, k].tobytes() == want.tobytes()
+
+    def test_one_row_off_the_plane_rejects_the_stack(self):
+        weights = self.weights()
+        weights[7, 2] += 1e-6
+        with pytest.raises(ValueError, match="lambdas must sum to zero"):
+            _cartan_roots(weights)
 
 
 class TestOrthogonality:

@@ -33,7 +33,10 @@ from g2calc.dhym import (
     standard_kahler,
     symbol_bound,
     _pq_parts,
+    _rotation_generator,
+    _unitary_rotations,
 )
+from g2calc.product import standard_su3
 
 
 def wedge_power(a, k):
@@ -621,3 +624,76 @@ class TestRandomUnitaryRotation:
 
         with pytest.raises(ValueError):
             random_unitary_rotation(NanGenerator(), standard_kahler(n))
+
+
+def reference_rotation(rng, point):
+    """The per-sample body random_unitary_rotation had before its arithmetic took a stack."""
+    n = point.n
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = ROTATION_MAGNITUDE * 0.5 * (x - x.conj().T)
+    real = np.zeros((2 * n, 2 * n))
+    real[0::2, 0::2] = x.real
+    real[0::2, 1::2] = -x.imag
+    real[1::2, 0::2] = x.imag
+    real[1::2, 1::2] = x.real
+    mu, w = np.linalg.eigh(1j * real)
+    expm = ((w * np.exp(-1j * mu)) @ w.conj().T).real
+    q = point.frame
+    return q @ expm @ (q.T @ point.metric.gram)
+
+
+def stack_points():
+    points = [p for n in (1, 2, 3) for p in rotation_points(n)]
+    return points + [standard_su3().point]
+
+
+class TestStackedRotations:
+    @pytest.mark.parametrize("k", range(7))
+    def test_each_row_is_the_single_call(self, k):
+        point = stack_points()[k]
+        rng_single, rng_stack, rng_ref = (np.random.default_rng([113, k]) for _ in range(3))
+        singles = [random_unitary_rotation(rng_single, point).matrix for _ in range(40)]
+        generators = np.stack([_rotation_generator(rng_stack, point.n) for _ in range(40)])
+        stack = _unitary_rotations(point, generators)
+        assert stack.matrix.shape == (40, 2 * point.n, 2 * point.n)
+        for row, single in zip(stack.matrix, singles):
+            assert np.array_equal(row, single)
+            assert np.array_equal(row, reference_rotation(rng_ref, point))
+        assert rng_stack.bit_generator.state == rng_single.bit_generator.state
+        assert rng_ref.bit_generator.state == rng_single.bit_generator.state
+
+    def test_leading_axes_are_kept(self):
+        point = standard_kahler(2)
+        generators = np.stack([_rotation_generator(np.random.default_rng(k), 2) for k in range(6)])
+        flat = _unitary_rotations(point, generators).matrix
+        grid = _unitary_rotations(point, generators.reshape(2, 3, 2, 2)).matrix
+        assert np.array_equal(grid.reshape(6, 4, 4), flat)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_nan_generator_row_rejects_the_stack(self, n):
+        generators = np.stack([_rotation_generator(np.random.default_rng(k), n) for k in range(5)])
+        _unitary_rotations(standard_kahler(n), generators)
+        generators[3] = np.nan
+        with pytest.raises(ValueError, match="could not draw a unitary rotation"):
+            _unitary_rotations(standard_kahler(n), generators)
+
+    @pytest.mark.parametrize("bad", [1.01, np.nan])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_row_that_breaks_omega_rejects_the_stack(self, monkeypatch, n, bad):
+        # Scaling one row's eigenvectors scales its rotation by bad^2, so only
+        # that row stops preserving omega; a NaN row must fail the check too
+        # rather than pass a comparison that NaN makes false.
+        generators = np.stack([_rotation_generator(np.random.default_rng(k), n) for k in range(5)])
+        eigh = np.linalg.eigh
+
+        def one_bad_row(a):
+            mu, w = eigh(a)
+            w = w.copy()
+            w[2] *= bad
+            return mu, w
+
+        monkeypatch.setattr(np.linalg, "eigh", one_bad_row)
+        with pytest.raises(ValueError, match="could not draw a unitary rotation"):
+            _unitary_rotations(standard_kahler(n), generators)
+        monkeypatch.undo()
+        _unitary_rotations(standard_kahler(n), generators)

@@ -17,6 +17,8 @@ from g2calc.product import (
     product_psi,
     standard_su3,
     zero_phase_flux,
+    _zero_phase_draw,
+    _zero_phase_fluxes,
 )
 
 
@@ -243,3 +245,14 @@ class TestZeroPhaseFlux:
         rng = np.random.default_rng(120)
         f = zero_phase_flux(rng, su3)
         assert form_norm(pq_project(su3.point, f, 0, 2)) < 1e-13
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_row_of_a_stack_is_the_single_call(self, su3, seed):
+        rng_single, rng_stack = np.random.default_rng([121, seed]), np.random.default_rng([121, seed])
+        singles = [zero_phase_flux(rng_single, su3) for _ in range(40)]
+        pairs, generators = zip(*[_zero_phase_draw(rng_stack, su3) for _ in range(40)])
+        stack = _zero_phase_fluxes(su3, np.array(pairs), np.array(generators))
+        assert stack.coeffs.shape == (40, 15)
+        for row, single in zip(stack.coeffs, singles):
+            assert np.array_equal(row, single.coeffs)
+        assert rng_stack.bit_generator.state == rng_single.bit_generator.state

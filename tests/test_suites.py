@@ -2,12 +2,13 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import support
-from g2calc import ddt, dhym, g2, suites
+from g2calc import ddt, dhym, g2, product, suites
 from g2calc.suites import (
     CHUNK_ROWS,
     MAX_WITNESSES,
@@ -100,6 +101,21 @@ class TestCampaign:
         # A string used to be read letter by letter: "unknown suites: o, r, s, t, u".
         with pytest.raises(ValueError, match="suites must be a list of names, not the string 'torus'"):
             Campaign(seed=0, suites="torus")
+
+    @pytest.mark.parametrize("value, shown", [
+        (None, "got None"), (("torus", 5), "got 5 in it"), ([["torus"]], "got ['torus'] in it"),
+    ])
+    def test_suite_list_of_non_names_rejected(self, value, shown):
+        # These used to end in a bare TypeError (not iterable, join of the
+        # unknown names, unhashable list).
+        with pytest.raises(ValueError, match=f"suites must be a list of names, {re.escape(shown)}"):
+            Campaign(seed=0, suites=value)
+
+    @pytest.mark.parametrize("value", [(), []])
+    def test_empty_suite_list_rejected(self, value):
+        # An empty campaign would certify nothing and still print "overall: PASS".
+        with pytest.raises(ValueError, match="suites must name at least one suite"):
+            Campaign(seed=0, suites=value)
 
     def test_zero_tolerance_accepted(self):
         assert Campaign(seed=0, tol_rel=0.0, tol_identity=0.0).tol_rel == 0.0
@@ -416,3 +432,36 @@ class TestBatchedSuites:
             assert list(witness) == list(expected)
             assert ({k: v for k, v in witness.items() if k in INPUT_FIELDS}
                     == {k: v for k, v in expected.items() if k in INPUT_FIELDS})
+
+
+class TestDrawLoops:
+    BUILDERS = ("_unitary_rotations", "_zero_phase_fluxes", "_cartan_roots")
+
+    @pytest.mark.parametrize("name, calls", [
+        # 20 samples each of n = 2 and n = 3: one chunk per complex dimension.
+        ("dhym", {"_unitary_rotations": 2}),
+        # 20 zero-phase fluxes: one chunk, whose fluxes are built with one rotation stack.
+        ("product", {"_zero_phase_fluxes": 1, "_unitary_rotations": 1}),
+        # 67 families solved at once.
+        ("thmC1", {"_cartan_roots": 1}),
+        # The pure contraction roots, then the 67 families at once.
+        ("corD2", {"_cartan_roots": 2}),
+    ])
+    def test_builders_run_once_per_chunk(self, monkeypatch, name, calls):
+        # The draw loops only draw; arithmetic moved back into them would run
+        # once per sample and show here.
+        counts = dict.fromkeys(self.BUILDERS, 0)
+
+        def counted(builder, original):
+            def wrapper(*args, **kwargs):
+                counts[builder] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module in (ddt, dhym, product, suites):
+            for builder in self.BUILDERS:
+                if hasattr(module, builder):
+                    monkeypatch.setattr(module, builder, counted(builder, getattr(module, builder)))
+        report = Campaign(0, 60, suites=(name,)).run()[0]
+        assert report.failed == 0
+        assert counts == {**dict.fromkeys(self.BUILDERS, 0), **calls}
