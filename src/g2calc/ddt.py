@@ -120,7 +120,7 @@ def ddt_residual_decomposed(f: KForm, data: G2Data | None = None) -> KForm:
 
 def _solves(residual_norm, flux_norm, tol: float):
     # The solution rule, on norms already computed: |residual| <= tol * max(1, |F|^3).
-    return residual_norm <= tol * np.maximum(1.0, flux_norm**3)
+    return residual_norm <= tol * np.maximum(1.0, np.power(flux_norm, 3))
 
 
 def is_solution(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL) -> bool:
@@ -261,7 +261,9 @@ def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_
     the honest Hodge star of (1+F#)* phi in its own induced metric, the
     pullback (1+F#)* star(phi), and the closed form
     factor * (star(phi) - F^2/2).  The conformal normalisation is checked
-    to reproduce sign(factor) * (star(phi) - F^2/2) through its own star.
+    to reproduce sign_C * (star(phi) - F^2/2) through its own star, where
+    sign_C is the sign of that star's pairing with star(phi) - F^2/2; on a
+    solution it is sign(factor).
     """
     data = _or_standard(data)
     _require_two_form(f)
@@ -285,8 +287,9 @@ def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_
         for j in range(i + 1, 3)
     ], axis=0))
 
-    sign_c = _scalar(np.where(factor > 0, 1, -1))
     tilde_star = hodge(tilde_phi, metric_from_three_form(tilde_phi))
+    # The sign is read off the induced star itself, so that it can disagree with the factor.
+    sign_c = _scalar(np.where(_dot(tilde_star.coeffs, dual_target.coeffs) > 0, 1, -1))
     conformal = _scalar(row_residual(tilde_star.coeffs, (sign_c * dual_target).coeffs))
 
     bound_lhs, bound_rhs, _ = norm_bound_check(f, data)
@@ -361,7 +364,7 @@ def norm_bound_check(
     seven = interior(split.u, data.phi)
     lhs = form_norm(seven, m)
     lam = form_norm(split.f14, m)
-    inner = np.clip(lam**3 / (lam * lam + 6.0) ** 1.5, -1.0, 1.0)
+    inner = np.clip(np.power(lam, 3) / np.power(lam * lam + 6.0, 1.5), -1.0, 1.0)
     rhs = _scalar(np.sqrt(2.0 * lam * lam + 12.0) * np.cos(np.arccos(inner) / 3.0))
     return lhs, rhs, _scalar(lhs <= rhs + tol)
 
@@ -372,7 +375,7 @@ def cube_norm_bound(beta: KForm, data: G2Data | None = None) -> tuple[float, flo
     _require_two_form(beta)
     m = data.metric
     lhs = form_norm(wedge(wedge(beta, beta), beta), m)
-    rhs = _scalar(np.sqrt(6.0) / 3.0 * form_norm(beta, m) ** 3)
+    rhs = _scalar(np.sqrt(6.0) / 3.0 * np.power(form_norm(beta, m), 3))
     return lhs, rhs
 
 

@@ -262,7 +262,7 @@ class NormalForm:
         if self.point.n == 1:
             return None
         r, _ = radius_angle(self.lambdas)
-        return r ** (-1.0 / (self.point.n - 1)) * self.omega_nabla
+        return np.power(r, -1.0 / (self.point.n - 1)) * self.omega_nabla
 
 
 def normal_form(point: HermitianPoint, f: KForm | None = None,

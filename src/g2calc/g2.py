@@ -110,7 +110,7 @@ def metric_from_three_form(phi: KForm) -> Metric:
     orientation = 1 if lo.flat[0] > 0 else -1
     if (orientation * lo < 0).any():
         raise ValueError("a batch of 3-forms must induce one orientation")
-    ninth_root = orientation * abs(np.linalg.det(raw)) ** (1.0 / 9.0)
+    ninth_root = orientation * np.power(np.abs(np.linalg.det(raw)), 1.0 / 9.0)
     return Metric(7, raw / ninth_root[..., None, None], orientation=orientation)
 
 

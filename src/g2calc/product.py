@@ -197,7 +197,7 @@ def correspondence_check(su3: SU3Point, f: KForm, tol: float = PRODUCT_TOL) -> P
     antiholo_norm = form_norm(wedge(f, su3.im_holo), metric)
     p02_norm = form_norm(pq_project(su3.point, f, 0, 2), metric)
     size = form_norm(f, metric)
-    cubic_scale = np.maximum(1.0, size**3)
+    cubic_scale = np.maximum(1.0, np.power(size, 3))
     return ProductReport(
         ddt_residual_norm=ddt_norm,
         phase_residual_norm=phase_norm,

@@ -190,16 +190,8 @@ def _random_gram(rng: np.random.Generator, n: int) -> np.ndarray:
     return a @ a.T + 0.5 * np.eye(n)
 
 
-def _random_metric(rng: np.random.Generator, n: int) -> Metric:
-    return Metric(n, _random_gram(rng, n))
-
-
 def _two_form_draw(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     return scale * rng.standard_normal(comb(n, 2))
-
-
-def _random_two_form(rng: np.random.Generator, n: int, scale: float = 1.0) -> KForm:
-    return KForm(n, 2, _two_form_draw(rng, n, scale))
 
 
 def _zero_sum_weights(rng: np.random.Generator, bound: float = 3.0):

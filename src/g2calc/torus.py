@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forms import KForm, Metric, _coordinate_wedge, row_residual, wedge_matrix
+from .forms import MAX_DIM, KForm, Metric, _coordinate_wedge, row_residual, wedge_matrix
 from .g2 import G2Data, _or_standard
 
 # A singular value of a mode block at most this fraction of its largest
@@ -84,7 +84,8 @@ def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> ModeBlock:
     )
 
 
-_PAIRS = np.triu_indices(7)
+# The pairs j <= l of the Gram table in each dimension, built once: the counter reads them per chunk.
+_PAIRS = {d: np.triu_indices(d) for d in range(1, MAX_DIM + 1)}
 
 
 def _gram_form(tensor: np.ndarray) -> np.ndarray:
@@ -92,26 +93,27 @@ def _gram_form(tensor: np.ndarray) -> np.ndarray:
 
     The blocks are i times the real matrix sum k_j tensor[j], so the Gram
     matrix is the real quadratic form sum_{j,l} k_j k_l T_j^T T_l: q[p] is
-    T_j^T T_j for j = l and T_j^T T_l + T_l^T T_j for j < l.
+    T_j^T T_j for j = l and T_j^T T_l + T_l^T T_j for j < l.  The pairs run
+    over the d = len(tensor) coordinates in np.triu_indices(d) order.
     """
-    j, l = _PAIRS
+    j, l = _PAIRS[len(tensor)]
     full = np.einsum("jrc,lrd->jlcd", tensor, tensor)
     return np.where((j == l)[:, None, None], full[j, l], full[j, l] + full[l, j])
 
 
 def _mode_grams(q: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Gram matrices S^H S at each column of modes (7, n), from the table of _gram_form.
+    """Gram matrices S^H S at each column of modes (d, n), from the table of _gram_form.
 
-    The result is entry-major, of shape (7, 7, n), so that the screen's
-    reductions run along contiguous rows.
+    The result is entry-major, of shape (c, c, n) for c columns of the
+    tensor, so that the screen's reductions run along contiguous rows.
     """
-    j, l = _PAIRS
+    j, l = _PAIRS[len(modes)]
     k = np.asarray(modes, dtype=np.float64)
     return (q.reshape(len(q), -1).T @ (k[j] * k[l])).reshape(*q.shape[1:], -1)
 
 
 def _screen_open(grams: np.ndarray) -> np.ndarray:
-    """Columns of an entry-major Gram stack (7, 7, n) that may have a kernel.
+    """Columns of an entry-major Gram stack (c, c, n) that may have a kernel.
 
     By Gershgorin's theorem every eigenvalue of a symmetric G lies in
     [lo, hi], with lo = min_i (G_ii - sum_{j != i} |G_ij|) and
@@ -153,11 +155,12 @@ def _kernel_total(tensor: np.ndarray, cutoff: int, chunk: int) -> int:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     if chunk < 1:
         raise ValueError(f"chunk must be positive, got {chunk}")
+    d = len(tensor)
     side = 2 * cutoff + 1
-    total = side**7
+    total = side**d
     centre = total // 2
-    # Flat index to mode, as unravel_index in C order: coordinate p has stride side^(6 - p).
-    strides = side ** np.arange(6, -1, -1)[:, None]
+    # Flat index to mode, as unravel_index in C order: coordinate p has stride side^(d - 1 - p).
+    strides = side ** np.arange(d - 1, -1, -1)[:, None]
     q = _gram_form(tensor)
     count = 0
     for lo in range(centre, total, chunk):

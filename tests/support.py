@@ -8,11 +8,14 @@ against a second, unrelated code path.
 from __future__ import annotations
 
 import itertools
+import os
 from math import comb, pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
+import g2calc
 from g2calc.ddt import (
     SOLUTION_TOL,
     cartan_solutions,
@@ -57,8 +60,8 @@ from g2calc.suites import (
     Campaign,
     Report,
     _Recorder,
-    _random_metric,
-    _random_two_form,
+    _random_gram,
+    _two_form_draw,
     _zero_sum_weights,
 )
 
@@ -71,6 +74,12 @@ STAR_PHI_MONOMIALS = (
     ((0, 1, 4, 5), -1.0),
     ((0, 1, 3, 6), -1.0),
 )
+
+
+def package_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports the g2calc the tests import."""
+    path = [str(Path(g2calc.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def evaluate(form: KForm, vectors) -> float | complex:
@@ -112,6 +121,11 @@ def random_metric(rng: np.random.Generator, n: int, orientation: int = 1) -> Met
     return Metric(n, a @ a.T + 0.5 * np.eye(n), orientation)
 
 
+def suite_two_form(rng: np.random.Generator, n: int, scale: float = 1.0) -> KForm:
+    """The suites' random 2-form draw, as a KForm."""
+    return KForm(n, 2, _two_form_draw(rng, n, scale))
+
+
 def standard_star_phi() -> KForm:
     """Frozen coefficients of star(phi) for golden comparisons."""
     return _from_monomials(4, STAR_PHI_MONOMIALS)
@@ -150,7 +164,7 @@ def reference_appendix_a(campaign: Campaign, rng: np.random.Generator) -> Report
     dims = (6, 7, 8)
     for i in range(campaign.samples):
         n = dims[i % 3]
-        m = _random_metric(rng, n) if i % 3 == 0 else euclidean_metric(n)
+        m = Metric(n, _random_gram(rng, n)) if i % 3 == 0 else euclidean_metric(n)
         k = int(rng.integers(0, n + 1))
         a = KForm(n, k, rng.standard_normal(comb(n, k)))
         b = KForm(n, k, rng.standard_normal(comb(n, k)))
@@ -270,7 +284,7 @@ def reference_thm_c1(campaign: Campaign, rng: np.random.Generator) -> Report:
                        sample=i, factor=rep.scalar_factor, sign=rep.sign_C,
                        flux=f)
             certified += 1
-        direction = _random_two_form(rng, 7)
+        direction = suite_two_form(rng, 7)
         try:
             linearization_density(solutions[0], direction, data,
                                   tol_identity=campaign.tol_identity)
@@ -288,7 +302,7 @@ def reference_prop_d1(campaign: Campaign, rng: np.random.Generator) -> Report:
     data = standard_g2()
     for i in range(campaign.samples):
         scale = float(10.0 ** rng.uniform(-1.0, 1.0))
-        f = _random_two_form(rng, 7, scale)
+        f = suite_two_form(rng, 7, scale)
         direct = ddt_residual(f, data)
         split = ddt_residual_decomposed(f, data)
         rec.check("type split reassembles the residual",
@@ -326,7 +340,7 @@ def reference_cor_d2(campaign: Campaign, rng: np.random.Generator) -> Report:
             if cube > campaign.tol_identity:
                 rec.expect("wedge map has full rank", rank == 21,
                            sample=i, rank=rank, cube_norm=cube, flux=f)
-            scale = max(1.0, form_norm(f, data.metric) ** 3)
+            scale = max(1.0, np.power(form_norm(f, data.metric), 3))
             rec.check("first-order reformulation vanishes",
                       reformulation_residual(f, data) / scale,
                       campaign.tol_identity, sample=i, flux=f)
@@ -351,7 +365,7 @@ def reference_dhym(campaign: Campaign, rng: np.random.Generator) -> Report:
     for i in range(campaign.samples):
         n = (1, 2, 3)[i % 3]
         point = standard_kahler(n)
-        f = _random_two_form(rng, 2 * n)
+        f = suite_two_form(rng, 2 * n)
         rep = dhym_report(point, f)
         rec.check("rotated top power is real",
                   rep.im_residual, campaign.tol_rel, sample=i, n=n, form=f)
@@ -402,9 +416,9 @@ def reference_product(campaign: Campaign, rng: np.random.Generator) -> Report:
         if branch == 0:
             f = zero_phase_flux(rng, su3)
         elif branch == 1:
-            f = _random_two_form(rng, 6, 1.5)
+            f = suite_two_form(rng, 6, 1.5)
         else:
-            f = _random_two_form(rng, 6, 0.3)
+            f = suite_two_form(rng, 6, 0.3)
         rep = correspondence_check(su3, f, tol=campaign.tol_identity)
         rec.expect("classifications agree", rep.agree, sample=i,
                    branch=branch, flux=f, **rep.to_dict())

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import g2calc
+from support import package_env
 
 PUBLIC_API = {
     "KForm", "LinearMap", "Metric", "euclidean_metric", "flat", "form_inner",
@@ -50,6 +51,7 @@ def test_standard_structures_do_not_load_scipy():
         "g2calc.standard_su3()\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=False, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

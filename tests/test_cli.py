@@ -9,6 +9,7 @@ import pytest
 
 from g2calc import suites
 from g2calc.cli import build_parser, main
+from support import package_env
 
 
 def run_main(argv, capsysbinary):
@@ -164,6 +165,7 @@ class TestModuleInvocation:
              "--suite", "propD1", "--format", "json"],
             capture_output=True,
             check=False,
+            env=package_env(),
         )
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)

@@ -1,5 +1,8 @@
 """Unit tests for the deformed-flux module."""
 
+import dataclasses
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,9 @@ from g2calc.forms import (
     wedge,
 )
 from g2calc.g2 import metric_from_three_form, project2, standard_g2
-from g2calc.suites import SUITE_IDS, _random_two_form, _zero_sum_weights
+from g2calc.suites import SUITE_IDS, Campaign, _cartan_families, _zero_sum_weights
 from g2calc.ddt import (
+    DdtReport,
     _cartan_coeffs,
     _cartan_roots,
     _density_routes,
@@ -41,7 +45,7 @@ from g2calc.ddt import (
     wedge_injectivity,
 )
 
-from support import random_form, random_structure_rotation, random_vector
+from support import random_form, random_structure_rotation, random_vector, suite_two_form
 
 REL = 1e-9
 SQ3 = np.sqrt(3.0)
@@ -275,7 +279,7 @@ class TestInducedStructure:
         fluxes = []
         for _ in range(67):
             fluxes.extend(f.coeffs for f in cartan_solutions(*_zero_sum_weights(rng)))
-            _random_two_form(rng, 7)
+            suite_two_form(rng, 7)
         phi_f, tilde = induced_phi(KForm(7, 2, np.array(fluxes)), G)
         for i, coeffs in enumerate(fluxes):
             one_phi_f, one_tilde = induced_phi(KForm(7, 2, coeffs), G)
@@ -361,13 +365,11 @@ class TestSolutionReport:
         assert rep.residual.coeffs.shape == (len(fluxes), 7)
         for i, f in enumerate(fluxes):
             one = solution_report(f, G)
-            assert rel_residual(rep.residual.coeffs[i], one.residual.coeffs) <= 1e-12
-            for name in ("residual_norm", "lhs_minus_rhs_norm", "conformal_residual"):
+            assert np.array_equal(rep.residual.coeffs[i], one.residual.coeffs)
+            for name in ("residual_norm", "lhs_minus_rhs_norm", "conformal_residual",
+                         "scalar_factor", "bound_lhs", "bound_rhs", "sign_C"):
                 assert getattr(rep, name).shape == (len(fluxes),)
-                assert abs(getattr(rep, name)[i] - getattr(one, name)) <= 1e-12
-            for name in ("scalar_factor", "bound_lhs", "bound_rhs"):
-                assert getattr(rep, name)[i] == pytest.approx(getattr(one, name), rel=1e-12)
-            assert rep.sign_C[i] == one.sign_C
+                assert getattr(rep, name)[i] == getattr(one, name), name
         assert isinstance(one.sign_C, int) and isinstance(one.conformal_residual, float)
 
     def test_one_non_solution_rejects_the_batch(self, G):
@@ -582,3 +584,57 @@ class TestStructureRotations:
         assert form_norm(ddt_residual(pullback(rot, f), G)) < 1e-9 * max(
             1.0, form_norm(f) ** 3
         )
+
+
+@pytest.fixture(scope="module")
+def cor_d2_draw(G):
+    """The Cartan solutions and 14-part forms that corD2 draws at seed 0 and 1000 samples."""
+    rng = np.random.default_rng([0, SUITE_IDS["corD2"]])
+    fluxes, _, betas = _cartan_families(Campaign(seed=0, samples=1000), rng,
+                                        lambda: G.proj2_14 @ rng.standard_normal(21))
+    return KForm(7, 2, fluxes), KForm(7, 2, betas)
+
+
+def rows(batch):
+    return [KForm(batch.dim, batch.grade, c) for c in batch.coeffs]
+
+
+def as_tuple(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+def assert_rows_are_single_calls(batched, singles, name):
+    assert len(batched) == len(singles), name
+    for i, (row, single) in enumerate(zip(batched, singles)):
+        assert np.array_equal(row, single), (name, i)
+
+
+class TestExactBatchRows:
+    # A batch row is computed by the single-form call's arithmetic, scalar
+    # powers included, so each row equals that call bit for bit.
+    def test_solution_report(self, G, cor_d2_draw):
+        fluxes, _ = cor_d2_draw
+        rep = solution_report(fluxes, G)
+        singles = [solution_report(f, G) for f in rows(fluxes)]
+        for field in dataclasses.fields(DdtReport):
+            get = (lambda r: r.residual.coeffs) if field.name == "residual" else attrgetter(field.name)
+            assert_rows_are_single_calls(get(rep), [get(one) for one in singles], field.name)
+
+    def test_bounds_solutions_and_reformulation(self, G, cor_d2_draw):
+        fluxes, betas = cor_d2_draw
+        for name, function, batch in (
+            ("norm_bound_check", norm_bound_check, fluxes),
+            ("cube_norm_bound", cube_norm_bound, betas),
+            ("is_solution", is_solution, fluxes),
+            ("reformulation_residual", reformulation_residual, fluxes),
+        ):
+            got = np.column_stack(as_tuple(function(batch, G)))
+            want = [np.array(as_tuple(function(f, G))) for f in rows(batch)]
+            assert_rows_are_single_calls(got, want, name)
+
+    def test_metric_from_three_form(self, G, cor_d2_draw):
+        fluxes, _ = cor_d2_draw
+        for name, form in zip(("phi_f", "tilde_phi"), induced_phi(fluxes, G)):
+            assert_rows_are_single_calls(metric_from_three_form(form).gram,
+                                         [metric_from_three_form(r).gram for r in rows(form)],
+                                         name)

@@ -505,6 +505,15 @@ class TestRescaled:
         point = standard_kahler(1)
         assert normal_form(point, KForm.monomial(2, (0, 1))).rescaled() is None
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_row_of_a_batch_is_the_single_call(self, n):
+        point = standard_kahler(n)
+        raw = KForm(2 * n, 2, np.random.default_rng(100 + n).standard_normal((300, comb(2 * n, 2))))
+        f = one_one_part(point, raw)
+        batch = normal_form(point, f).rescaled().coeffs
+        for i, row in enumerate(f.coeffs):
+            assert np.array_equal(batch[i], normal_form(point, KForm(2 * n, 2, row)).rescaled().coeffs), i
+
 
 class TestSymbol:
     def test_line_golden(self):

@@ -1,5 +1,7 @@
 """Unit tests for the reduction between a threefold and the seven dimensional model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,22 @@ class TestCorrespondence:
         rep = solution_report(lift(zero_phase_flux(rng, su3)), bundle)
         assert rep.lhs_minus_rhs_norm < 1e-8
         assert rep.conformal_residual < 1e-8
+
+    def test_each_row_of_a_batch_is_the_single_call(self, su3):
+        # Zero-phase fluxes sit on both solution thresholds; random ones of two sizes do not.
+        rng = np.random.default_rng(119)
+        pairs, generators = zip(*[_zero_phase_draw(rng, su3) for _ in range(334)])
+        fluxes = np.concatenate([
+            _zero_phase_fluxes(su3, np.array(pairs), np.array(generators)).coeffs,
+            1.5 * rng.standard_normal((333, 15)),
+            0.3 * rng.standard_normal((333, 15)),
+        ])
+        rep = correspondence_check(su3, KForm(6, 2, fluxes))
+        for i, row in enumerate(fluxes):
+            one = correspondence_check(su3, KForm(6, 2, row))
+            for field in dataclasses.fields(one):
+                assert np.array_equal(getattr(rep, field.name)[i], getattr(one, field.name)), (
+                    field.name, i)
 
     def test_random_fluxes_agree(self, su3):
         rng = np.random.default_rng(118)

@@ -43,13 +43,14 @@ def perturbed():
 
 
 def full_box_total(tensor, cutoff, chunk=65536):
-    """Reference counter: S^T S built directly at every mode of the box."""
+    """Reference counter: S^T S built directly at every mode of the box, in len(tensor) dimensions."""
+    d = len(tensor)
     side = 2 * cutoff + 1
-    total = side**7
+    total = side**d
     count = 0
     for lo in range(0, total, chunk):
         flat = np.arange(lo, min(lo + chunk, total))
-        modes = np.stack(np.unravel_index(flat, (side,) * 7), axis=1) - cutoff
+        modes = np.stack(np.unravel_index(flat, (side,) * d), axis=1) - cutoff
         real = np.einsum("mj,jrc->mrc", modes.astype(np.float64), tensor)
         gram = np.einsum("mrc,mrd->mcd", real, real)
         eigs = np.linalg.eigvalsh(gram)
@@ -325,6 +326,20 @@ class TestKernelCounter:
         # other mode, so the box holds 7 + (side^7 - 1) kernel dimensions.
         side = 2 * cutoff + 1
         assert _kernel_total(_coordinate_wedge(7, 1), cutoff, 65536) == 7 + side**7 - 1
+
+    @pytest.mark.parametrize("chunk", [1, 100, 8192])
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_dimension_comes_from_the_tensor(self, cutoff, chunk):
+        # On R^4, k ^ . has kernel span(k) at every mode but the centre, and a
+        # gauge row -1 removes it; a random tensor with more rows than columns
+        # has a kernel at the centre alone.
+        side = 2 * cutoff + 1
+        known = _coordinate_wedge(4, 1)
+        gauged = np.concatenate([known, -np.eye(4)[:, None, :]], axis=1)
+        generic = np.random.default_rng(144).standard_normal((4, 5, 3))
+        for tensor, want in ((known, 4 + side**4 - 1), (gauged, 4), (generic, 3)):
+            assert full_box_total(tensor, cutoff) == want
+            assert _kernel_total(tensor, cutoff, chunk) == want
 
     def test_coordinate_wedge_slices(self):
         # The same matrices drive every exterior-power step, so every (n, g) is checked.
