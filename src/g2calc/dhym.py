@@ -24,7 +24,7 @@ any row fails it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -71,6 +71,11 @@ def _wrap_angle(theta: float) -> float:
     return _scalar((theta + np.pi) % (2.0 * np.pi) - np.pi)
 
 
+def _check_complex_dim(n) -> None:
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= 4):
+        raise ValueError(f"complex dimension must lie in 1..4, got {n}")
+
+
 @dataclass(frozen=True)
 class HermitianPoint:
     """An inner-product space with a compatible constant complex structure."""
@@ -78,11 +83,9 @@ class HermitianPoint:
     n: int
     metric: Metric
     j_map: LinearMap
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= self.n <= 4:
-            raise ValueError(f"complex dimension must lie in 1..4, got {self.n}")
+        _check_complex_dim(self.n)
         if self.metric.dim != 2 * self.n:
             raise ValueError("metric dimension must be twice the complex dimension")
         jm = self.j_map.matrix
@@ -93,60 +96,56 @@ class HermitianPoint:
             raise ValueError("matrix does not square to minus the identity")
         if rel_residual(jm.T @ g @ jm, g) > FRAME_TOL:
             raise ValueError("complex structure is not an isometry of the metric")
-        omega = _two_form(jm.T @ g)
-        top = _wedge_power(omega, self.n)
+        top = _wedge_power(self.omega, self.n)
         vol = float(factorial(self.n)) * self.metric.volume_form()
         if rel_residual(top.coeffs, vol.coeffs) > ONE_ONE_TOL:
             raise ValueError("orientation does not match the complex structure")
-        self._cache["omega"] = omega
 
-    @property
+    @cached_property
     def omega(self) -> KForm:
         """The fundamental two-form g(J., .)."""
-        return self._cache["omega"]
+        return _two_form(self.j_map.matrix.T @ self.metric.gram)
 
-    @property
+    @cached_property
     def frame(self) -> np.ndarray:
         """Orthonormal columns u_1, v_1, ..., u_n, v_n with v_i = J u_i."""
-        if "frame" not in self._cache:
-            g = self.metric.gram
-            jm = self.j_map.matrix
-            cols: list[np.ndarray] = []
-            for cand in np.eye(2 * self.n):
-                w = cand.copy()
-                for q in cols:
-                    w -= q * (q @ g @ w)
-                norm = float(np.sqrt(w @ g @ w))
-                if norm < 1e-8:
-                    continue
-                u = w / norm
-                v = jm @ u
-                for q in cols + [u]:
-                    v -= q * (q @ g @ v)
-                v /= float(np.sqrt(v @ g @ v))
-                cols.extend([u, v])
-                if len(cols) == 2 * self.n:
-                    break
-            mat = np.column_stack(cols)
-            mat.flags.writeable = False
-            self._cache["frame"] = mat
-        return self._cache["frame"]
+        g = self.metric.gram
+        jm = self.j_map.matrix
+        cols: list[np.ndarray] = []
+        for cand in np.eye(2 * self.n):
+            w = cand.copy()
+            for q in cols:
+                w -= q * (q @ g @ w)
+            norm = float(np.sqrt(w @ g @ w))
+            if norm < 1e-8:
+                continue
+            u = w / norm
+            v = jm @ u
+            for q in cols + [u]:
+                v -= q * (q @ g @ v)
+            v /= float(np.sqrt(v @ g @ v))
+            cols.extend([u, v])
+            if len(cols) == 2 * self.n:
+                break
+        mat = np.column_stack(cols)
+        mat.flags.writeable = False
+        return mat
 
+    @cached_property
     def _holomorphic_change(self) -> tuple[LinearMap, LinearMap]:
         # Columns dual to the coframe (dz^1..dz^n, dzbar^1..dzbar^n), and the
         # inverse; kept as maps so that their pullback matrices are built once.
-        if "holo" not in self._cache:
-            q = self.frame
-            u, v = q[:, 0::2], q[:, 1::2]
-            t = np.hstack([(u - 1j * v) / 2.0, (u + 1j * v) / 2.0])
-            dim = 2 * self.n
-            self._cache["holo"] = (LinearMap(dim, t), LinearMap(dim, np.linalg.inv(t)))
-        return self._cache["holo"]
+        q = self.frame
+        u, v = q[:, 0::2], q[:, 1::2]
+        t = np.hstack([(u - 1j * v) / 2.0, (u + 1j * v) / 2.0])
+        dim = 2 * self.n
+        return LinearMap(dim, t), LinearMap(dim, np.linalg.inv(t))
 
 
 @lru_cache(maxsize=None)
 def standard_kahler(n: int) -> HermitianPoint:
     """The flat structure pairing coordinates (x_1, y_1, ..., x_n, y_n)."""
+    _check_complex_dim(n)
     jm = np.zeros((2 * n, 2 * n))
     for j in range(n):
         jm[2 * j + 1, 2 * j] = 1.0
@@ -181,7 +180,7 @@ def pq_project(point: HermitianPoint, a: KForm, p: int, q: int) -> KForm:
 def _pq_parts(point: HermitianPoint, a: KForm, holomorphic: tuple[int, ...]) -> list[KForm]:
     # The components of a with each given number of holomorphic factors,
     # masked from one pullback through the holomorphic change of basis.
-    t, t_inv = point._holomorphic_change()
+    t, t_inv = point._holomorphic_change
     pulled = pullback(t, a).coeffs
     return [
         pullback(t_inv, KForm(a.dim, a.grade, np.where(_type_mask(point.n, a.grade, p), pulled, 0.0)))
@@ -201,7 +200,6 @@ class NormalForm:
     point: HermitianPoint
     lambdas: np.ndarray
     frame: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=np.float64).copy()
@@ -216,14 +214,12 @@ class NormalForm:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "frame", mat)
 
-    @property
+    @cached_property
     def coframe(self) -> np.ndarray:
         """Rows are the coframe covectors u^1, v^1, ..., u^n, v^n."""
-        if "coframe" not in self._cache:
-            w = self.frame.swapaxes(-1, -2) @ self.point.metric.gram
-            w.flags.writeable = False
-            self._cache["coframe"] = w
-        return self._cache["coframe"]
+        w = self.frame.swapaxes(-1, -2) @ self.point.metric.gram
+        w.flags.writeable = False
+        return w
 
     def u_form(self, i: int) -> KForm:
         return KForm(2 * self.point.n, 1, self.coframe[..., 2 * i, :])
@@ -237,22 +233,17 @@ class NormalForm:
         a = w[..., 0::2, :].swapaxes(-1, -2) @ (np.asarray(weights)[..., None] * w[..., 1::2, :])
         return _two_form(a - a.swapaxes(-1, -2))
 
-    @property
+    @cached_property
     def omega_nabla(self) -> KForm:
         """The descendant two-form sum_i (1 + lambda_i^2) u^i ^ v^i."""
-        if "omega_nabla" not in self._cache:
-            self._cache["omega_nabla"] = self.diagonal(1.0 + np.square(self.lambdas))
-        return self._cache["omega_nabla"]
+        return self.diagonal(1.0 + np.square(self.lambdas))
 
-    @property
+    @cached_property
     def eta(self) -> Metric:
         """The descendant inner product g(., .) + g(F# ., F# .)."""
-        if "eta" not in self._cache:
-            w = self.coframe
-            weights = np.repeat(1.0 + np.square(self.lambdas), 2, axis=-1)
-            self._cache["eta"] = Metric(2 * self.point.n,
-                                        w.swapaxes(-1, -2) @ (weights[..., None] * w))
-        return self._cache["eta"]
+        w = self.coframe
+        weights = np.repeat(1.0 + np.square(self.lambdas), 2, axis=-1)
+        return Metric(2 * self.point.n, w.swapaxes(-1, -2) @ (weights[..., None] * w))
 
     def rescaled(self) -> KForm | None:
         """Conformal multiple of omega_nabla whose (n-1) power has unit radius.

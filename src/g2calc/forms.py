@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -204,28 +204,22 @@ def _contracts(n: int, k: int) -> bool:
 @lru_cache(maxsize=None)
 def _expansion(n: int, k: int):
     # The dense antisymmetric n^k tensor of a k-form a, whose entry (i1, ..., ik)
-    # is i(e_ik) ... i(e_i1) a: gather indices into a, flat tensor indices and
-    # signs, one entry per ordered k-tuple of distinct indices.  Each step
-    # applies i(e_j) to every entry still at grade g, through the entries
-    # (j, J, I, sign) of _wedge_table(n, 1, g - 1): e^j ^ e^J = sign e^I, so
-    # i(e_j) sends coefficient I to J with that sign.  Last, the flat indices
-    # of the increasing k-tuples in the layout _contract leaves its result in.
-    src = np.arange(comb(n, k))
-    pos = src
-    flat = np.zeros(comb(n, k), dtype=np.intp)
-    signs = np.ones(comb(n, k))
-    for g in range(k, 0, -1):
-        j, rest, out, sign = _wedge_table(n, 1, g - 1)
-        # Every g-tuple I is the `out` of g entries, one per j in I.
-        rows = np.argsort(out, kind="stable").reshape(-1, g)[pos]
-        src = np.repeat(src, g)
-        flat = (flat[:, None] * n + j[rows]).ravel()
-        pos = rest[rows].ravel()
-        signs = (signs[:, None] * sign[rows]).ravel()
+    # is i(e_ik) ... i(e_i1) a = sign(i1, ..., ik) a[sorted]: gather indices into
+    # a, flat tensor indices (i1 most significant) and signs, one entry per
+    # ordered k-tuple of distinct indices.  Last, the flat indices of the
+    # increasing k-tuples in the layout _contract leaves its result in.
+    src, perms, signs = [], [], []
+    for pos, idx in enumerate(multi_indices(n, k)):
+        for perm in itertools.permutations(idx):
+            src.append(pos)
+            perms.append(perm)
+            signs.append(_permutation_sign(perm))
+    weights = n ** np.arange(k - 1, -1, -1)
+    flat = np.array(perms, dtype=np.intp).reshape(len(src), k) @ weights
     # _contract's last product leaves slot 1 last: (j2, ..., jk, j1).
     idx = np.array(multi_indices(n, k), dtype=np.intp).reshape(comb(n, k), k)
-    read = np.roll(idx, -1, axis=1) @ n ** np.arange(k - 1, -1, -1)
-    return src, flat, signs, read
+    read = np.roll(idx, -1, axis=1) @ weights
+    return np.array(src, dtype=np.intp), flat, np.array(signs, dtype=np.float64), read
 
 
 def _contract(coeffs: np.ndarray, mat: np.ndarray, k: int) -> np.ndarray:
@@ -304,10 +298,7 @@ class KForm:
     @classmethod
     def monomial(cls, dim: int, indices: tuple[int, ...], coeff: float = 1.0) -> "KForm":
         """The form coeff * e^{i1} ^ ... ^ e^{ik} for zero-based indices."""
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"repeated index in monomial {indices}")
-        ordered = tuple(sorted(indices))
-        sign = _permutation_sign(indices)
+        ordered, sign = _sorted_indices(dim, indices)
         data = np.zeros(comb(dim, len(indices)))
         data[_positions(dim, len(indices))[ordered]] = sign * coeff
         return cls(dim, len(indices), data)
@@ -332,8 +323,9 @@ class KForm:
 
     def coefficient(self, indices: tuple[int, ...]) -> float:
         self._require_single("coefficient")
-        ordered = tuple(sorted(indices))
-        sign = _permutation_sign(indices)
+        if len(indices) != self.grade:
+            raise ValueError(f"a grade {self.grade} form needs {self.grade} indices, got {indices}")
+        ordered, sign = _sorted_indices(self.dim, indices)
         return sign * self.coeffs[_positions(self.dim, self.grade)[ordered]]
 
     def _require_like(self, other: "KForm", op: str) -> None:
@@ -375,6 +367,15 @@ def _permutation_sign(given: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _sorted_indices(n: int, indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The increasing tuple of distinct indices into R^n, and the sign that sorts them."""
+    if not all(0 <= i < n for i in indices):
+        raise ValueError(f"indices must lie in 0..{n - 1}, got {indices}")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"repeated index in {indices}")
+    return tuple(sorted(indices)), _permutation_sign(indices)
+
+
 @dataclass(frozen=True)
 class Metric:
     """A constant inner product with an orientation relative to e^1...e^n.
@@ -406,17 +407,13 @@ class Metric:
         arr.flags.writeable = False
         object.__setattr__(self, "gram", arr)
 
-    @property
+    @cached_property
     def sqrt_det(self) -> float:
-        if "sqrt_det" not in self._cache:
-            self._cache["sqrt_det"] = _scalar(np.sqrt(np.linalg.det(self.gram)))
-        return self._cache["sqrt_det"]
+        return _scalar(np.sqrt(np.linalg.det(self.gram)))
 
-    @property
+    @cached_property
     def gram_inv(self) -> np.ndarray:
-        if "gram_inv" not in self._cache:
-            self._cache["gram_inv"] = np.linalg.inv(self.gram)
-        return self._cache["gram_inv"]
+        return np.linalg.inv(self.gram)
 
     def gram_on_forms(self, k: int) -> np.ndarray:
         """Gram matrix of the induced inner product on grade-k coefficients.

@@ -11,8 +11,8 @@ the classification of solutions on the two sides must always agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -84,7 +84,6 @@ class SU3Point:
 
     point: HermitianPoint
     holo: KForm
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.point.n != 3:
@@ -114,6 +113,13 @@ class SU3Point:
     def im_holo(self) -> KForm:
         return KForm(6, 3, self.holo.coeffs.imag)
 
+    @cached_property
+    def _bundle(self) -> G2Data:
+        data = g2_bundle(product_phi(self))
+        if rel_residual(data.star_phi.coeffs, product_psi(self).coeffs) > PRODUCT_TOL:
+            raise ValueError("induced dual form disagrees with the product formula")
+        return data
+
 
 @lru_cache(maxsize=None)
 def standard_su3() -> SU3Point:
@@ -140,12 +146,7 @@ def product_psi(su3: SU3Point) -> KForm:
 
 def product_g2(su3: SU3Point) -> G2Data:
     """Bundle of the product structure; its dual form must match product_psi."""
-    if "bundle" not in su3._cache:
-        data = g2_bundle(product_phi(su3))
-        if rel_residual(data.star_phi.coeffs, product_psi(su3).coeffs) > PRODUCT_TOL:
-            raise ValueError("induced dual form disagrees with the product formula")
-        su3._cache["bundle"] = data
-    return su3._cache["bundle"]
+    return su3._bundle
 
 
 @dataclass(frozen=True)

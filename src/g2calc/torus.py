@@ -137,7 +137,7 @@ def _index(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _kernel_total(tensor: np.ndarray, cutoff: int, chunk: int) -> int:
+def _kernel_total(tensor: np.ndarray, cutoff: int) -> int:
     """Sum per-mode kernel dimensions of i * sum k_j tensor[j] over the box.
 
     The Gram matrix is even in k, and k and -k sit at flat indices i and
@@ -147,14 +147,11 @@ def _kernel_total(tensor: np.ndarray, cutoff: int, chunk: int) -> int:
     to have a kernel; eigvalsh counts the zero eigenvalues of the rest.  The
     screen settles only modes where eigvalsh, within its rounding error,
     would count none, so the total is the same integer.  The half box is
-    walked in chunks of `chunk` modes; betti_one and harmonic_dim pass
-    CHUNK, and any chunk gives the same total.
+    walked in chunks of CHUNK modes, and any chunk gives the same total.
     """
-    cutoff, chunk = _index("cutoff", cutoff), _index("chunk", chunk)
+    cutoff = _index("cutoff", cutoff)
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
     d = len(tensor)
     side = 2 * cutoff + 1
     total = side**d
@@ -163,8 +160,8 @@ def _kernel_total(tensor: np.ndarray, cutoff: int, chunk: int) -> int:
     strides = side ** np.arange(d - 1, -1, -1)[:, None]
     q = _gram_form(tensor)
     count = 0
-    for lo in range(centre, total, chunk):
-        flat = np.arange(lo, min(lo + chunk, total))
+    for lo in range(centre, total, CHUNK):
+        flat = np.arange(lo, min(lo + CHUNK, total))
         grams = _mode_grams(q, flat // strides % side - cutoff)
         open_ = _screen_open(grams)
         eigs = np.linalg.eigvalsh(np.moveaxis(grams[..., open_], -1, 0))
@@ -189,7 +186,7 @@ class CohomologySummary:
 def betti_one(cutoff: int, data: G2Data | None = None) -> int:
     """First Betti number from one-forms with d alpha = 0 and d* alpha = 0, mode by mode."""
     data = _or_standard(data)
-    return _kernel_total(_symbol(np.eye(21), data.metric), cutoff, CHUNK)
+    return _kernel_total(_symbol(np.eye(21), data.metric), cutoff)
 
 
 def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0) -> CohomologySummary:
@@ -203,7 +200,7 @@ def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0) -> Coh
     data = _or_standard(data)
     # A plain int, so that the summary serialises and numpy integers share the cache.
     cutoff = _index("cutoff", cutoff)
-    check_h1 = _kernel_total(symbol_tensors(c * data.star_phi, data.metric), cutoff, CHUNK)
+    check_h1 = _kernel_total(symbol_tensors(c * data.star_phi, data.metric), cutoff)
     key = ("betti_one", cutoff)
     if key not in data._cache:
         data._cache[key] = betti_one(cutoff, data)

@@ -121,6 +121,11 @@ class TestStandardStructure:
         with pytest.raises(ValueError, match="square"):
             HermitianPoint(2, Metric(4, np.eye(4)), LinearMap.identity(4))
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_standard_kahler_rejects_bad_dimension(self, n):
+        with pytest.raises(ValueError, match="complex dimension must lie in 1..4"):
+            standard_kahler(n)
+
 
 class TestTypeDecomposition:
     def test_parts_sum_to_whole(self):

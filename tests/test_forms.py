@@ -55,6 +55,17 @@ class TestKFormBasics:
         with pytest.raises(ValueError):
             KForm.monomial(4, (1, 1))
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: KForm.monomial(7, (7,)), "0..6"),
+        (lambda: KForm.monomial(7, (-1,)), "0..6"),
+        (lambda: KForm.monomial(7, (0,)).coefficient((9,)), "0..6"),
+        (lambda: KForm.monomial(7, (0, 1)).coefficient((1, 1)), "repeated"),
+        (lambda: KForm.monomial(7, (0, 1)).coefficient((1,)), "2 indices"),
+    ], ids=["monomial-7", "monomial-minus-1", "coefficient-9", "coefficient-1-1", "coefficient-1"])
+    def test_bad_indices_raise_value_error(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_bad_grade_rejected(self):
         with pytest.raises(ValueError):
             KForm(4, 5, np.zeros(1))

@@ -304,10 +304,11 @@ class TestDimensionCounts:
         assert harmonic_dim(2, data).b1 == 7
         assert counted == [1, 2]
 
-    def test_chunking_does_not_change_counts(self, G):
+    def test_chunking_does_not_change_counts(self, G, monkeypatch):
         tensor = check_tensor(G)
-        count = _kernel_total(tensor, 1, 100)
-        assert count == _kernel_total(tensor, 1, torus.CHUNK) == harmonic_dim(1).dim_check_H1
+        count = _kernel_total(tensor, 1)
+        monkeypatch.setattr(torus, "CHUNK", 100)
+        assert count == _kernel_total(tensor, 1) == harmonic_dim(1).dim_check_H1
 
     def test_summary_serialises(self):
         payload = harmonic_dim(1).to_dict()
@@ -325,11 +326,11 @@ class TestKernelCounter:
         # k ^ . on 1-forms is zero at k = 0 and has kernel span(k) at every
         # other mode, so the box holds 7 + (side^7 - 1) kernel dimensions.
         side = 2 * cutoff + 1
-        assert _kernel_total(_coordinate_wedge(7, 1), cutoff, 65536) == 7 + side**7 - 1
+        assert _kernel_total(_coordinate_wedge(7, 1), cutoff) == 7 + side**7 - 1
 
     @pytest.mark.parametrize("chunk", [1, 100, 8192])
     @pytest.mark.parametrize("cutoff", [1, 2])
-    def test_dimension_comes_from_the_tensor(self, cutoff, chunk):
+    def test_dimension_comes_from_the_tensor(self, monkeypatch, cutoff, chunk):
         # On R^4, k ^ . has kernel span(k) at every mode but the centre, and a
         # gauge row -1 removes it; a random tensor with more rows than columns
         # has a kernel at the centre alone.
@@ -337,9 +338,10 @@ class TestKernelCounter:
         known = _coordinate_wedge(4, 1)
         gauged = np.concatenate([known, -np.eye(4)[:, None, :]], axis=1)
         generic = np.random.default_rng(144).standard_normal((4, 5, 3))
+        monkeypatch.setattr(torus, "CHUNK", chunk)
         for tensor, want in ((known, 4 + side**4 - 1), (gauged, 4), (generic, 3)):
             assert full_box_total(tensor, cutoff) == want
-            assert _kernel_total(tensor, cutoff, chunk) == want
+            assert _kernel_total(tensor, cutoff) == want
 
     def test_coordinate_wedge_slices(self):
         # The same matrices drive every exterior-power step, so every (n, g) is checked.
@@ -365,27 +367,25 @@ class TestKernelCounter:
         ("flat_check_c-2", 1),
         ("perturbed_check", 1), ("perturbed_b1", 1),
     ])
-    def test_half_box_matches_full_box(self, tensors, reference_counts, name, cutoff, chunk):
+    def test_half_box_matches_full_box(self, tensors, reference_counts, monkeypatch,
+                                       name, cutoff, chunk):
         # Chunks of 1 and 2 put a chunk boundary at the centre (k = 0) and
         # right after it; the reference walks the whole box.
         key = (name, cutoff)
         if key not in reference_counts:
             reference_counts[key] = full_box_total(tensors[name], cutoff)
-        assert _kernel_total(tensors[name], cutoff, chunk) == reference_counts[key]
+        monkeypatch.setattr(torus, "CHUNK", chunk)
+        assert _kernel_total(tensors[name], cutoff) == reference_counts[key]
 
-    @pytest.mark.parametrize("cutoff, chunk, match", [
-        (-1, 65536, "cutoff"), (1, 0, "chunk"), (1, -5, "chunk"),
-        (1.5, 65536, "cutoff"), (None, 65536, "cutoff"), (1, 2.5, "chunk"),
-    ])
-    def test_rejects_bad_box(self, cutoff, chunk, match):
+    @pytest.mark.parametrize("cutoff", [-1, 1.5, None])
+    def test_rejects_bad_box(self, cutoff):
         # At the old counter these returned 0 (an empty box) instead of failing.
-        with pytest.raises(ValueError, match=match):
-            _kernel_total(_coordinate_wedge(7, 1), cutoff, chunk)
-        if match == "cutoff":
-            with pytest.raises(ValueError, match=match):
-                harmonic_dim(cutoff)
-            with pytest.raises(ValueError, match=match):
-                betti_one(cutoff)
+        with pytest.raises(ValueError, match="cutoff"):
+            _kernel_total(_coordinate_wedge(7, 1), cutoff)
+        with pytest.raises(ValueError, match="cutoff"):
+            harmonic_dim(cutoff)
+        with pytest.raises(ValueError, match="cutoff"):
+            betti_one(cutoff)
 
 
 class TestGramForm:
@@ -443,7 +443,7 @@ class TestScreen:
         tensor = near_threshold_tensor(ratio, diagonal)
         eigs = np.linalg.eigvalsh(tensor[0].T @ tensor[0])
         assert eigs[0] / eigs[-1] == pytest.approx(ratio * KERNEL_RTOL**2, rel=1e-6)
-        assert _kernel_total(tensor, cutoff, 8192) == full_box_total(tensor, cutoff)
+        assert _kernel_total(tensor, cutoff) == full_box_total(tensor, cutoff)
 
     def test_diagonal_tensors_put_modes_on_both_sides_of_the_screen(self):
         # Without this the near-threshold counts would not reach the screen's boundary.
@@ -483,7 +483,7 @@ class TestScreen:
         tensor = np.random.default_rng(143).standard_normal((7, 8, 7))
         tensor[2, 3, 4] = bad
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-            _kernel_total(tensor, cutoff, 8192)
+            _kernel_total(tensor, cutoff)
 
     @pytest.mark.parametrize("name", ["flat_check", "flat_b1"])
     def test_screen_settles_every_nonzero_flat_mode(self, tensors, monkeypatch, name):
@@ -497,5 +497,5 @@ class TestScreen:
             return unpatched(grams)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        assert _kernel_total(tensors[name], 2, 8192) == 7
+        assert _kernel_total(tensors[name], 2) == 7
         assert sum(solved) <= 1
