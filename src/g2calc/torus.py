@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -25,7 +27,9 @@ from .g2 import G2Data, _or_standard
 # counts as zero: exact kernels sit below 1e-7, genuine ones above 0.4.
 KERNEL_RTOL = 1e-6
 
-# Modes per batch of Gram matrices in betti_one and harmonic_dim.
+# Most modes per block of Gram matrices in betti_one and harmonic_dim.  The tail of
+# the box is its last m coordinates, for the largest m with side^m <= CHUNK, and a
+# block holds whole tails.
 CHUNK = 8192
 
 
@@ -66,15 +70,19 @@ class ModeBlock:
         return np.vstack([self.d1_prime, self.dstar1[None, :]])
 
 
-def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> ModeBlock:
-    """Assemble the mode matrices for one integer frequency vector."""
-    data = _or_standard(data)
+def _mode_symbol(k, data: G2Data, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mode k as a float vector, checked, and the stacked (8, 7) block i sum k_j S[j] there."""
     kvec = np.asarray(k, dtype=np.float64)
     if kvec.shape != (7,):
         raise ValueError(f"mode must have seven components, got shape {kvec.shape}")
     if not (np.isfinite(kvec) & (kvec == np.trunc(kvec))).all():
         raise ValueError(f"mode components must be finite integers, got {kvec.tolist()}")
-    symbol = 1j * np.einsum("j,jab->ab", kvec, symbol_tensors(c * data.star_phi, data.metric))
+    return kvec, 1j * np.einsum("j,jab->ab", kvec, symbol_tensors(c * data.star_phi, data.metric))
+
+
+def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> ModeBlock:
+    """Assemble the mode matrices for one integer frequency vector."""
+    kvec, symbol = _mode_symbol(k, _or_standard(data), c)
     return ModeBlock(
         k=tuple(int(v) for v in np.asarray(k).ravel()),
         d0=1j * kvec,
@@ -84,36 +92,63 @@ def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> ModeBlock:
     )
 
 
-# The pairs j <= l of the Gram table in each dimension, built once: the counter reads them per chunk.
-_PAIRS = {d: np.triu_indices(d) for d in range(1, MAX_DIM + 1)}
+# The pairs j <= l of the Gram table in each dimension, built once: the counter reads them per count.
+_PAIRS = {d: np.triu_indices(d) for d in range(MAX_DIM + 1)}
+
+
+@lru_cache(maxsize=None)
+def _packing(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """How a c x c Gram is packed: rows, cols, entry and incidence.
+
+    A packed Gram keeps the U = c(c+1)/2 entries a <= b, the c diagonal
+    ones first, then the rest in np.triu_indices(c, 1) order: packed entry
+    p is (rows[p], cols[p]), and entry[a * c + b] is the packed entry of
+    (a, b) for any a, b.  The (c, U - c) 0/1 incidence matrix has a one
+    where row a meets off-diagonal entry p.  The arrays are shared by every
+    caller, so they are read-only.
+    """
+    upper = np.triu_indices(c, 1)
+    offdiag = np.arange(len(upper[0]))
+    rows = np.concatenate([np.arange(c), upper[0]])
+    cols = np.concatenate([np.arange(c), upper[1]])
+    entry = np.empty((c, c), dtype=np.intp)
+    entry[rows, cols] = entry[cols, rows] = np.arange(len(rows))
+    incidence = np.zeros((c, len(offdiag)))
+    incidence[upper[0], offdiag] = incidence[upper[1], offdiag] = 1.0
+    tables = rows, cols, entry.ravel(), incidence
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _gram_form(tensor: np.ndarray) -> np.ndarray:
-    """Matrices q[p] with S(k)^H S(k) = sum over pairs p = (j <= l) of k_j k_l q[p].
+    """Packed rows q[p] with S(k)^H S(k) = sum over pairs p = (j <= l) of k_j k_l q[p].
 
     The blocks are i times the real matrix sum k_j tensor[j], so the Gram
     matrix is the real quadratic form sum_{j,l} k_j k_l T_j^T T_l: q[p] is
     T_j^T T_j for j = l and T_j^T T_l + T_l^T T_j for j < l.  The pairs run
-    over the d = len(tensor) coordinates in np.triu_indices(d) order.
+    over the d = len(tensor) coordinates in np.triu_indices(d) order, and
+    each row holds the U entries of a c x c Gram in _packing(c) order.
     """
     j, l = _PAIRS[len(tensor)]
-    full = np.einsum("jrc,lrd->jlcd", tensor, tensor)
-    return np.where((j == l)[:, None, None], full[j, l], full[j, l] + full[l, j])
+    rows, cols, _, _ = _packing(tensor.shape[2])
+    full = np.einsum("jrc,lrd->jlcd", tensor, tensor)[:, :, rows, cols]
+    return np.where((j == l)[:, None], full[j, l], full[j, l] + full[l, j])
 
 
 def _mode_grams(q: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Gram matrices S^H S at each column of modes (d, n), from the table of _gram_form.
+    """Packed Gram matrices S^H S at each column of modes (d, n), from the table of _gram_form.
 
-    The result is entry-major, of shape (c, c, n) for c columns of the
-    tensor, so that the screen's reductions run along contiguous rows.
+    The result is entry-major, of shape (U, n), so that the screen's
+    reductions run along contiguous rows.
     """
     j, l = _PAIRS[len(modes)]
     k = np.asarray(modes, dtype=np.float64)
-    return (q.reshape(len(q), -1).T @ (k[j] * k[l])).reshape(*q.shape[1:], -1)
+    return q.T @ (k[j] * k[l])
 
 
 def _screen_open(grams: np.ndarray) -> np.ndarray:
-    """Columns of an entry-major Gram stack (c, c, n) that may have a kernel.
+    """Columns of a packed Gram stack (U, n) that may have a kernel.
 
     By Gershgorin's theorem every eigenvalue of a symmetric G lies in
     [lo, hi], with lo = min_i (G_ii - sum_{j != i} |G_ij|) and
@@ -122,12 +157,19 @@ def _screen_open(grams: np.ndarray) -> np.ndarray:
     there by about 1e-15 lambda_max, far below the threshold, so it would
     count no kernel either.  NaN and inf columns compare false and stay open.
     """
-    diag = np.einsum("iin->in", grams)
-    radius = np.abs(grams).sum(axis=1) - np.abs(diag)
+    c = (isqrt(8 * len(grams) + 1) - 1) // 2   # U = c(c+1)/2
+    diag = grams[:c]
+    radius = _packing(c)[3] @ np.abs(grams[c:])
     lo = (diag - radius).min(axis=0)
     hi = (diag + radius).max(axis=0)
     # The factor 2 leaves room for rounding in the Gram, the bounds and eigvalsh.
     return ~(lo > 2 * KERNEL_RTOL**2 * hi)
+
+
+def _unpacked(grams: np.ndarray) -> np.ndarray:
+    """The (n, c, c) symmetric matrices of a packed Gram stack (U, n)."""
+    c = (isqrt(8 * len(grams) + 1) - 1) // 2
+    return grams[_packing(c)[2]].T.reshape(-1, c, c)
 
 
 def _index(name: str, value) -> int:
@@ -137,36 +179,88 @@ def _index(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _half_box_grams(tensor: np.ndarray, cutoff: int):
+    """Packed Grams of the half box from the centre k = 0 on, in blocks of whole head prefixes.
+
+    The d coordinates split into a head (the first d - m) and a tail (the
+    last m), with m the largest value such that side^m <= CHUNK.  At
+    k = (h, t) the quadratic form splits as
+    G(h, t) = G(0, t) + G(h, 0) + sum_{j in head, l in tail} h_j t_l q[j, l],
+    so the tail table G(0, t) over all side^m tail modes is built once,
+    and each prefix h adds one (U, m + 1) @ (m + 1, side^m) product: the
+    cross term and, against a row of ones, the constant G(h, 0).  The
+    first block is the centre's prefix h = 0 from the centre of its tail
+    on, which is G(0, t) alone; after it, each block holds
+    CHUNK // side^m whole prefixes, and their maps are built side blocks
+    at a time.  Yields (offset, grams), where offset is the flat index of
+    the block's first mode less that of the centre.
+    """
+    d = len(tensor)
+    side = 2 * cutoff + 1
+    m = d
+    while m and side**m > CHUNK:
+        m -= 1
+    head, n = d - m, side**m
+    q = _gram_form(tensor)
+    # pair[j, l] is the row of q that holds the pair {j, l}.
+    pair = np.empty((d, d), dtype=np.intp)
+    pair[_PAIRS[d]] = pair[_PAIRS[d][::-1]] = np.arange(len(q))
+    # The tail modes as columns, in C order, as np.unravel_index gives them.
+    tail_modes = np.indices((side,) * m).reshape(m, n) - cutoff
+    # G(0, t) is even in t, and t and -t sit at tail indices i and n - 1 - i: the half
+    # from the tail centre on is the block of the centre prefix h = 0, and mirrors to the rest.
+    half = _mode_grams(q[pair[head:, head:][_PAIRS[m]]], tail_modes[:, n // 2:])
+    yield 0, half
+    tail = np.concatenate([half[:, :0:-1], half], axis=1)
+    q_head, q_cross = q[pair[:head, :head][_PAIRS[head]]], q[pair[:head, head:]]
+    # Prefix index to head mode, as np.unravel_index in C order.
+    strides = side ** np.arange(head - 1, -1, -1)[:, None]
+    columns = np.vstack([tail_modes, np.ones((1, n))])
+    centre = side**head // 2
+    step = CHUNK // n
+    # The tail table repeated for the most prefixes a block holds; centre is the number of later prefixes.
+    tiled = np.tile(tail, min(step, centre))
+    # The prefix maps are built for side blocks at a time: a block of a few modes does
+    # not pay their numpy calls alone, and they cover at most side * CHUNK / side^m prefixes.
+    for start in range(centre + 1, side**head, side * step):
+        stop = min(start + side * step, side**head)
+        h = np.arange(start, stop) // strides % side - cutoff
+        # linear[:, p] is the (U, m + 1) map of prefix p, applied to the tail modes over a row of ones.
+        linear = np.concatenate([np.einsum("jp,jlu->upl", h, q_cross),
+                                 _mode_grams(q_head, h)[:, :, None]], axis=2)
+        for first in range(start, stop, step):
+            maps = linear[:, first - start:first - start + step].reshape(-1, m + 1)
+            grams = (maps @ columns).reshape(len(tail), -1)
+            grams += tiled[:, :grams.shape[1]]
+            yield (first - centre) * n - n // 2, grams
+
+
 def _kernel_total(tensor: np.ndarray, cutoff: int) -> int:
     """Sum per-mode kernel dimensions of i * sum k_j tensor[j] over the box.
 
     The Gram matrix is even in k, and k and -k sit at flat indices i and
-    total - 1 - i, so only the half from the centre (k = 0) on is evaluated:
-    the centre counts once and every other mode twice.  A Gershgorin screen
-    (_screen_open) settles the modes whose Grams are too well conditioned
-    to have a kernel; eigvalsh counts the zero eigenvalues of the rest.  The
-    screen settles only modes where eigvalsh, within its rounding error,
-    would count none, so the total is the same integer.  The half box is
-    walked in chunks of CHUNK modes, and any chunk gives the same total.
+    total - 1 - i, so only the half from the centre (k = 0) on is evaluated
+    (_half_box_grams): the centre counts once and every other mode twice.
+    A Gershgorin screen (_screen_open) settles the modes whose Grams are
+    too well conditioned to have a kernel; eigvalsh counts the zero
+    eigenvalues of the rest, and a block with no open mode costs none.
+    The screen settles only modes where eigvalsh, within its rounding
+    error, would count none, so the total is the same integer.  Any CHUNK
+    gives the same total.
     """
     cutoff = _index("cutoff", cutoff)
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
-    d = len(tensor)
-    side = 2 * cutoff + 1
-    total = side**d
-    centre = total // 2
-    # Flat index to mode, as unravel_index in C order: coordinate p has stride side^(d - 1 - p).
-    strides = side ** np.arange(d - 1, -1, -1)[:, None]
-    q = _gram_form(tensor)
     count = 0
-    for lo in range(centre, total, CHUNK):
-        flat = np.arange(lo, min(lo + CHUNK, total))
-        grams = _mode_grams(q, flat // strides % side - cutoff)
-        open_ = _screen_open(grams)
-        eigs = np.linalg.eigvalsh(np.moveaxis(grams[..., open_], -1, 0))
-        hits = np.sum(eigs <= KERNEL_RTOL**2 * eigs[:, -1:], axis=1)
-        count += int(hits @ np.where(flat[open_] == centre, 1, 2))
+    for offset, grams in _half_box_grams(tensor, cutoff):
+        open_ = np.flatnonzero(_screen_open(grams))
+        if len(open_):
+            eigs = np.linalg.eigvalsh(_unpacked(grams[:, open_]))
+            zero = eigs <= KERNEL_RTOL**2 * eigs[:, -1:]
+            count += 2 * int(np.count_nonzero(zero))
+            # The centre is the first mode of the first block, and counts once.
+            if offset == 0 and open_[0] == 0:
+                count -= int(np.count_nonzero(zero[0]))
     return count
 
 
@@ -218,7 +312,7 @@ def adjoint_check(k, data: G2Data | None = None, c: float = 1.0) -> float:
     would repeat this residual bit for bit.  A NaN in the block reads NaN.
     """
     data = _or_standard(data)
-    block = mode_block(k, data, c).d1_prime
+    block = _mode_symbol(k, data, c)[1][:7]
     g1 = data.metric.gram_on_forms(1)
     weighted = g1 @ block @ np.linalg.inv(g1)
     return float(row_residual(block.conj().T.ravel(), weighted.ravel()))

@@ -16,6 +16,7 @@ from g2calc.torus import (
     KERNEL_RTOL,
     _coordinate_wedge,
     _gram_form,
+    _half_box_grams,
     _kernel_total,
     _mode_grams,
     _screen_open,
@@ -56,6 +57,39 @@ def full_box_total(tensor, cutoff, chunk=65536):
         eigs = np.linalg.eigvalsh(gram)
         count += int(np.sum(eigs <= KERNEL_RTOL**2 * eigs[:, -1:]))
     return count
+
+
+def triangle(c):
+    """Row and column of each packed Gram entry: the diagonal first, then a < b in row order."""
+    upper = np.triu_indices(c, 1)
+    return np.r_[np.arange(c), upper[0]], np.r_[np.arange(c), upper[1]]
+
+
+def pack(grams):
+    """A stack of symmetric matrices (n, c, c) as packed columns (U, n)."""
+    rows, cols = triangle(grams.shape[-1])
+    return grams[:, rows, cols].T
+
+
+def unpack(packed):
+    """Packed columns (U, n) as the stack of symmetric matrices (n, c, c)."""
+    c = int(np.sqrt(2 * len(packed)))
+    rows, cols = triangle(c)
+    full = np.zeros((packed.shape[1], c, c))
+    full[:, rows, cols] = packed.T
+    full[:, cols, rows] = packed.T
+    return full
+
+
+def half_box_columns(tensor, cutoff, flat):
+    """The counter's packed Grams at the half-box modes with flat C-order indices `flat`."""
+    centre = (2 * cutoff + 1) ** len(tensor) // 2
+    found = {}
+    for offset, grams in _half_box_grams(tensor, cutoff):
+        for f in flat:
+            if 0 <= f - centre - offset < grams.shape[1]:
+                found[f] = grams[:, f - centre - offset]
+    return np.stack([found[f] for f in flat], axis=1)
 
 
 def check_tensor(data, c=1.0):
@@ -369,13 +403,38 @@ class TestKernelCounter:
     ])
     def test_half_box_matches_full_box(self, tensors, reference_counts, monkeypatch,
                                        name, cutoff, chunk):
-        # Chunks of 1 and 2 put a chunk boundary at the centre (k = 0) and
-        # right after it; the reference walks the whole box.
+        # Chunks of 1 and 2 make every coordinate a head coordinate, so a
+        # block holds one or two modes and the centre (k = 0) is a block of
+        # its own; the reference walks the whole box.
         key = (name, cutoff)
         if key not in reference_counts:
             reference_counts[key] = full_box_total(tensors[name], cutoff)
         monkeypatch.setattr(torus, "CHUNK", chunk)
         assert _kernel_total(tensors[name], cutoff) == reference_counts[key]
+
+    @pytest.mark.parametrize("m", range(8))
+    @pytest.mark.parametrize("name", ["known_kernel", "flat_check", "flat_b1", "flat_check_c-2",
+                                      "perturbed_check", "perturbed_b1"])
+    def test_every_split_matches_full_box(self, tensors, reference_counts, monkeypatch, name, m):
+        # CHUNK = side^m puts exactly the last m coordinates in the tail.
+        key = (name, 1)
+        if key not in reference_counts:
+            reference_counts[key] = full_box_total(tensors[name], 1)
+        monkeypatch.setattr(torus, "CHUNK", 3**m)
+        assert len(list(_half_box_grams(tensors[name], 1))) == 3 ** (7 - m) // 2 + 1
+        assert _kernel_total(tensors[name], 1) == reference_counts[key]
+
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_every_split_matches_full_box_in_four_dimensions(self, monkeypatch, cutoff, m):
+        side = 2 * cutoff + 1
+        known = _coordinate_wedge(4, 1)
+        gauged = np.concatenate([known, -np.eye(4)[:, None, :]], axis=1)
+        generic = np.random.default_rng(144).standard_normal((4, 5, 3))
+        monkeypatch.setattr(torus, "CHUNK", side**m)
+        for tensor in (known, gauged, generic):
+            assert len(list(_half_box_grams(tensor, cutoff))) == side ** (4 - m) // 2 + 1
+            assert _kernel_total(tensor, cutoff) == full_box_total(tensor, cutoff)
 
     @pytest.mark.parametrize("cutoff", [-1, 1.5, None])
     def test_rejects_bad_box(self, cutoff):
@@ -402,10 +461,33 @@ class TestGramForm:
     def test_matches_direct_gram(self, request, modes, structure):
         data = request.getfixturevalue(structure)
         grams = _mode_grams(_gram_form(check_tensor(data)), modes.T)
-        assert grams.shape == (7, 7, len(modes))
-        for k, gram in zip(modes, np.moveaxis(grams, -1, 0)):
+        assert grams.shape == (28, len(modes))
+        for k, gram in zip(modes, unpack(grams)):
             s = mode_block(k, data).stacked
             assert rel_residual(gram, (s.conj().T @ s).real) <= 1e-13
+
+    @pytest.mark.parametrize("structure", ["G", "perturbed"])
+    def test_split_grams_match_direct_gram(self, request, structure):
+        # The whole cutoff-1 box sits in the tail table; at cutoff 4 the head
+        # is the first three coordinates.  On the perturbed structure, where
+        # q[j, l] for j != l is nonzero, modes with a nonzero head and tail
+        # fail if the cross term is dropped.  The Gram is even in k, so a
+        # mode before the centre is read at -k.
+        data = request.getfixturevalue(structure)
+        tensor = check_tensor(data)
+        rng = np.random.default_rng(145)
+        drawn = rng.integers(-4, 5, size=(2000, 7))
+        drawn = drawn[drawn[:, :3].any(axis=1) & drawn[:, 3:].any(axis=1)][:200]
+        assert len(drawn) == 200
+        box = np.stack(np.unravel_index(np.arange(3**7), (3,) * 7), axis=1) - 1
+        for cutoff, modes in ((1, box), (4, drawn)):
+            side = 2 * cutoff + 1
+            flat = np.ravel_multi_index(tuple((modes + cutoff).T), (side,) * 7)
+            half = np.where(flat >= side**7 // 2, flat, side**7 - 1 - flat)
+            grams = unpack(half_box_columns(tensor, cutoff, half.tolist()))
+            for k, gram in zip(modes, grams):
+                s = mode_block(k, data).stacked
+                assert rel_residual(gram, (s.conj().T @ s).real) <= 1e-13
 
 
 def near_threshold_tensor(ratio, diagonal):
@@ -452,7 +534,7 @@ class TestScreen:
         for ratio in (0.5, 1.5, 3.0):
             grams = _mode_grams(_gram_form(near_threshold_tensor(ratio, True)), modes)
             open_ = _screen_open(grams)
-            counted = hits(np.moveaxis(grams, -1, 0)) > 0
+            counted = hits(unpack(grams)) > 0
             assert 0 < counted.sum() < open_.sum() < len(open_)
 
     @settings(max_examples=200, deadline=None)
@@ -474,14 +556,19 @@ class TestScreen:
         basis = np.linalg.qr(np.eye(7) + tilt * rng.standard_normal((n, 7, 7)))[0]
         grams = (basis * values[:, None, :]) @ basis.swapaxes(1, 2)
         grams = (grams + grams.swapaxes(1, 2)) / 2
-        settled = ~_screen_open(np.moveaxis(grams, 0, -1))
+        settled = ~_screen_open(pack(grams))
         assert np.all(hits(grams)[settled] == 0)
 
+    @pytest.mark.parametrize("j", [0, 6], ids=["head", "tail"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("cutoff", [0, 1])
-    def test_non_finite_tensor_still_fails(self, bad, cutoff):
+    def test_non_finite_tensor_still_fails(self, monkeypatch, bad, cutoff, j):
+        # With CHUNK = 3^6 the cutoff-1 box has coordinate 0 alone in the
+        # head, so the bad entry reaches the per-prefix term at j = 0 and the
+        # tail table at j = 6.  At cutoff 0 every coordinate is in the tail.
+        monkeypatch.setattr(torus, "CHUNK", 3**6)
         tensor = np.random.default_rng(143).standard_normal((7, 8, 7))
-        tensor[2, 3, 4] = bad
+        tensor[j, 3, 4] = bad
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
             _kernel_total(tensor, cutoff)
 
