@@ -607,16 +607,13 @@ def _run_torus(campaign: Campaign, rng: np.random.Generator) -> Report:
                **perturbed.to_dict())
 
     modes = min(campaign.samples, 100)
-    for i in range(modes):
-        k = rng.integers(-4, 5, size=7)
-        rec.check("middle operator self-adjointness",
-                  adjoint_check(tuple(int(v) for v in k)),
-                  1e-10, sample=i, mode=[int(v) for v in k])
-    for i in range(10):
-        k = rng.integers(-4, 5, size=7)
-        rec.check("self-adjointness on the perturbed structure",
-                  adjoint_check(tuple(int(v) for v in k), moved),
-                  1e-10, sample=i, mode=[int(v) for v in k])
+    # Row by row these are the draws of seven integers at a time, so the modes do not depend on batching.
+    flat = rng.integers(-4, 5, size=(modes, 7))
+    tilted = rng.integers(-4, 5, size=(10, 7))
+    for label, drawn, data in (("middle operator self-adjointness", flat, None),
+                               ("self-adjointness on the perturbed structure", tilted, moved)):
+        for i, (k, residual) in enumerate(zip(drawn.tolist(), adjoint_check(drawn, data))):
+            rec.check(label, residual, 1e-10, sample=i, mode=k)
     rec.details["modes_checked"] = modes + 10
     return rec.report()
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isfinite, isqrt
+from numbers import Real
 
 import numpy as np
 
-from .forms import MAX_DIM, KForm, Metric, _coordinate_wedge, row_residual, wedge_matrix
+from .forms import MAX_DIM, KForm, Metric, _coordinate_wedge, _scalar, row_residual, wedge_matrix
 from .g2 import G2Data, _or_standard
 
 # A singular value of a mode block at most this fraction of its largest
@@ -29,8 +30,13 @@ KERNEL_RTOL = 1e-6
 
 # Most modes per block of Gram matrices in betti_one and harmonic_dim.  The tail of
 # the box is its last m coordinates, for the largest m with side^m <= CHUNK, and a
-# block holds whole tails.
-CHUNK = 8192
+# block holds whole tails.  For 7 x 7 Grams a block's working set is about 680
+# bytes per mode: its packed Grams, the tiled tail table and the screen's
+# temporaries.  At 2048 modes that is about 1.4 MB, inside a 2 MB per-core L2
+# cache; at 8192 it spilled, and the cutoff-2 and cutoff-3 counts took about 1.7
+# times as long.  A sweep of 1024 to 8192 on a 2-core Xeon picked 2048, with 1536
+# to 3072 within a few per cent of it.
+CHUNK = 2048
 
 
 def _symbol(rows: np.ndarray, metric: Metric) -> np.ndarray:
@@ -70,21 +76,31 @@ class ModeBlock:
         return np.vstack([self.d1_prime, self.dstar1[None, :]])
 
 
-def _mode_symbol(k, data: G2Data, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """The mode k as a float vector, checked, and the stacked (8, 7) block i sum k_j S[j] there."""
+def _check_tensor(data: G2Data, c) -> np.ndarray:
+    """symbol_tensors at psi = c star_phi, for a coupling scale c checked to be a finite real."""
+    if not (isinstance(c, Real) and isfinite(c)):
+        raise ValueError(f"coupling scale c must be a finite real number, got {c!r}")
+    return symbol_tensors(float(c) * data.star_phi, data.metric)
+
+
+def _mode_symbols(k, data: G2Data, c) -> tuple[np.ndarray, np.ndarray]:
+    """Modes k (..., 7) as floats, every row checked, and the stacked (..., 8, 7) blocks i sum k_j S[j]."""
     kvec = np.asarray(k, dtype=np.float64)
-    if kvec.shape != (7,):
+    if kvec.shape[-1:] != (7,):
         raise ValueError(f"mode must have seven components, got shape {kvec.shape}")
-    if not (np.isfinite(kvec) & (kvec == np.trunc(kvec))).all():
-        raise ValueError(f"mode components must be finite integers, got {kvec.tolist()}")
-    return kvec, 1j * np.einsum("j,jab->ab", kvec, symbol_tensors(c * data.star_phi, data.metric))
+    bad = ~(np.isfinite(kvec) & (kvec == np.trunc(kvec))).all(axis=-1)
+    if bad.any():
+        raise ValueError(f"mode components must be finite integers, got {kvec[bad][0].tolist()}")
+    return kvec, 1j * np.einsum("...j,jab->...ab", kvec, _check_tensor(data, c))
 
 
 def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> ModeBlock:
     """Assemble the mode matrices for one integer frequency vector."""
-    kvec, symbol = _mode_symbol(k, _or_standard(data), c)
+    if np.shape(k) != (7,):
+        raise ValueError(f"mode must have seven components, got shape {np.shape(k)}")
+    kvec, symbol = _mode_symbols(k, _or_standard(data), c)
     return ModeBlock(
-        k=tuple(int(v) for v in np.asarray(k).ravel()),
+        k=tuple(int(v) for v in kvec),
         d0=1j * kvec,
         d1=1j * np.einsum("j,jab->ab", kvec, _coordinate_wedge(7, 1)),
         d1_prime=symbol[:7],
@@ -150,20 +166,24 @@ def _mode_grams(q: np.ndarray, modes: np.ndarray) -> np.ndarray:
 def _screen_open(grams: np.ndarray) -> np.ndarray:
     """Columns of a packed Gram stack (U, n) that may have a kernel.
 
-    By Gershgorin's theorem every eigenvalue of a symmetric G lies in
-    [lo, hi], with lo = min_i (G_ii - sum_{j != i} |G_ij|) and
-    hi = max_i (G_ii + sum_{j != i} |G_ij|).  A column with
-    lo > 2 rtol^2 hi has lambda_min > 2 rtol^2 lambda_max; eigvalsh errs
-    there by about 1e-15 lambda_max, far below the threshold, so it would
-    count no kernel either.  NaN and inf columns compare false and stay open.
+    A column is settled when lo > 2 rtol^2 trace(G), where by Gershgorin's
+    theorem lo = min_i (G_ii - sum_{j != i} |G_ij|) bounds every eigenvalue
+    of the symmetric G from below.  The bound is sound.  If trace(G) <= 0,
+    then lo <= min_i G_ii <= trace(G) / c <= 2 rtol^2 trace(G), so the
+    column stays open.  Otherwise lo > 0 makes G positive definite, so
+    lambda_max <= trace(G) and lambda_min >= lo > 2 rtol^2 lambda_max;
+    eigvalsh errs there by about 1e-15 lambda_max, far below the threshold,
+    so it would count no kernel either.  NaN and inf columns compare false
+    and stay open.
     """
     c = (isqrt(8 * len(grams) + 1) - 1) // 2   # U = c(c+1)/2
     diag = grams[:c]
-    radius = _packing(c)[3] @ np.abs(grams[c:])
-    lo = (diag - radius).min(axis=0)
-    hi = (diag + radius).max(axis=0)
+    lo = _packing(c)[3] @ np.abs(grams[c:])
+    np.subtract(diag, lo, out=lo)
+    bound = diag.sum(axis=0)
     # The factor 2 leaves room for rounding in the Gram, the bounds and eigvalsh.
-    return ~(lo > 2 * KERNEL_RTOL**2 * hi)
+    bound *= 2 * KERNEL_RTOL**2
+    return ~(lo.min(axis=0) > bound)
 
 
 def _unpacked(grams: np.ndarray) -> np.ndarray:
@@ -294,7 +314,7 @@ def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0) -> Coh
     data = _or_standard(data)
     # A plain int, so that the summary serialises and numpy integers share the cache.
     cutoff = _index("cutoff", cutoff)
-    check_h1 = _kernel_total(symbol_tensors(c * data.star_phi, data.metric), cutoff)
+    check_h1 = _kernel_total(_check_tensor(data, c), cutoff)
     key = ("betti_one", cutoff)
     if key not in data._cache:
         data._cache[key] = betti_one(cutoff, data)
@@ -302,9 +322,12 @@ def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0) -> Coh
     return CohomologySummary(cutoff, check_h1, check_h1 - b1, b1)
 
 
-def adjoint_check(k, data: G2Data | None = None, c: float = 1.0) -> float:
-    """Residual of the adjoint identity of the middle operator at one mode.
+def adjoint_check(k, data: G2Data | None = None, c: float = 1.0) -> float | np.ndarray:
+    """Residual of the adjoint identity of the middle operator at each mode of k.
 
+    k is one mode (7,), which returns a float, or a stack (..., 7), which
+    returns one residual per row; the symbol and g1^-1 are built once per
+    call, and each row equals its single call bit for bit.
     The operator is formally self-adjoint, so the conjugate transpose of its
     block must equal the gram-conjugated block g1 B g1^-1 at the same mode.
     The block is i times a real matrix odd in k, so its conjugate is exactly
@@ -312,7 +335,8 @@ def adjoint_check(k, data: G2Data | None = None, c: float = 1.0) -> float:
     would repeat this residual bit for bit.  A NaN in the block reads NaN.
     """
     data = _or_standard(data)
-    block = _mode_symbol(k, data, c)[1][:7]
+    blocks = _mode_symbols(k, data, c)[1][..., :7, :]
     g1 = data.metric.gram_on_forms(1)
-    weighted = g1 @ block @ np.linalg.inv(g1)
-    return float(row_residual(block.conj().T.ravel(), weighted.ravel()))
+    weighted = g1 @ blocks @ np.linalg.inv(g1)
+    rows = blocks.shape[:-2] + (49,)
+    return _scalar(row_residual(blocks.conj().swapaxes(-1, -2).reshape(rows), weighted.reshape(rows)))

@@ -1,6 +1,7 @@
 """Unit tests for the mode-by-mode torus analysis."""
 
 import dataclasses
+import itertools
 import json
 from math import comb
 
@@ -232,6 +233,25 @@ class TestModeBlock:
             mode_block(k)
         with pytest.raises(ValueError, match="finite integers"):
             adjoint_check(k)
+        with pytest.raises(ValueError, match="finite integers"):
+            adjoint_check([(0,) * 7, k])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1", 1j, None])
+    def test_rejects_bad_coupling_scale(self, bad):
+        # A NaN scale used to build the whole symbol and fail in eigvalsh, and
+        # "1" failed inside numpy.
+        k = (1, 0, 0, 0, 0, 0, 0)
+        for call in (lambda: harmonic_dim(1, c=bad), lambda: adjoint_check(k, c=bad),
+                     lambda: adjoint_check([k, k], c=bad), lambda: mode_block(k, c=bad)):
+            with pytest.raises(ValueError, match="coupling scale c must be a finite real"):
+                call()
+
+    def test_accepts_numpy_and_integer_coupling_scales(self):
+        k = (2, -1, 0, 0, 3, 0, 0)
+        want = mode_block(k, c=-2.0).d1_prime
+        for c in (-2, np.float64(-2.0), np.int64(-2)):
+            assert np.array_equal(mode_block(k, c=c).d1_prime, want)
+            assert adjoint_check(k, c=c) == adjoint_check(k, c=-2.0)
 
 
 class TestProjectionDiagram:
@@ -271,6 +291,29 @@ class TestAdjoint:
             assert np.array_equal(block.conj(), opposite)
             assert rel_residual(opposite.T, weighted) == rel_residual(block.conj().T, weighted)
             assert rel_residual(block.conj().T, weighted) == adjoint_check(k, perturbed, -2.0)
+
+    @pytest.mark.parametrize("c", [1.0, -2.0])
+    @pytest.mark.parametrize("structure", ["G", "perturbed"])
+    def test_stack_rows_equal_single_calls(self, request, structure, c):
+        data = request.getfixturevalue(structure)
+        modes = np.random.default_rng(146).integers(-4, 5, size=(100, 7))
+        stacked = adjoint_check(modes, data, c)
+        assert stacked.shape == (100,)
+        single = [adjoint_check(tuple(int(v) for v in k), data, c) for k in modes]
+        assert all(type(r) is float for r in single)
+        assert np.array_equal(stacked, single)
+        assert np.array_equal(adjoint_check(modes.reshape(10, 10, 7), data, c),
+                              stacked.reshape(10, 10))
+        assert adjoint_check(modes[:0], data, c).shape == (0,)
+
+    @pytest.mark.parametrize("row", [0, 57, 99])
+    def test_bad_row_anywhere_fails_the_stack(self, row):
+        modes = np.random.default_rng(147).integers(-4, 5, size=(100, 7)).astype(float)
+        modes[row, 3] = 0.5
+        with pytest.raises(ValueError, match="finite integers, got .*0.5"):
+            adjoint_check(modes)
+        with pytest.raises(ValueError, match="seven components, got shape \\(100, 6\\)"):
+            adjoint_check(modes[:, :6])
 
     def test_check_function_flat(self):
         rng = np.random.default_rng(135)
@@ -436,6 +479,19 @@ class TestKernelCounter:
             assert len(list(_half_box_grams(tensor, cutoff))) == side ** (4 - m) // 2 + 1
             assert _kernel_total(tensor, cutoff) == full_box_total(tensor, cutoff)
 
+    @pytest.mark.parametrize("cutoff", range(5))
+    @pytest.mark.parametrize("d", [4, 7])
+    def test_blocks_fit_the_chunk_and_tile_the_half_box(self, d, cutoff):
+        # The memory bound that the CHUNK comment promises, at the default CHUNK.
+        tensor = np.random.default_rng(148).standard_normal((d, d + 1, d))
+        covered = 0
+        for offset, grams in _half_box_grams(tensor, cutoff):
+            assert grams.shape == ((d * (d + 1)) // 2, grams.shape[1])
+            assert 0 < grams.shape[1] <= torus.CHUNK
+            assert offset == covered
+            covered += grams.shape[1]
+        assert covered == (2 * cutoff + 1) ** d // 2 + 1
+
     @pytest.mark.parametrize("cutoff", [-1, 1.5, None])
     def test_rejects_bad_box(self, cutoff):
         # At the old counter these returned 0 (an empty box) instead of failing.
@@ -574,8 +630,9 @@ class TestScreen:
 
     @pytest.mark.parametrize("name", ["flat_check", "flat_b1"])
     def test_screen_settles_every_nonzero_flat_mode(self, tensors, monkeypatch, name):
-        # Guards the speed of the counter: if the screen stopped settling
-        # modes, eigvalsh would see the whole half box and this would fail.
+        # Guards the speed of the counter at the default CHUNK: if the screen
+        # stopped settling modes, eigvalsh would see the whole half box and
+        # this would fail.
         solved = []
         unpatched = np.linalg.eigvalsh
 
@@ -584,5 +641,24 @@ class TestScreen:
             return unpatched(grams)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        assert _kernel_total(tensors[name], 2) == 7
-        assert sum(solved) <= 1
+        for cutoff in (2, 3):
+            solved.clear()
+            assert _kernel_total(tensors[name], cutoff) == 7
+            assert sum(solved) <= 1
+
+    def test_trace_bound_keeps_degenerate_columns_open(self):
+        # Columns the trace bound must not settle: an indefinite Gram with
+        # negative trace, a negative definite one, zero, and NaN and inf
+        # entries; the identity is settled, so the screen is not simply off.
+        indefinite = np.diag([1.0, -3.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+        indefinite[0, 1] = indefinite[1, 0] = 1e-3
+        columns = [indefinite, -np.eye(7), np.zeros((7, 7))]
+        for bad, (a, b) in itertools.product([np.nan, np.inf, -np.inf], [(2, 2), (0, 5)]):
+            gram = np.eye(7)
+            gram[a, b] = gram[b, a] = bad
+            columns.append(gram)
+        columns.append(np.eye(7))
+        assert np.trace(indefinite) < 0
+        with np.errstate(invalid="ignore"):
+            open_ = _screen_open(pack(np.stack(columns)))
+        assert open_.tolist() == [True] * (len(columns) - 1) + [False]
