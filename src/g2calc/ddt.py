@@ -130,20 +130,21 @@ def is_solution(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL)
     return _scalar(_solves(form_norm(ddt_residual(f, data), m), form_norm(f, m), tol))
 
 
-def _require_solution(f: KForm, data: G2Data, tol: float) -> None:
-    # Every row of a batch must solve.
-    if not np.all(is_solution(f, data, tol)):
+def _require_solution(f: KForm, data: G2Data) -> None:
+    # Every row of a batch must solve at SOLUTION_TOL.
+    if not np.all(is_solution(f, data, SOLUTION_TOL)):
         raise ValueError("input does not solve the deformed equation at this tolerance")
 
 
-def orthogonality_check(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL) -> float:
+def orthogonality_check(f: KForm, data: G2Data | None = None) -> float:
     """On solutions, |i(u)F14| and |phi ^ star(F^2)| both vanish; return the max.
 
-    A batch gives one value per row; a NaN in either norm is kept.
+    A batch gives one value per row; a NaN in either norm is kept.  Raises
+    ValueError unless every row solves at SOLUTION_TOL.
     """
     data = _or_standard(data)
     _require_two_form(f)
-    _require_solution(f, data, tol)
+    _require_solution(f, data)
     split = project2(f, data)
     contraction = form_norm(interior(split.u, split.f14), data.metric)
     f_sq = wedge(f, f)
@@ -151,7 +152,7 @@ def orthogonality_check(f: KForm, data: G2Data | None = None, tol: float = SOLUT
     return _scalar(np.maximum(contraction, seven_part))
 
 
-def cartan_solve(l1: float, l2: float, l3: float, tol: float = 1e-12) -> list[float]:
+def cartan_solve(l1: float, l2: float, l3: float) -> list[float]:
     """Real roots x of x^3 - (3 + (l1^2+l2^2+l3^2)/2) x + l1 l2 l3 = 0.
 
     The lambdas must sum to zero (they are the diagonal 14-part weights).
@@ -159,15 +160,15 @@ def cartan_solve(l1: float, l2: float, l3: float, tol: float = 1e-12) -> list[fl
     trigonometric closed form applies; each root is polished by Newton
     steps and near-coincident roots are merged.
     """
-    return _merged_roots(_cartan_roots(np.array([l1, l2, l3], dtype=np.float64), tol))
+    return _merged_roots(_cartan_roots(np.array([l1, l2, l3], dtype=np.float64)))
 
 
-def _cartan_roots(weights: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _cartan_roots(weights: np.ndarray) -> np.ndarray:
     # cartan_solve's three polished roots for weights of shape (..., 3), sorted
     # along the last axis and not yet merged; each row equals the single call's.
     # Raises when any row's weights do not sum to zero.
     l1, l2, l3 = weights[..., 0], weights[..., 1], weights[..., 2]
-    if np.any(np.abs(l1 + l2 + l3) > tol * np.maximum(1.0, np.abs(weights).max(axis=-1))):
+    if np.any(np.abs(l1 + l2 + l3) > 1e-12 * np.maximum(1.0, np.abs(weights).max(axis=-1))):
         raise ValueError("lambdas must sum to zero")
     p = (-(3.0 + 0.5 * (l1 * l1 + l2 * l2 + l3 * l3)))[..., None]
     q = (l1 * l2 * l3)[..., None]
@@ -254,7 +255,7 @@ def _induced(f_sq: KForm, graph: LinearMap, data: G2Data) -> tuple[float, KForm,
     return factor, phi_f, np.power(np.abs(factor), -0.75) * phi_f
 
 
-def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL) -> DdtReport:
+def solution_report(f: KForm, data: G2Data | None = None) -> DdtReport:
     """Certify the induced-structure identities for one solution.
 
     Three pipelines for the transported dual form are compared pairwise:
@@ -263,14 +264,15 @@ def solution_report(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_
     factor * (star(phi) - F^2/2).  The conformal normalisation is checked
     to reproduce sign_C * (star(phi) - F^2/2) through its own star, where
     sign_C is the sign of that star's pairing with star(phi) - F^2/2; on a
-    solution it is sign(factor).
+    solution it is sign(factor).  Raises ValueError unless every row
+    solves at SOLUTION_TOL.
     """
     data = _or_standard(data)
     _require_two_form(f)
     f_sq = wedge(f, f)
     residual = _residual(f, f_sq, data)
     residual_norm = form_norm(residual, data.metric)
-    if not np.all(_solves(residual_norm, form_norm(f, data.metric), tol)):
+    if not np.all(_solves(residual_norm, form_norm(f, data.metric), SOLUTION_TOL)):
         raise ValueError("input does not solve the deformed equation at this tolerance")
 
     graph = graph_map(f, data)
@@ -323,7 +325,6 @@ def linearization_density(
     f: KForm,
     b2: KForm,
     data: G2Data | None = None,
-    tol: float = SOLUTION_TOL,
     tol_identity: float = 1e-8,
 ) -> KForm:
     """The 6-form b2 ^ (-F^2/2 + star(phi)) at a solution.
@@ -335,7 +336,7 @@ def linearization_density(
     data = _or_standard(data)
     _require_two_form(f)
     _require_two_form(b2)
-    _require_solution(f, data, tol)
+    _require_solution(f, data)
     density, disagreement = _density_routes(f, b2, data)
     if not np.all(disagreement <= tol_identity):
         raise ValueError(DENSITY_ROUTES_ERROR)
@@ -353,10 +354,11 @@ def _density_routes(f: KForm, b2: KForm, data: G2Data):
     return density, _scalar(row_residual(density.coeffs, other.coeffs))
 
 
-def norm_bound_check(
-    f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL
-) -> tuple[float, float, bool]:
-    """Sharp bound |F7| <= sqrt(2|F14|^2 + 12) cos(arccos(...)/3) on solutions."""
+def norm_bound_check(f: KForm, data: G2Data | None = None) -> tuple[float, float, bool]:
+    """Sharp bound |F7| <= sqrt(2|F14|^2 + 12) cos(arccos(...)/3) on solutions.
+
+    Returns (lhs, rhs, whether lhs <= rhs + SOLUTION_TOL).
+    """
     data = _or_standard(data)
     _require_two_form(f)
     split = project2(f, data)
@@ -366,7 +368,7 @@ def norm_bound_check(
     lam = form_norm(split.f14, m)
     inner = np.clip(np.power(lam, 3) / np.power(lam * lam + 6.0, 1.5), -1.0, 1.0)
     rhs = _scalar(np.sqrt(2.0 * lam * lam + 12.0) * np.cos(np.arccos(inner) / 3.0))
-    return lhs, rhs, _scalar(lhs <= rhs + tol)
+    return lhs, rhs, _scalar(lhs <= rhs + SOLUTION_TOL)
 
 
 def cube_norm_bound(beta: KForm, data: G2Data | None = None) -> tuple[float, float]:

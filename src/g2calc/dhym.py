@@ -68,6 +68,7 @@ def _wedge_power(a: KForm, k: int) -> KForm:
 
 
 def _wrap_angle(theta: float) -> float:
+    """theta reduced modulo 2 pi into [-pi, pi); pi itself maps to -pi."""
     return _scalar((theta + np.pi) % (2.0 * np.pi) - np.pi)
 
 
@@ -256,20 +257,19 @@ class NormalForm:
         return np.power(r, -1.0 / (self.point.n - 1)) * self.omega_nabla
 
 
-def normal_form(point: HermitianPoint, f: KForm | None = None,
-                tol: float = ONE_ONE_TOL) -> NormalForm:
+def normal_form(point: HermitianPoint, f: KForm | None = None) -> NormalForm:
     """Diagonalise a real (1,1) form in a unitary frame, eigenvalues descending.
 
     With no form this returns the zero normal form over an adapted frame.
     Raises ValueError when the input, or any row of a batch, is not
-    J-invariant at the tolerance.
+    J-invariant at ONE_ONE_TOL.
     """
     n = point.n
     if f is None:
         return NormalForm(point, np.zeros(n), point.frame)
     if np.iscomplexobj(f.coeffs):
         raise ValueError("normal form expects a real representative")
-    if not np.all(one_one_residual(point, f) <= tol):
+    if not np.all(one_one_residual(point, f) <= ONE_ONE_TOL):
         raise ValueError("form is not of type (1,1) at this tolerance")
     q = point.frame
     a = _skew(f)
@@ -290,7 +290,7 @@ def normal_form(point: HermitianPoint, f: KForm | None = None,
                       for vecs in (uvecs, vvecs)], axis=-1)
     lambdas = np.take_along_axis(lams, order, axis=-1)
     nf = NormalForm(point, lambdas, pairs.reshape(pairs.shape[:-3] + (2 * n, 2 * n)))
-    if not np.all(row_residual(nf.diagonal(lambdas).coeffs, f.coeffs) <= tol):
+    if not np.all(row_residual(nf.diagonal(lambdas).coeffs, f.coeffs) <= ONE_ONE_TOL):
         raise ValueError("normal form reconstruction failed at this tolerance")
     return nf
 
@@ -329,7 +329,7 @@ class DhymReport:
         }
 
 
-def dhym_report(point: HermitianPoint, f: KForm, tol: float = ONE_ONE_TOL) -> DhymReport:
+def dhym_report(point: HermitianPoint, f: KForm) -> DhymReport:
     """Certify the volume-ratio identities of a real curvature representative.
 
     The (0,2) component is measured and removed first, so the eigenvalue
@@ -346,7 +346,7 @@ def dhym_report(point: HermitianPoint, f: KForm, tol: float = ONE_ONE_TOL) -> Dh
     p02, p20 = _pq_parts(point, f, (0, 2))
     p02_norm = form_norm(p02, point.metric)
     f11 = KForm(2 * n, 2, np.real(f.coeffs - p02.coeffs - p20.coeffs))
-    nf = normal_form(point, f11, tol=tol)
+    nf = normal_form(point, f11)
     r, theta = radius_angle(nf.lambdas)
     # Per-row scalars as columns against coefficient rows.
     r_col, phase = np.asarray(r)[..., None], np.exp(-1j * np.asarray(theta))[..., None]

@@ -82,7 +82,6 @@ class G2Data:
     proj3_7: np.ndarray
     proj3_27: np.ndarray
     basis2_7: np.ndarray  # columns i(e_i)phi, 21 x 7
-    basis3_7: np.ndarray  # columns i(e_i)star_phi, 35 x 7
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -120,7 +119,6 @@ def g2_bundle(phi: KForm) -> G2Data:
     star_phi = hodge(phi, metric)
 
     basis2_7 = interior_matrix(phi)
-    basis3_7 = interior_matrix(star_phi)
 
     # alpha -> star(phi ^ alpha) on 2-forms has eigenvalue 2 on the 7-part
     # and -1 on the 14-part, so both projections are linear in the operator.
@@ -132,6 +130,7 @@ def g2_bundle(phi: KForm) -> G2Data:
     gram3 = metric.gram_on_forms(3)
     phi_norm2 = float(phi.coeffs @ gram3 @ phi.coeffs)
     proj3_1 = np.outer(phi.coeffs, gram3 @ phi.coeffs) / phi_norm2
+    basis3_7 = interior_matrix(star_phi)  # columns i(e_i)star_phi, 35 x 7
     normal = basis3_7.T @ gram3 @ basis3_7
     proj3_7 = basis3_7 @ np.linalg.solve(normal, basis3_7.T @ gram3)
     proj3_27 = np.eye(35) - proj3_1 - proj3_7
@@ -146,7 +145,6 @@ def g2_bundle(phi: KForm) -> G2Data:
         proj3_7=proj3_7,
         proj3_27=proj3_27,
         basis2_7=basis2_7,
-        basis3_7=basis3_7,
     )
 
 

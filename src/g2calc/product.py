@@ -40,6 +40,7 @@ from .dhym import (
 )
 
 PRODUCT_TOL = 1e-8
+ZERO_PHASE_BOUND = 2.0
 
 
 @lru_cache(maxsize=None)
@@ -211,23 +212,22 @@ def correspondence_check(su3: SU3Point, f: KForm, tol: float = PRODUCT_TOL) -> P
     )
 
 
-def zero_phase_flux(rng: np.random.Generator, su3: SU3Point,
-                    bound: float = 2.0) -> KForm:
+def zero_phase_flux(rng: np.random.Generator, su3: SU3Point) -> KForm:
     """A random (1,1) curvature whose eigenvalue angles sum to zero exactly.
 
-    Two eigenvalues are drawn freely and the third is forced through the
-    arctangent addition law, which is exact while the drawn product stays
-    below one in magnitude.
+    Two eigenvalues are drawn uniformly from [-ZERO_PHASE_BOUND,
+    ZERO_PHASE_BOUND] and the third is forced through the arctangent
+    addition law, which is exact while the drawn product stays below one
+    in magnitude.
     """
-    pair, generator = _zero_phase_draw(rng, su3, bound)
+    pair, generator = _zero_phase_draw(rng, su3)
     return _zero_phase_fluxes(su3, pair, generator)
 
 
-def _zero_phase_draw(rng: np.random.Generator, su3: SU3Point,
-                     bound: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+def _zero_phase_draw(rng: np.random.Generator, su3: SU3Point) -> tuple[np.ndarray, np.ndarray]:
     # The draws of one zero_phase_flux: the eigenvalue pair, then the rotation's generator.
     while True:
-        pair = rng.uniform(-bound, bound, size=2)
+        pair = rng.uniform(-ZERO_PHASE_BOUND, ZERO_PHASE_BOUND, size=2)
         if abs(pair[0] * pair[1]) < 0.99:
             break
     return pair, _rotation_generator(rng, su3.point.n)

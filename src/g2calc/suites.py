@@ -194,8 +194,8 @@ def _two_form_draw(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.n
     return scale * rng.standard_normal(comb(n, 2))
 
 
-def _zero_sum_weights(rng: np.random.Generator, bound: float = 3.0):
-    l1, l2 = rng.uniform(-bound, bound, size=2)
+def _zero_sum_weights(rng: np.random.Generator):
+    l1, l2 = rng.uniform(-3.0, 3.0, size=2)
     return float(l1), float(l2), float(-l1 - l2)
 
 

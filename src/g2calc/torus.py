@@ -21,7 +21,7 @@ from numbers import Real
 
 import numpy as np
 
-from .forms import MAX_DIM, KForm, Metric, _coordinate_wedge, _scalar, row_residual, wedge_matrix
+from .forms import KForm, Metric, _coordinate_wedge, _scalar, row_residual, wedge_matrix
 from .g2 import G2Data, _or_standard
 
 # A singular value of a mode block at most this fraction of its largest
@@ -108,10 +108,6 @@ def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> ModeBlock:
     )
 
 
-# The pairs j <= l of the Gram table in each dimension, built once: the counter reads them per count.
-_PAIRS = {d: np.triu_indices(d) for d in range(MAX_DIM + 1)}
-
-
 @lru_cache(maxsize=None)
 def _packing(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """How a c x c Gram is packed: rows, cols, entry and incidence.
@@ -143,10 +139,11 @@ def _gram_form(tensor: np.ndarray) -> np.ndarray:
     The blocks are i times the real matrix sum k_j tensor[j], so the Gram
     matrix is the real quadratic form sum_{j,l} k_j k_l T_j^T T_l: q[p] is
     T_j^T T_j for j = l and T_j^T T_l + T_l^T T_j for j < l.  The pairs run
-    over the d = len(tensor) coordinates in np.triu_indices(d) order, and
-    each row holds the U entries of a c x c Gram in _packing(c) order.
+    over the d = len(tensor) coordinates in _packing(d) order, as the
+    entries of a d x d Gram, and each row holds the U entries of a c x c
+    Gram in _packing(c) order.
     """
-    j, l = _PAIRS[len(tensor)]
+    j, l = _packing(len(tensor))[:2]
     rows, cols, _, _ = _packing(tensor.shape[2])
     full = np.einsum("jrc,lrd->jlcd", tensor, tensor)[:, :, rows, cols]
     return np.where((j == l)[:, None], full[j, l], full[j, l] + full[l, j])
@@ -158,7 +155,7 @@ def _mode_grams(q: np.ndarray, modes: np.ndarray) -> np.ndarray:
     The result is entry-major, of shape (U, n), so that the screen's
     reductions run along contiguous rows.
     """
-    j, l = _PAIRS[len(modes)]
+    j, l = _packing(len(modes))[:2]
     k = np.asarray(modes, dtype=np.float64)
     return q.T @ (k[j] * k[l])
 
@@ -223,16 +220,15 @@ def _half_box_grams(tensor: np.ndarray, cutoff: int):
     head, n = d - m, side**m
     q = _gram_form(tensor)
     # pair[j, l] is the row of q that holds the pair {j, l}.
-    pair = np.empty((d, d), dtype=np.intp)
-    pair[_PAIRS[d]] = pair[_PAIRS[d][::-1]] = np.arange(len(q))
+    pair = _packing(d)[2].reshape(d, d)
     # The tail modes as columns, in C order, as np.unravel_index gives them.
     tail_modes = np.indices((side,) * m).reshape(m, n) - cutoff
     # G(0, t) is even in t, and t and -t sit at tail indices i and n - 1 - i: the half
     # from the tail centre on is the block of the centre prefix h = 0, and mirrors to the rest.
-    half = _mode_grams(q[pair[head:, head:][_PAIRS[m]]], tail_modes[:, n // 2:])
+    half = _mode_grams(q[pair[head:, head:][_packing(m)[:2]]], tail_modes[:, n // 2:])
     yield 0, half
     tail = np.concatenate([half[:, :0:-1], half], axis=1)
-    q_head, q_cross = q[pair[:head, :head][_PAIRS[head]]], q[pair[:head, head:]]
+    q_head, q_cross = q[pair[:head, :head][_packing(head)[:2]]], q[pair[:head, head:]]
     # Prefix index to head mode, as np.unravel_index in C order.
     strides = side ** np.arange(head - 1, -1, -1)[:, None]
     columns = np.vstack([tail_modes, np.ones((1, n))])

@@ -1,5 +1,6 @@
 """The public names exported from the package, and what importing it loads."""
 
+import inspect
 import subprocess
 import sys
 
@@ -38,6 +39,30 @@ def test_exported_names_are_pinned():
 def test_every_exported_name_resolves():
     for name in g2calc.__all__:
         assert getattr(g2calc, name) is not None
+
+
+# The only public functions that take a tolerance or bound, and which: each is
+# reached by a Campaign tolerance or mirrors one that is.  Every other check
+# reads a module constant at call time.  Classes are left out: Campaign's own
+# fields are the settable tolerances.
+TOLERANCE_PARAMETERS = {"tol", "tol_identity", "bound"}
+SETTABLE_TOLERANCES = {
+    "is_solution": {"tol"},
+    "linearization_density": {"tol_identity"},
+    "symbol_bound": {"tol_identity"},
+    "correspondence_check": {"tol"},
+}
+
+
+def test_only_campaign_reached_functions_take_a_tolerance():
+    found = {}
+    for name in g2calc.__all__:
+        obj = getattr(g2calc, name)
+        if inspect.isfunction(obj):
+            params = TOLERANCE_PARAMETERS & set(inspect.signature(obj).parameters)
+            if params:
+                found[name] = params
+    assert found == SETTABLE_TOLERANCES
 
 
 def test_standard_structures_do_not_load_scipy():

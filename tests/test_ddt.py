@@ -6,6 +6,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+import g2calc.ddt as ddt_module
 import g2calc.forms as forms_module
 from g2calc.forms import (
     KForm,
@@ -245,6 +246,24 @@ class TestOrthogonality:
             orthogonality_check(f, G)
 
 
+class TestSolutionTolIsReadAtCallTime:
+    # A Cartan solution whose residual rounds to a nonzero value, so that a zero
+    # tolerance rejects it.
+    @staticmethod
+    def inexact_solution(G):
+        f = cartan_solutions(1.0, -0.25, -0.75)[0]
+        assert form_norm(ddt_residual(f, G), G.metric) > 0.0
+        return f
+
+    @pytest.mark.parametrize("check", [solution_report, orthogonality_check])
+    def test_zero_tolerance_rejects(self, G, check, monkeypatch):
+        f = self.inexact_solution(G)
+        check(f, G)
+        monkeypatch.setattr(ddt_module, "SOLUTION_TOL", 0.0)
+        with pytest.raises(ValueError, match="does not solve"):
+            check(f, G)
+
+
 class TestInducedStructure:
     def test_zero_flux_is_identity(self, G):
         phi_f, tilde = induced_phi(KForm.zero(7, 2), G)
@@ -320,7 +339,7 @@ class TestSolutionReport:
         for _ in range(5):
             rot = random_structure_rotation(rng, G)
             f = pullback(rot, cartan_solutions(*random_zero_sum(rng))[0])
-            rep = solution_report(f, G, tol=1e-8)
+            rep = solution_report(f, G)
             assert rep.lhs_minus_rhs_norm < 1e-8
 
     def test_fields_compose_from_public_functions(self, G):
@@ -328,7 +347,7 @@ class TestSolutionReport:
         fluxes = [f for _ in range(4) for f in cartan_solutions(*random_zero_sum(rng))]
         fluxes.append(pullback(random_structure_rotation(rng, G), fluxes[0]))
         for f in fluxes:
-            rep = solution_report(f, G, tol=1e-8)
+            rep = solution_report(f, G)
             residual = ddt_residual(f, G)
             factor = scalar_factor(f, G)
             phi_f, tilde = induced_phi(f, G)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import g2calc.dhym as dhym_module
 import g2calc.forms as forms_module
 from g2calc.forms import (
     KForm,
@@ -318,6 +319,13 @@ class TestNormalForm:
         assert rel_residual(nf.eta.gram, 2.0 * np.eye(4)) < 1e-14
         assert rel_residual(nf.omega_nabla.coeffs, 2.0 * point.omega.coeffs) < 1e-14
 
+    def test_one_one_tol_is_read_at_call_time(self, monkeypatch):
+        point = standard_kahler(2)
+        normal_form(point, point.omega)
+        monkeypatch.setattr(dhym_module, "ONE_ONE_TOL", -1.0)
+        with pytest.raises(ValueError, match="not of type"):
+            normal_form(point, point.omega)
+
 
 class TestRadiusAngle:
     def test_unit_pair(self):
@@ -368,6 +376,15 @@ class TestReport:
         wrapped = rep.to_dict()["theta"]
         assert -np.pi <= wrapped < np.pi
         assert wrapped == pytest.approx(rep.theta - 2.0 * np.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_serialised_angle_at_the_boundary_is_minus_pi(self, sign):
+        # F = +-omega on C^4 has four eigenvalues +-1, so theta = +-pi exactly;
+        # the wrap into [-pi, pi) sends both to -pi.
+        point = standard_kahler(4)
+        rep = dhym_report(point, sign * point.omega)
+        assert rep.theta == sign * np.pi
+        assert rep.to_dict()["theta"] == -np.pi
 
     def test_identities_hold_for_random_input(self):
         rng = np.random.default_rng(98)

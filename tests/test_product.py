@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import g2calc.product as product_module
 from g2calc.forms import KForm, form_norm, pullback, rel_residual, wedge
 from g2calc.g2 import standard_g2
 from g2calc.ddt import ddt_residual, is_solution, solution_report
@@ -258,6 +259,11 @@ class TestZeroPhaseFlux:
             f = zero_phase_flux(rng, su3)
             _, theta = radius_angle(normal_form(su3.point, f).lambdas)
             assert abs(theta) < 1e-13
+
+    def test_bound_is_read_at_call_time(self, su3, monkeypatch):
+        monkeypatch.setattr(product_module, "ZERO_PHASE_BOUND", 0.0)
+        f = zero_phase_flux(np.random.default_rng(123), su3)
+        assert np.all(f.coeffs == 0.0)
 
     def test_is_one_one(self, su3):
         rng = np.random.default_rng(120)
