@@ -49,6 +49,7 @@ from .g2 import G2Data, metric_from_three_form, project2, _or_standard, _require
 SOLUTION_TOL = 1e-9
 DEGENERATE_TOL = 1e-10
 RANK_CUTOFF = 1e-10
+DENSITY_ROUTES_TOL = 1e-8
 DENSITY_ROUTES_ERROR = "linearised density routes disagree beyond tolerance"
 
 # Positions of e23, e45 and e67 among the 2-form coefficients.
@@ -123,16 +124,20 @@ def _solves(residual_norm, flux_norm, tol: float):
     return residual_norm <= tol * np.maximum(1.0, np.power(flux_norm, 3))
 
 
-def is_solution(f: KForm, data: G2Data | None = None, tol: float = SOLUTION_TOL) -> bool:
-    """Whether F solves the deformed equation; a batch gives one answer per row."""
+def is_solution(f: KForm, data: G2Data | None = None, tol: float | None = None) -> bool:
+    """Whether F solves the deformed equation at tol (SOLUTION_TOL if None).
+
+    A batch gives one answer per row.
+    """
     data = _or_standard(data)
     m = data.metric
+    tol = SOLUTION_TOL if tol is None else tol
     return _scalar(_solves(form_norm(ddt_residual(f, data), m), form_norm(f, m), tol))
 
 
 def _require_solution(f: KForm, data: G2Data) -> None:
     # Every row of a batch must solve at SOLUTION_TOL.
-    if not np.all(is_solution(f, data, SOLUTION_TOL)):
+    if not np.all(is_solution(f, data)):
         raise ValueError("input does not solve the deformed equation at this tolerance")
 
 
@@ -325,19 +330,21 @@ def linearization_density(
     f: KForm,
     b2: KForm,
     data: G2Data | None = None,
-    tol_identity: float = 1e-8,
+    tol_identity: float | None = None,
 ) -> KForm:
     """The 6-form b2 ^ (-F^2/2 + star(phi)) at a solution.
 
     Cross-checked against sign(factor) * b2 ^ star(tilde_phi) computed in
-    the induced conformal structure; a mismatch raises.  A batch raises
-    when any row is not a solution or its routes disagree.
+    the induced conformal structure; a relative mismatch above tol_identity
+    (DENSITY_ROUTES_TOL if None) raises.  A batch raises when any row is
+    not a solution or its routes disagree.
     """
     data = _or_standard(data)
     _require_two_form(f)
     _require_two_form(b2)
     _require_solution(f, data)
     density, disagreement = _density_routes(f, b2, data)
+    tol_identity = DENSITY_ROUTES_TOL if tol_identity is None else tol_identity
     if not np.all(disagreement <= tol_identity):
         raise ValueError(DENSITY_ROUTES_ERROR)
     return density

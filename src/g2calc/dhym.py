@@ -366,20 +366,22 @@ def dhym_report(point: HermitianPoint, f: KForm) -> DhymReport:
 
 
 def symbol_bound(point: HermitianPoint, f: KForm | NormalForm, xi: KForm,
-                 tol_identity: float = ONE_ONE_TOL) -> tuple[float, float]:
+                 tol_identity: float | None = None) -> tuple[float, float]:
     """Principal symbol of the linearised operator at a covector, with its floor.
 
     Returns (sigma, bound) where sigma = sum_i (xi(u_i)^2 + xi(v_i)^2)
     / (1 + lambda_i^2) and bound = |xi|^2 / (1 + max lambda_i^2), so
     ellipticity is the statement sigma >= bound.  The eigenvalue route is
     checked against the ratio n omega_nabla^{n-1} ^ xi ^ J^{-1} xi over
-    omega_nabla^n before returning.  Batches of forms and covectors give
-    arrays, and any row whose routes disagree raises.
+    omega_nabla^n to tol_identity (ONE_ONE_TOL if None) before returning.
+    Batches of forms and covectors give arrays, and any row whose routes
+    disagree raises.
     """
     nf = f if isinstance(f, NormalForm) else normal_form(point, f)
     if (xi.dim, xi.grade) != (2 * point.n, 1):
         raise ValueError(f"expected a 1-form on R^{2 * point.n}")
     sigma, bound, disagreement = _symbol_routes(point, nf, xi)
+    tol_identity = ONE_ONE_TOL if tol_identity is None else tol_identity
     if not np.all(disagreement <= tol_identity):
         raise ValueError(SYMBOL_ROUTES_ERROR)
     return sigma, bound

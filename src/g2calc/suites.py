@@ -59,7 +59,7 @@ from .forms import (
 )
 from .g2 import g2_bundle, identity_battery, standard_g2
 from .product import correspondence_check, standard_su3, _zero_phase_draw, _zero_phase_fluxes
-from .torus import adjoint_check, harmonic_dim
+from .torus import adjoint_check, harmonic_dim, harmonic_dims
 
 SUITE_IDS: dict[str, int] = {
     "appendixA": 1,
@@ -582,15 +582,14 @@ def _run_product(campaign: Campaign, rng: np.random.Generator) -> Report:
 
 def _run_torus(campaign: Campaign, rng: np.random.Generator) -> Report:
     rec = _Recorder("torus")
-    summary = None
-    for cutoff in (1, 2, 3):
-        summary = harmonic_dim(cutoff)
+    summaries = harmonic_dims(3)
+    for summary in summaries[1:]:
         rec.expect(
-            f"dimension counts at cutoff {cutoff}",
+            f"dimension counts at cutoff {summary.cutoff}",
             (summary.dim_check_H1, summary.dim_H2, summary.b1) == (7, 0, 7),
             **summary.to_dict(),
         )
-    rec.details.update(summary.to_dict())
+    rec.details.update(summaries[-1].to_dict())
 
     rescaled = harmonic_dim(1, c=-2.0)
     rec.expect("counts ignore the coupling scale",

@@ -28,14 +28,12 @@ from .g2 import G2Data, _or_standard
 # counts as zero: exact kernels sit below 1e-7, genuine ones above 0.4.
 KERNEL_RTOL = 1e-6
 
-# Most modes per block of Gram matrices in betti_one and harmonic_dim.  The tail of
-# the box is its last m coordinates, for the largest m with side^m <= CHUNK, and a
-# block holds whole tails.  For 7 x 7 Grams a block's working set is about 680
-# bytes per mode: its packed Grams, the tiled tail table and the screen's
-# temporaries.  At 2048 modes that is about 1.4 MB, inside a 2 MB per-core L2
-# cache; at 8192 it spilled, and the cutoff-2 and cutoff-3 counts took about 1.7
-# times as long.  A sweep of 1024 to 8192 on a 2-core Xeon picked 2048, with 1536
-# to 3072 within a few per cent of it.
+# Most modes per block of Gram matrices in the box counts: a block holds whole tails, the
+# last m coordinates for the largest m with side^m <= CHUNK.  For 7 x 7 Grams a block's
+# working set is about 470 bytes per mode (packed Grams and screen temporaries), so 2048
+# modes fit a 2 MB per-core L2 cache.  In two sweeps of the cutoff-3 and cutoff-1 counts on
+# a 2-core Xeon, 1536 and 2048 were within 4 % of each other, and 1024, 3072 and 4096
+# (2401-mode blocks at cutoff 3) took 20-32 % longer.
 CHUNK = 2048
 
 
@@ -199,18 +197,12 @@ def _index(name: str, value) -> int:
 def _half_box_grams(tensor: np.ndarray, cutoff: int):
     """Packed Grams of the half box from the centre k = 0 on, in blocks of whole head prefixes.
 
-    The d coordinates split into a head (the first d - m) and a tail (the
-    last m), with m the largest value such that side^m <= CHUNK.  At
-    k = (h, t) the quadratic form splits as
-    G(h, t) = G(0, t) + G(h, 0) + sum_{j in head, l in tail} h_j t_l q[j, l],
-    so the tail table G(0, t) over all side^m tail modes is built once,
-    and each prefix h adds one (U, m + 1) @ (m + 1, side^m) product: the
-    cross term and, against a row of ones, the constant G(h, 0).  The
-    first block is the centre's prefix h = 0 from the centre of its tail
-    on, which is G(0, t) alone; after it, each block holds
-    CHUNK // side^m whole prefixes, and their maps are built side blocks
-    at a time.  Yields (offset, grams), where offset is the flat index of
-    the block's first mode less that of the centre.
+    The head h is the first d - m coordinates and the tail t the last m, for the largest m
+    with side^m <= CHUNK.  G(h, t) is a quadratic in t with coefficients depending on h, so a
+    prefix is one (U, K) map against the K = m(m+1)/2 + m + 1 tail monomials (t_j t_l, t_l, 1),
+    and a block of CHUNK // side^m prefixes is one product with the monomial table.  The first
+    block is the centre's prefix h = 0 from the tail centre on, the quadratic part alone.
+    Yields (offset, grams), offset being the flat index of the block's first mode less the centre's.
     """
     d = len(tensor)
     side = 2 * cutoff + 1
@@ -222,62 +214,62 @@ def _half_box_grams(tensor: np.ndarray, cutoff: int):
     # pair[j, l] is the row of q that holds the pair {j, l}.
     pair = _packing(d)[2].reshape(d, d)
     # The tail modes as columns, in C order, as np.unravel_index gives them.
-    tail_modes = np.indices((side,) * m).reshape(m, n) - cutoff
-    # G(0, t) is even in t, and t and -t sit at tail indices i and n - 1 - i: the half
-    # from the tail centre on is the block of the centre prefix h = 0, and mirrors to the rest.
-    half = _mode_grams(q[pair[head:, head:][_packing(m)[:2]]], tail_modes[:, n // 2:])
-    yield 0, half
-    tail = np.concatenate([half[:, :0:-1], half], axis=1)
+    tail = np.indices((side,) * m).reshape(m, n) - cutoff
+    j, l = _packing(m)[:2]
+    monomials = np.vstack([tail[j] * tail[l], tail, np.ones((1, n))])
+    q_tail = q[pair[head:, head:][j, l]].T
+    u, quadratic = q_tail.shape
+    # t and -t sit at tail indices i and n - 1 - i: the half from the tail centre on.
+    yield 0, q_tail @ monomials[:quadratic, n // 2:]
     q_head, q_cross = q[pair[:head, :head][_packing(head)[:2]]], q[pair[:head, head:]]
     # Prefix index to head mode, as np.unravel_index in C order.
     strides = side ** np.arange(head - 1, -1, -1)[:, None]
-    columns = np.vstack([tail_modes, np.ones((1, n))])
     centre = side**head // 2
     step = CHUNK // n
-    # The tail table repeated for the most prefixes a block holds; centre is the number of later prefixes.
-    tiled = np.tile(tail, min(step, centre))
     # The prefix maps are built for side blocks at a time: a block of a few modes does
     # not pay their numpy calls alone, and they cover at most side * CHUNK / side^m prefixes.
     for start in range(centre + 1, side**head, side * step):
         stop = min(start + side * step, side**head)
         h = np.arange(start, stop) // strides % side - cutoff
-        # linear[:, p] is the (U, m + 1) map of prefix p, applied to the tail modes over a row of ones.
-        linear = np.concatenate([np.einsum("jp,jlu->upl", h, q_cross),
+        # linear[:, p] is the (U, K) map of prefix p: quadratic part, cross term and G(h, 0).
+        linear = np.concatenate([np.broadcast_to(q_tail[:, None], (u, stop - start, quadratic)),
+                                 np.einsum("jp,jlu->upl", h, q_cross),
                                  _mode_grams(q_head, h)[:, :, None]], axis=2)
         for first in range(start, stop, step):
-            maps = linear[:, first - start:first - start + step].reshape(-1, m + 1)
-            grams = (maps @ columns).reshape(len(tail), -1)
-            grams += tiled[:, :grams.shape[1]]
-            yield (first - centre) * n - n // 2, grams
+            maps = linear[:, first - start:first - start + step].reshape(-1, len(monomials))
+            yield (first - centre) * n - n // 2, (maps @ monomials).reshape(u, -1)
 
 
-def _kernel_total(tensor: np.ndarray, cutoff: int) -> int:
-    """Sum per-mode kernel dimensions of i * sum k_j tensor[j] over the box.
+def _kernel_shells(tensor: np.ndarray, cutoff: int) -> np.ndarray:
+    """Kernel dimensions of i * sum k_j tensor[j] over the box, per shell max|k_i| = 0..cutoff.
 
-    The Gram matrix is even in k, and k and -k sit at flat indices i and
-    total - 1 - i, so only the half from the centre (k = 0) on is evaluated
-    (_half_box_grams): the centre counts once and every other mode twice.
-    A Gershgorin screen (_screen_open) settles the modes whose Grams are
-    too well conditioned to have a kernel; eigvalsh counts the zero
-    eigenvalues of the rest, and a block with no open mode costs none.
-    The screen settles only modes where eigvalsh, within its rounding
-    error, would count none, so the total is the same integer.  Any CHUNK
-    gives the same total.
+    The Gram matrix is even in k, and k and -k sit at flat indices i and total - 1 - i, so
+    only the half box from k = 0 on is evaluated (_half_box_grams): the centre counts once and
+    every other mode twice.  The Gershgorin screen (_screen_open) settles only modes where
+    eigvalsh, within its rounding error, would count no kernel, and eigvalsh counts the rest.
+    So the counts are the same integers at any CHUNK, and their running sums are the counts
+    of every smaller box.
     """
     cutoff = _index("cutoff", cutoff)
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
-    count = 0
+    box = (2 * cutoff + 1,) * len(tensor)
+    centre = box[0] ** len(tensor) // 2
+    shells = np.zeros(cutoff + 1, dtype=np.int64)
     for offset, grams in _half_box_grams(tensor, cutoff):
         open_ = np.flatnonzero(_screen_open(grams))
         if len(open_):
             eigs = np.linalg.eigvalsh(_unpacked(grams[:, open_]))
-            zero = eigs <= KERNEL_RTOL**2 * eigs[:, -1:]
-            count += 2 * int(np.count_nonzero(zero))
-            # The centre is the first mode of the first block, and counts once.
-            if offset == 0 and open_[0] == 0:
-                count -= int(np.count_nonzero(zero[0]))
-    return count
+            zero = np.count_nonzero(eigs <= KERNEL_RTOL**2 * eigs[:, -1:], axis=1)
+            flat = centre + offset + open_
+            shell = np.abs(np.array(np.unravel_index(flat, box)) - cutoff).max(axis=0)
+            np.add.at(shells, shell, np.where(flat == centre, 1, 2) * zero)
+    return shells
+
+
+def _kernel_total(tensor: np.ndarray, cutoff: int) -> int:
+    """The sum of _kernel_shells over the box of the cutoff."""
+    return int(_kernel_shells(tensor, cutoff).sum())
 
 
 @dataclass(frozen=True)
@@ -299,23 +291,30 @@ def betti_one(cutoff: int, data: G2Data | None = None) -> int:
     return _kernel_total(_symbol(np.eye(21), data.metric), cutoff)
 
 
-def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0) -> CohomologySummary:
-    """Count check-harmonic one-forms over the mode box and derive the rest.
+def harmonic_dims(cutoff: int, data: G2Data | None = None,
+                  c: float = 1.0) -> list[CohomologySummary]:
+    """Check-harmonic one-form counts and what they give, for the boxes of cutoffs 0..cutoff.
 
-    dim_check_H1 sums the kernels of the stacked (d1_prime; dstar1) blocks;
-    b1 is counted from the ordinary harmonic condition on the same box,
-    and dim_H2 is their difference.  b1 does not depend on c, so it is
-    counted once per structure and cutoff and kept in the structure's cache.
+    dim_check_H1 sums the kernels of the stacked (d1_prime; dstar1) blocks,
+    b1 those of the ordinary harmonic condition, and dim_H2 is their
+    difference.  The boxes are nested, so one sweep of the largest box per
+    tensor gives every cutoff.  b1 does not depend on c: it is kept in the
+    structure's cache per cutoff and swept only when a cutoff is missing.
     """
     data = _or_standard(data)
-    # A plain int, so that the summary serialises and numpy integers share the cache.
-    cutoff = _index("cutoff", cutoff)
-    check_h1 = _kernel_total(_check_tensor(data, c), cutoff)
-    key = ("betti_one", cutoff)
-    if key not in data._cache:
-        data._cache[key] = betti_one(cutoff, data)
-    b1 = data._cache[key]
-    return CohomologySummary(cutoff, check_h1, check_h1 - b1, b1)
+    # Plain ints, so that the summaries serialise and numpy integers share the cache.
+    check = np.cumsum(_kernel_shells(_check_tensor(data, c), cutoff)).tolist()
+    keys = [("betti_one", s) for s in range(len(check))]
+    if not all(key in data._cache for key in keys):
+        b1 = np.cumsum(_kernel_shells(_symbol(np.eye(21), data.metric), cutoff)).tolist()
+        data._cache.update(zip(keys, b1))
+    b1 = [data._cache[key] for key in keys]
+    return [CohomologySummary(s, h, h - b, b) for s, (h, b) in enumerate(zip(check, b1))]
+
+
+def harmonic_dim(cutoff: int, data: G2Data | None = None, c: float = 1.0) -> CohomologySummary:
+    """The summary of the box of the cutoff: the last entry of harmonic_dims."""
+    return harmonic_dims(cutoff, data, c)[-1]
 
 
 def adjoint_check(k, data: G2Data | None = None, c: float = 1.0) -> float | np.ndarray:

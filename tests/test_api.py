@@ -26,7 +26,7 @@ PUBLIC_API = {
     "product_g2", "product_phi", "product_psi", "standard_su3",
     "zero_phase_flux",
     "CohomologySummary", "ModeBlock", "adjoint_check", "betti_one",
-    "harmonic_dim", "mode_block",
+    "harmonic_dim", "harmonic_dims", "mode_block",
     "SUITE_IDS", "Campaign", "Report", "all_passed", "emit",
 }
 

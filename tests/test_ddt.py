@@ -263,6 +263,23 @@ class TestSolutionTolIsReadAtCallTime:
         with pytest.raises(ValueError, match="does not solve"):
             check(f, G)
 
+    def test_is_solution_default(self, G, monkeypatch):
+        # The default used to be bound when the module loaded, so this stayed True.
+        f = self.inexact_solution(G)
+        assert is_solution(f)
+        monkeypatch.setattr(ddt_module, "SOLUTION_TOL", 0.0)
+        assert not is_solution(f)
+        assert is_solution(f, tol=1e-9)
+
+    def test_density_routes_default(self, G, monkeypatch):
+        f = cartan_solutions(0.5, -0.2, -0.3)[0]
+        b2 = KForm(7, 2, np.ones(21))
+        linearization_density(f, b2, G)
+        monkeypatch.setattr(ddt_module, "DENSITY_ROUTES_TOL", 0.0)
+        with pytest.raises(ValueError, match="routes disagree"):
+            linearization_density(f, b2, G)
+        linearization_density(f, b2, G, tol_identity=1e-8)
+
 
 class TestInducedStructure:
     def test_zero_flux_is_identity(self, G):

@@ -564,6 +564,18 @@ class TestSymbol:
                 assert sigma >= bound - 1e-12
                 assert sigma > 0.0
 
+    def test_route_tolerance_is_read_at_call_time(self, monkeypatch):
+        # The default used to be bound when the module loaded, so a zero ONE_ONE_TOL passed.
+        rng = np.random.default_rng(101)
+        point = standard_kahler(3)
+        nf = normal_form(point, random_one_one(rng, point))
+        xi = KForm(6, 1, rng.standard_normal(6))
+        symbol_bound(point, nf, xi)
+        monkeypatch.setattr(dhym_module, "ONE_ONE_TOL", 0.0)
+        with pytest.raises(ValueError, match="symbol routes disagree"):
+            symbol_bound(point, nf, xi)
+        symbol_bound(point, nf, xi, tol_identity=1e-8)
+
     def test_accepts_prepared_normal_form(self):
         rng = np.random.default_rng(101)
         point = standard_kahler(3)

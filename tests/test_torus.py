@@ -18,6 +18,7 @@ from g2calc.torus import (
     _coordinate_wedge,
     _gram_form,
     _half_box_grams,
+    _kernel_shells,
     _kernel_total,
     _mode_grams,
     _screen_open,
@@ -26,6 +27,7 @@ from g2calc.torus import (
     adjoint_check,
     betti_one,
     harmonic_dim,
+    harmonic_dims,
     mode_block,
     symbol_tensors,
 )
@@ -137,8 +139,15 @@ def tensors(G, perturbed):
 
 
 @pytest.fixture(scope="module")
-def reference_counts():
-    return {}
+def reference(tensors):
+    """full_box_total of a named tensor at a cutoff, computed once per module."""
+    counts = {}
+
+    def count(name, cutoff):
+        if (name, cutoff) not in counts:
+            counts[name, cutoff] = full_box_total(tensors[name], cutoff)
+        return counts[name, cutoff]
+    return count
 
 
 class TestModeBlock:
@@ -367,19 +376,26 @@ class TestDimensionCounts:
         assert (summary.dim_check_H1, summary.dim_H2, summary.b1) == (7, 0, 7)
 
     def test_b1_is_counted_once_per_structure_and_cutoff(self, monkeypatch):
+        # One b1 sweep per structure and largest cutoff; smaller cutoffs are read from it.
         data = g2_bundle(standard_g2().phi)
-        counted = []
+        b1 = b1_tensor(data)
+        swept = []
 
-        def counting_betti_one(*args):
-            counted.append(args[0])
-            return betti_one(*args)
+        def counting_shells(tensor, cutoff):
+            if np.array_equal(tensor, b1):
+                swept.append(cutoff)
+            return shells(tensor, cutoff)
 
-        monkeypatch.setattr(torus, "betti_one", counting_betti_one)
+        shells = torus._kernel_shells
+        monkeypatch.setattr(torus, "_kernel_shells", counting_shells)
         assert harmonic_dim(1, data) == CohomologySummary(1, 7, 0, 7)
         assert harmonic_dim(1, data, c=-2.0) == CohomologySummary(1, 7, 0, 7)
-        assert counted == [1]
-        assert harmonic_dim(2, data).b1 == 7
-        assert counted == [1, 2]
+        assert swept == [1]
+        assert harmonic_dims(2, data)[1:] == [CohomologySummary(1, 7, 0, 7), CohomologySummary(2, 7, 0, 7)]
+        assert swept == [1, 2]
+        assert harmonic_dim(0, data) == CohomologySummary(0, 7, 0, 7)
+        assert harmonic_dim(2, data, c=3.0) == CohomologySummary(2, 7, 0, 7)
+        assert swept == [1, 2]
 
     def test_chunking_does_not_change_counts(self, G, monkeypatch):
         tensor = check_tensor(G)
@@ -404,6 +420,27 @@ class TestKernelCounter:
         # other mode, so the box holds 7 + (side^7 - 1) kernel dimensions.
         side = 2 * cutoff + 1
         assert _kernel_total(_coordinate_wedge(7, 1), cutoff) == 7 + side**7 - 1
+
+    @pytest.mark.parametrize("chunk, cutoff", [(1, 1), (100, 1), (torus.CHUNK, 1), (torus.CHUNK, 2)])
+    def test_known_kernel_shells(self, monkeypatch, chunk, cutoff):
+        # Seven dimensions at the centre and one at each other mode, by shell max|k_i|: at
+        # cutoff 2, [7, 3^7 - 1, 5^7 - 3^7].  Every mode is open, and at CHUNK 1 each is an
+        # eigvalsh call of its own, so cutoff 2 runs at the default CHUNK alone.
+        monkeypatch.setattr(torus, "CHUNK", chunk)
+        want = [7] + [(2 * s + 1) ** 7 - (2 * s - 1) ** 7 for s in range(1, cutoff + 1)]
+        assert _kernel_shells(_coordinate_wedge(7, 1), cutoff).tolist() == want
+
+    @pytest.mark.parametrize("chunk", [1, 100, torus.CHUNK])
+    def test_one_sweep_gives_every_smaller_box(self, G, perturbed, reference, monkeypatch, chunk):
+        # A fresh cache, so that b1 is swept at this CHUNK too.
+        monkeypatch.setattr(torus, "CHUNK", chunk)
+        flat, moved = (dataclasses.replace(data, _cache={}) for data in (G, perturbed))
+        for data, c, check, b1 in ((flat, 1.0, "flat_check", "flat_b1"),
+                                   (flat, -2.0, "flat_check_c-2", "flat_b1"),
+                                   (moved, 1.0, "perturbed_check", "perturbed_b1")):
+            counts = [(reference(check, s), reference(b1, s)) for s in range(3)]
+            assert harmonic_dims(2, data, c) == [CohomologySummary(s, h, h - b, b)
+                                                 for s, (h, b) in enumerate(counts)]
 
     @pytest.mark.parametrize("chunk", [1, 100, 8192])
     @pytest.mark.parametrize("cutoff", [1, 2])
@@ -444,28 +481,21 @@ class TestKernelCounter:
         ("flat_check_c-2", 1),
         ("perturbed_check", 1), ("perturbed_b1", 1),
     ])
-    def test_half_box_matches_full_box(self, tensors, reference_counts, monkeypatch,
-                                       name, cutoff, chunk):
+    def test_half_box_matches_full_box(self, tensors, reference, monkeypatch, name, cutoff, chunk):
         # Chunks of 1 and 2 make every coordinate a head coordinate, so a
         # block holds one or two modes and the centre (k = 0) is a block of
         # its own; the reference walks the whole box.
-        key = (name, cutoff)
-        if key not in reference_counts:
-            reference_counts[key] = full_box_total(tensors[name], cutoff)
         monkeypatch.setattr(torus, "CHUNK", chunk)
-        assert _kernel_total(tensors[name], cutoff) == reference_counts[key]
+        assert _kernel_total(tensors[name], cutoff) == reference(name, cutoff)
 
     @pytest.mark.parametrize("m", range(8))
     @pytest.mark.parametrize("name", ["known_kernel", "flat_check", "flat_b1", "flat_check_c-2",
                                       "perturbed_check", "perturbed_b1"])
-    def test_every_split_matches_full_box(self, tensors, reference_counts, monkeypatch, name, m):
+    def test_every_split_matches_full_box(self, tensors, reference, monkeypatch, name, m):
         # CHUNK = side^m puts exactly the last m coordinates in the tail.
-        key = (name, 1)
-        if key not in reference_counts:
-            reference_counts[key] = full_box_total(tensors[name], 1)
         monkeypatch.setattr(torus, "CHUNK", 3**m)
         assert len(list(_half_box_grams(tensors[name], 1))) == 3 ** (7 - m) // 2 + 1
-        assert _kernel_total(tensors[name], 1) == reference_counts[key]
+        assert _kernel_total(tensors[name], 1) == reference(name, 1)
 
     @pytest.mark.parametrize("m", range(5))
     @pytest.mark.parametrize("cutoff", [1, 2])
