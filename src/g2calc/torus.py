@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from math import isfinite, isqrt
+from math import isfinite
 from numbers import Real
 
 import numpy as np
@@ -30,10 +30,11 @@ KERNEL_RTOL = 1e-6
 
 # Most modes per block of Gram matrices in the box counts: a block holds whole tails, the
 # last m coordinates for the largest m with side^m <= CHUNK.  For 7 x 7 Grams a block's
-# working set is about 470 bytes per mode (packed Grams and screen temporaries), so 2048
-# modes fit a 2 MB per-core L2 cache.  In two sweeps of the cutoff-3 and cutoff-1 counts on
-# a 2-core Xeon, 1536 and 2048 were within 4 % of each other, and 1024, 3072 and 4096
-# (2401-mode blocks at cutoff 3) took 20-32 % longer.
+# working set is at most about 470 bytes per mode (all 28 packed entries and the screen
+# temporaries; about 75 bytes with the 7 diagonal entries alone), so 2048 modes fit a 2 MB
+# per-core L2 cache.  In two sweeps of the cutoff-3 and cutoff-1 counts on a 2-core Xeon,
+# with all 28 entries built, 1536 and 2048 were within 4 % of each other, and 1024, 3072
+# and 4096 (2401-mode blocks at cutoff 3) took 20-32 % longer.
 CHUNK = 2048
 
 
@@ -158,33 +159,53 @@ def _mode_grams(q: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return q.T @ (k[j] * k[l])
 
 
-def _screen_open(grams: np.ndarray) -> np.ndarray:
-    """Columns of a packed Gram stack (U, n) that may have a kernel.
+def _kept_entries(q: np.ndarray, c: int) -> np.ndarray:
+    """The packed entries of a c x c Gram that the table q of _gram_form can make nonzero.
 
+    These are the c diagonal entries and every off-diagonal entry whose
+    column of q is not all zero; NaN and inf count as nonzero.  Every term
+    of a dropped entry is 0 times a finite mode product, so the entry is
+    exactly 0.0 at every finite mode.
+    """
+    keep = q.any(axis=0)
+    keep[:c] = True
+    return np.flatnonzero(keep)
+
+
+def _screen_open(grams: np.ndarray, incidence: np.ndarray) -> np.ndarray:
+    """Columns of a packed Gram stack that may have a kernel.
+
+    grams holds the c diagonal entries of each Gram, then its off-diagonal
+    entries in the order of the columns of the (c, p) incidence, which are
+    columns of _packing(c)[3]; every off-diagonal entry left out is zero.
     A column is settled when lo > 2 rtol^2 trace(G), where by Gershgorin's
     theorem lo = min_i (G_ii - sum_{j != i} |G_ij|) bounds every eigenvalue
-    of the symmetric G from below.  The bound is sound.  If trace(G) <= 0,
-    then lo <= min_i G_ii <= trace(G) / c <= 2 rtol^2 trace(G), so the
-    column stays open.  Otherwise lo > 0 makes G positive definite, so
-    lambda_max <= trace(G) and lambda_min >= lo > 2 rtol^2 lambda_max;
-    eigvalsh errs there by about 1e-15 lambda_max, far below the threshold,
-    so it would count no kernel either.  NaN and inf columns compare false
-    and stay open.
+    of the symmetric G from below; a zero entry adds nothing to the sums,
+    and with no off-diagonal entry lo is the least diagonal entry.  The
+    bound is sound.  If trace(G) <= 0, then lo <= min_i G_ii <= trace(G) / c
+    <= 2 rtol^2 trace(G), so the column stays open.  Otherwise lo > 0 makes
+    G positive definite, so lambda_max <= trace(G) and lambda_min >= lo >
+    2 rtol^2 lambda_max; eigvalsh errs there by about 1e-15 lambda_max, far
+    below the threshold, so it would count no kernel either.  NaN and inf
+    columns compare false and stay open.
     """
-    c = (isqrt(8 * len(grams) + 1) - 1) // 2   # U = c(c+1)/2
+    c = len(incidence)
     diag = grams[:c]
-    lo = _packing(c)[3] @ np.abs(grams[c:])
-    np.subtract(diag, lo, out=lo)
+    lo = diag
+    if incidence.size:
+        lo = incidence @ np.abs(grams[c:])
+        np.subtract(diag, lo, out=lo)
     bound = diag.sum(axis=0)
     # The factor 2 leaves room for rounding in the Gram, the bounds and eigvalsh.
     bound *= 2 * KERNEL_RTOL**2
     return ~(lo.min(axis=0) > bound)
 
 
-def _unpacked(grams: np.ndarray) -> np.ndarray:
-    """The (n, c, c) symmetric matrices of a packed Gram stack (U, n)."""
-    c = (isqrt(8 * len(grams) + 1) - 1) // 2
-    return grams[_packing(c)[2]].T.reshape(-1, c, c)
+def _unpacked(grams: np.ndarray, c: int, kept: np.ndarray) -> np.ndarray:
+    """The (n, c, c) symmetric matrices of the packed entries kept (len(kept), n), zero elsewhere."""
+    packed = np.zeros((c * (c + 1) // 2, grams.shape[1]))
+    packed[kept] = grams
+    return packed[_packing(c)[2]].T.reshape(-1, c, c)
 
 
 def _index(name: str, value) -> int:
@@ -194,23 +215,24 @@ def _index(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _half_box_grams(tensor: np.ndarray, cutoff: int):
+def _half_box_grams(q: np.ndarray, d: int, cutoff: int):
     """Packed Grams of the half box from the centre k = 0 on, in blocks of whole head prefixes.
 
+    q is the table of _gram_form over d coordinates, restricted to u of its packed entries:
+    each block has one row per entry.  _kernel_shells keeps the entries of _kept_entries, and
+    every entry it drops is exactly 0.0 at every mode, so it is not built.
     The head h is the first d - m coordinates and the tail t the last m, for the largest m
     with side^m <= CHUNK.  G(h, t) is a quadratic in t with coefficients depending on h, so a
-    prefix is one (U, K) map against the K = m(m+1)/2 + m + 1 tail monomials (t_j t_l, t_l, 1),
+    prefix is one (u, K) map against the K = m(m+1)/2 + m + 1 tail monomials (t_j t_l, t_l, 1),
     and a block of CHUNK // side^m prefixes is one product with the monomial table.  The first
     block is the centre's prefix h = 0 from the tail centre on, the quadratic part alone.
     Yields (offset, grams), offset being the flat index of the block's first mode less the centre's.
     """
-    d = len(tensor)
     side = 2 * cutoff + 1
     m = d
     while m and side**m > CHUNK:
         m -= 1
     head, n = d - m, side**m
-    q = _gram_form(tensor)
     # pair[j, l] is the row of q that holds the pair {j, l}.
     pair = _packing(d)[2].reshape(d, d)
     # The tail modes as columns, in C order, as np.unravel_index gives them.
@@ -231,7 +253,7 @@ def _half_box_grams(tensor: np.ndarray, cutoff: int):
     for start in range(centre + 1, side**head, side * step):
         stop = min(start + side * step, side**head)
         h = np.arange(start, stop) // strides % side - cutoff
-        # linear[:, p] is the (U, K) map of prefix p: quadratic part, cross term and G(h, 0).
+        # linear[:, p] is the (u, K) map of prefix p: quadratic part, cross term and G(h, 0).
         linear = np.concatenate([np.broadcast_to(q_tail[:, None], (u, stop - start, quadratic)),
                                  np.einsum("jp,jlu->upl", h, q_cross),
                                  _mode_grams(q_head, h)[:, :, None]], axis=2)
@@ -245,21 +267,28 @@ def _kernel_shells(tensor: np.ndarray, cutoff: int) -> np.ndarray:
 
     The Gram matrix is even in k, and k and -k sit at flat indices i and total - 1 - i, so
     only the half box from k = 0 on is evaluated (_half_box_grams): the centre counts once and
-    every other mode twice.  The Gershgorin screen (_screen_open) settles only modes where
-    eigvalsh, within its rounding error, would count no kernel, and eigvalsh counts the rest.
-    So the counts are the same integers at any CHUNK, and their running sums are the counts
-    of every smaller box.
+    every other mode twice.  Only the packed Gram entries of _kept_entries are built and
+    screened; the rest are exactly 0.0 at every mode, so the screen and eigvalsh see the same
+    matrices as with every entry built.  The Gershgorin screen (_screen_open) settles only
+    modes where eigvalsh, within its rounding error, would count no kernel, and eigvalsh counts
+    the rest.  So the counts are the same integers at any CHUNK, and their running sums are the
+    counts of every smaller box.
     """
     cutoff = _index("cutoff", cutoff)
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
-    box = (2 * cutoff + 1,) * len(tensor)
-    centre = box[0] ** len(tensor) // 2
+    d, c = len(tensor), tensor.shape[2]
+    box = (2 * cutoff + 1,) * d
+    centre = box[0] ** d // 2
+    q = _gram_form(tensor)
+    kept = _kept_entries(q, c)
+    incidence = _packing(c)[3][:, kept[c:] - c]
     shells = np.zeros(cutoff + 1, dtype=np.int64)
-    for offset, grams in _half_box_grams(tensor, cutoff):
-        open_ = np.flatnonzero(_screen_open(grams))
-        if len(open_):
-            eigs = np.linalg.eigvalsh(_unpacked(grams[:, open_]))
+    for offset, grams in _half_box_grams(q[:, kept], d, cutoff):
+        open_ = _screen_open(grams, incidence)
+        if open_.any():
+            open_ = np.flatnonzero(open_)
+            eigs = np.linalg.eigvalsh(_unpacked(grams[:, open_], c, kept))
             zero = np.count_nonzero(eigs <= KERNEL_RTOL**2 * eigs[:, -1:], axis=1)
             flat = centre + offset + open_
             shell = np.abs(np.array(np.unravel_index(flat, box)) - cutoff).max(axis=0)

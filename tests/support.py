@@ -432,3 +432,16 @@ def reference_product(campaign: Campaign, rng: np.random.Generator) -> Report:
             solved_neither += 1
     rec.details = {"solved_both": solved_both, "solved_neither": solved_neither}
     return rec.report()
+
+
+def suite_changes(old: list[dict], new: list[dict]) -> str:
+    """Per suite of two parsed `emit` reports, the old and new passed, failed and worst residual."""
+    fields = ("passed", "failed", "worst_residual")
+    old_by, new_by = ({r["suite"]: r for r in reports} for reports in (old, new))
+    lines = []
+    for suite in dict.fromkeys([*old_by, *new_by]):
+        was, now = old_by.get(suite, {}), new_by.get(suite, {})
+        moved = " ".join(f"{f} {was.get(f)!r} -> {now.get(f)!r}" for f in fields)
+        mark = "" if was == now else "  (report differs)"
+        lines.append(f"{suite}: {moved}{mark}")
+    return "\n".join(lines)

@@ -18,9 +18,11 @@ from g2calc.torus import (
     _coordinate_wedge,
     _gram_form,
     _half_box_grams,
+    _kept_entries,
     _kernel_shells,
     _kernel_total,
     _mode_grams,
+    _packing,
     _screen_open,
     _symbol,
     CohomologySummary,
@@ -74,21 +76,30 @@ def pack(grams):
     return grams[:, rows, cols].T
 
 
-def unpack(packed):
-    """Packed columns (U, n) as the stack of symmetric matrices (n, c, c)."""
-    c = int(np.sqrt(2 * len(packed)))
-    rows, cols = triangle(c)
+def unpack(packed, c, kept):
+    """Columns (len(kept), n) of the packed entries `kept` as matrices (n, c, c), zero elsewhere."""
+    rows, cols = (index[kept] for index in triangle(c))
     full = np.zeros((packed.shape[1], c, c))
     full[:, rows, cols] = packed.T
     full[:, cols, rows] = packed.T
     return full
 
 
+def kept_entries(tensor):
+    """The packed Gram entries the counter builds for a tensor."""
+    return _kept_entries(_gram_form(tensor), tensor.shape[2])
+
+
+def half_box_blocks(tensor, cutoff):
+    """The counter's blocks of kept packed Grams over the half box."""
+    return _half_box_grams(_gram_form(tensor)[:, kept_entries(tensor)], len(tensor), cutoff)
+
+
 def half_box_columns(tensor, cutoff, flat):
-    """The counter's packed Grams at the half-box modes with flat C-order indices `flat`."""
+    """The counter's kept packed Grams at the half-box modes with flat C-order indices `flat`."""
     centre = (2 * cutoff + 1) ** len(tensor) // 2
     found = {}
-    for offset, grams in _half_box_grams(tensor, cutoff):
+    for offset, grams in half_box_blocks(tensor, cutoff):
         for f in flat:
             if 0 <= f - centre - offset < grams.shape[1]:
                 found[f] = grams[:, f - centre - offset]
@@ -126,6 +137,27 @@ def reference_gauge_row(data):
     return -float(h7[0, 0]) * np.einsum("jxa,ab->jxb", w6, h1)[:, 0, :]
 
 
+def two_block_tensor():
+    """Columns 0-2 on rows 0-4 and columns 3-6 on rows 5-7, random within the blocks.
+
+    The 12 Gram entries across the blocks are zero at every mode, the 9 within
+    them are not.  The second block has three rows for four columns, so every
+    mode has a kernel.
+    """
+    rng = np.random.default_rng(149)
+    tensor = np.zeros((7, 8, 7))
+    tensor[:, :5, :3] = rng.standard_normal((7, 5, 3))
+    tensor[:, 5:, 3:] = rng.standard_normal((7, 3, 4))
+    return tensor
+
+
+def zeroed_column_tensor(data):
+    """The flat check tensor with column 2 of its middle rows zeroed and the gauge row kept."""
+    tensor = check_tensor(data)
+    tensor[:, :7, 2] = 0.0
+    return tensor
+
+
 @pytest.fixture(scope="module")
 def tensors(G, perturbed):
     return {
@@ -135,6 +167,8 @@ def tensors(G, perturbed):
         "flat_check_c-2": check_tensor(G, -2.0),
         "perturbed_check": check_tensor(perturbed),
         "perturbed_b1": b1_tensor(perturbed),
+        "two_blocks": two_block_tensor(),
+        "zeroed_column": zeroed_column_tensor(G),
     }
 
 
@@ -442,6 +476,27 @@ class TestKernelCounter:
             assert harmonic_dims(2, data, c) == [CohomologySummary(s, h, h - b, b)
                                                  for s, (h, b) in enumerate(counts)]
 
+    @pytest.mark.parametrize("chunk", [1, 100, torus.CHUNK])
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_partially_sparse_tensor_matches_full_box(self, tensors, reference, monkeypatch,
+                                                      cutoff, chunk):
+        # Only the entries within the two blocks are built; a wrongly dropped one would
+        # change the kernel that every mode has.
+        tensor = tensors["two_blocks"]
+        assert len(kept_entries(tensor)) == 7 + 3 + 6
+        monkeypatch.setattr(torus, "CHUNK", chunk)
+        want = 7 + (2 * cutoff + 1) ** 7 - 1
+        assert _kernel_total(tensor, cutoff) == reference("two_blocks", cutoff) == want
+
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_sparse_path_can_still_fail(self, tensors, reference, cutoff):
+        # The flat check tensor with a defect: the counter still builds only some entries,
+        # and the count rises above 7.
+        assert len(kept_entries(tensors["zeroed_column"])) < 28
+        count = _kernel_total(tensors["zeroed_column"], cutoff)
+        assert count > 7
+        assert count == reference("zeroed_column", cutoff)
+
     @pytest.mark.parametrize("chunk", [1, 100, 8192])
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_dimension_comes_from_the_tensor(self, monkeypatch, cutoff, chunk):
@@ -494,7 +549,7 @@ class TestKernelCounter:
     def test_every_split_matches_full_box(self, tensors, reference, monkeypatch, name, m):
         # CHUNK = side^m puts exactly the last m coordinates in the tail.
         monkeypatch.setattr(torus, "CHUNK", 3**m)
-        assert len(list(_half_box_grams(tensors[name], 1))) == 3 ** (7 - m) // 2 + 1
+        assert len(list(half_box_blocks(tensors[name], 1))) == 3 ** (7 - m) // 2 + 1
         assert _kernel_total(tensors[name], 1) == reference(name, 1)
 
     @pytest.mark.parametrize("m", range(5))
@@ -506,7 +561,7 @@ class TestKernelCounter:
         generic = np.random.default_rng(144).standard_normal((4, 5, 3))
         monkeypatch.setattr(torus, "CHUNK", side**m)
         for tensor in (known, gauged, generic):
-            assert len(list(_half_box_grams(tensor, cutoff))) == side ** (4 - m) // 2 + 1
+            assert len(list(half_box_blocks(tensor, cutoff))) == side ** (4 - m) // 2 + 1
             assert _kernel_total(tensor, cutoff) == full_box_total(tensor, cutoff)
 
     @pytest.mark.parametrize("cutoff", range(5))
@@ -515,7 +570,7 @@ class TestKernelCounter:
         # The memory bound that the CHUNK comment promises, at the default CHUNK.
         tensor = np.random.default_rng(148).standard_normal((d, d + 1, d))
         covered = 0
-        for offset, grams in _half_box_grams(tensor, cutoff):
+        for offset, grams in half_box_blocks(tensor, cutoff):
             assert grams.shape == ((d * (d + 1)) // 2, grams.shape[1])
             assert 0 < grams.shape[1] <= torus.CHUNK
             assert offset == covered
@@ -548,7 +603,7 @@ class TestGramForm:
         data = request.getfixturevalue(structure)
         grams = _mode_grams(_gram_form(check_tensor(data)), modes.T)
         assert grams.shape == (28, len(modes))
-        for k, gram in zip(modes, unpack(grams)):
+        for k, gram in zip(modes, unpack(grams, 7, np.arange(28))):
             s = mode_block(k, data).stacked
             assert rel_residual(gram, (s.conj().T @ s).real) <= 1e-13
 
@@ -570,7 +625,7 @@ class TestGramForm:
             side = 2 * cutoff + 1
             flat = np.ravel_multi_index(tuple((modes + cutoff).T), (side,) * 7)
             half = np.where(flat >= side**7 // 2, flat, side**7 - 1 - flat)
-            grams = unpack(half_box_columns(tensor, cutoff, half.tolist()))
+            grams = unpack(half_box_columns(tensor, cutoff, half.tolist()), 7, kept_entries(tensor))
             for k, gram in zip(modes, grams):
                 s = mode_block(k, data).stacked
                 assert rel_residual(gram, (s.conj().T @ s).real) <= 1e-13
@@ -619,8 +674,11 @@ class TestScreen:
         modes = np.array(np.unravel_index(np.arange(side**7), (side,) * 7)) - 2
         for ratio in (0.5, 1.5, 3.0):
             grams = _mode_grams(_gram_form(near_threshold_tensor(ratio, True)), modes)
-            open_ = _screen_open(grams)
-            counted = hits(unpack(grams)) > 0
+            open_ = _screen_open(grams, _packing(7)[3])
+            counted = hits(unpack(grams, 7, np.arange(28))) > 0
+            # The off-diagonal entries are zero, and screening the diagonal alone agrees.
+            assert not grams[7:].any()
+            assert np.array_equal(_screen_open(grams[:7], _packing(7)[3][:, :0]), open_)
             assert 0 < counted.sum() < open_.sum() < len(open_)
 
     @settings(max_examples=200, deadline=None)
@@ -642,7 +700,7 @@ class TestScreen:
         basis = np.linalg.qr(np.eye(7) + tilt * rng.standard_normal((n, 7, 7)))[0]
         grams = (basis * values[:, None, :]) @ basis.swapaxes(1, 2)
         grams = (grams + grams.swapaxes(1, 2)) / 2
-        settled = ~_screen_open(pack(grams))
+        settled = ~_screen_open(pack(grams), _packing(7)[3])
         assert np.all(hits(grams)[settled] == 0)
 
     @pytest.mark.parametrize("j", [0, 6], ids=["head", "tail"])
@@ -657,6 +715,45 @@ class TestScreen:
         tensor[j, 3, 4] = bad
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
             _kernel_total(tensor, cutoff)
+
+    @pytest.mark.parametrize("j", [0, 6], ids=["head", "tail"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("cutoff", [0, 1])
+    def test_non_finite_flat_tensor_still_fails(self, tensors, monkeypatch, bad, cutoff, j):
+        # The flat check tensor builds the Gram diagonal alone.  A bad value where the tensor
+        # is zero makes off-diagonal columns of the Gram table non-finite, so they are built
+        # and the failure reaches eigvalsh, in the head and in the tail.
+        monkeypatch.setattr(torus, "CHUNK", 3**6)
+        tensor = tensors["flat_check"].copy()
+        row, col = np.argwhere(tensor[j] == 0)[0]
+        tensor[j, row, col] = bad
+        assert len(kept_entries(tensor)) > 7
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _kernel_total(tensor, cutoff)
+
+    def test_non_finite_columns_are_kept(self):
+        q = np.zeros((28, 28))
+        q[3, 10], q[27, 20], q[0, 12] = np.nan, -np.inf, 1e-300
+        assert _kept_entries(q, 7).tolist() == [0, 1, 2, 3, 4, 5, 6, 10, 12, 20]
+
+    @pytest.mark.parametrize("name, entries", [
+        ("flat_check", 7), ("flat_b1", 7), ("flat_check_c-2", 28),
+        ("perturbed_check", 28), ("perturbed_b1", 28),
+    ])
+    def test_flat_sweeps_build_the_diagonal_alone(self, tensors, monkeypatch, name, entries):
+        # Guards the speed of the flat sweeps: S^T S = |k|^2 I there, so the 21 off-diagonal
+        # entries are zero at every mode and are neither built nor screened.  If structural
+        # zeros stopped being found, this would fail instead of the sweep slowing quietly.
+        seen = set()
+        unpatched = torus._screen_open
+
+        def recording_screen(grams, incidence):
+            seen.add((len(grams), incidence.shape))
+            return unpatched(grams, incidence)
+
+        monkeypatch.setattr(torus, "_screen_open", recording_screen)
+        _kernel_total(tensors[name], 1)
+        assert seen == {(entries, (7, entries - 7))}
 
     @pytest.mark.parametrize("name", ["flat_check", "flat_b1"])
     def test_screen_settles_every_nonzero_flat_mode(self, tensors, monkeypatch, name):
@@ -690,5 +787,5 @@ class TestScreen:
         columns.append(np.eye(7))
         assert np.trace(indefinite) < 0
         with np.errstate(invalid="ignore"):
-            open_ = _screen_open(pack(np.stack(columns)))
+            open_ = _screen_open(pack(np.stack(columns)), _packing(7)[3])
         assert open_.tolist() == [True] * (len(columns) - 1) + [False]
