@@ -22,7 +22,7 @@ for the whole batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +68,8 @@ class DdtReport:
     bound_lhs: float
     bound_rhs: float
     conformal_residual: float
+    dual_target: KForm = field(compare=False, repr=False)
+    tilde_star: KForm = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -269,17 +271,20 @@ def solution_report(f: KForm, data: G2Data | None = None) -> DdtReport:
     factor * (star(phi) - F^2/2).  The conformal normalisation is checked
     to reproduce sign_C * (star(phi) - F^2/2) through its own star, where
     sign_C is the sign of that star's pairing with star(phi) - F^2/2; on a
-    solution it is sign(factor).  Raises ValueError unless every row
-    solves at SOLUTION_TOL.
+    solution it is sign(factor).  The report keeps star(phi) - F^2/2 as
+    dual_target and the induced star as tilde_star.  Raises ValueError
+    unless every row solves at SOLUTION_TOL.
     """
     data = _or_standard(data)
     _require_two_form(f)
+    _require_solution(f, data)
+    return _solution_report(f, data)
+
+
+def _solution_report(f: KForm, data: G2Data) -> DdtReport:
+    # solution_report's body, which certifies a row whether or not it solves.
     f_sq = wedge(f, f)
     residual = _residual(f, f_sq, data)
-    residual_norm = form_norm(residual, data.metric)
-    if not np.all(_solves(residual_norm, form_norm(f, data.metric), SOLUTION_TOL)):
-        raise ValueError("input does not solve the deformed equation at this tolerance")
-
     graph = graph_map(f, data)
     factor, phi_f, tilde_phi = _induced(f_sq, graph, data)
     transported = pullback(graph, data.star_phi)
@@ -302,13 +307,15 @@ def solution_report(f: KForm, data: G2Data | None = None) -> DdtReport:
     bound_lhs, bound_rhs, _ = norm_bound_check(f, data)
     return DdtReport(
         residual=residual,
-        residual_norm=residual_norm,
+        residual_norm=form_norm(residual, data.metric),
         scalar_factor=factor,
         lhs_minus_rhs_norm=deviation,
         sign_C=sign_c,
         bound_lhs=bound_lhs,
         bound_rhs=bound_rhs,
         conformal_residual=conformal,
+        dual_target=dual_target,
+        tilde_star=tilde_star,
     )
 
 
@@ -339,25 +346,20 @@ def linearization_density(
     (DENSITY_ROUTES_TOL if None) raises.  A batch raises when any row is
     not a solution or its routes disagree.
     """
-    data = _or_standard(data)
     _require_two_form(f)
     _require_two_form(b2)
-    _require_solution(f, data)
-    density, disagreement = _density_routes(f, b2, data)
+    density, disagreement = _density_routes(solution_report(f, data), b2)
     tol_identity = DENSITY_ROUTES_TOL if tol_identity is None else tol_identity
     if not np.all(disagreement <= tol_identity):
         raise ValueError(DENSITY_ROUTES_ERROR)
     return density
 
 
-def _density_routes(f: KForm, b2: KForm, data: G2Data):
-    # The density and its relative disagreement with the induced-structure
-    # route, for fluxes already known to solve.
-    f_sq = wedge(f, f)
-    density = wedge(b2, data.star_phi - 0.5 * f_sq)
-    factor, _, tilde_phi = _induced(f_sq, graph_map(f, data), data)
-    tilde_star = hodge(tilde_phi, metric_from_three_form(tilde_phi))
-    other = np.sign(factor) * wedge(b2, tilde_star)
+def _density_routes(report: DdtReport, b2: KForm):
+    # The density b2 ^ (star(phi) - F^2/2) of a report's fluxes and its
+    # relative disagreement with the induced-structure route.
+    density = wedge(b2, report.dual_target)
+    other = np.sign(report.scalar_factor) * wedge(b2, report.tilde_star)
     return density, _scalar(row_residual(density.coeffs, other.coeffs))
 
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import ddt
 from .ddt import (
     DENSITY_ROUTES_ERROR,
     cartan_solve,
@@ -26,12 +27,12 @@ from .ddt import (
     graph_map,
     norm_bound_check,
     reformulation_residual,
-    solution_report,
     wedge_injectivity,
     _cartan_coeffs,
     _cartan_roots,
     _density_routes,
     _merged_roots,
+    _solution_report,
 )
 from .dhym import (
     SYMBOL_ROUTES_ERROR,
@@ -344,26 +345,25 @@ def _run_thm_c1(campaign: Campaign, rng: np.random.Generator) -> Report:
     data = standard_g2()
     fluxes, families, directions = _cartan_families(
         campaign, rng, lambda: _two_form_draw(rng, 7))
-    draws = len(families)
-    firsts = np.array([family[0] for family in families])
+    # Each solution gets its family's direction; the density check reads the family's first.
+    directions = np.repeat(directions, [len(family) for family in families], axis=0)
 
-    def per_solution(idx):
-        rep = solution_report(KForm(7, 2, fluxes[idx]), data)
-        return {"deviation": rep.lhs_minus_rhs_norm, "conformal": rep.conformal_residual,
-                "factor": rep.scalar_factor, "sign": rep.sign_C}
+    def evaluate(idx):
+        f = KForm(7, 2, fluxes[idx])
+        rep = _solution_report(f, data)
+        _, density = _density_routes(rep, KForm(7, 2, directions[idx]))
+        scale = np.maximum(1.0, np.power(form_norm(f, data.metric), 3))
+        return {"solve": rep.residual_norm / scale, "deviation": rep.lhs_minus_rhs_norm,
+                "conformal": rep.conformal_residual, "factor": rep.scalar_factor,
+                "sign": rep.sign_C, "density": density}
 
-    def per_family(idx):
-        # Each family's first solution has passed solution_report above.
-        _, disagreement = _density_routes(KForm(7, 2, fluxes[firsts[idx]]),
-                                          KForm(7, 2, directions[idx]), data)
-        return {"density": disagreement}
-
-    sol = _batched(per_solution, range(len(fluxes)))
-    fam = _batched(per_family, range(draws))
+    sol = _batched(evaluate, range(len(fluxes)))
     for i, family in enumerate(families):
         for j in family:
             f = _Row(7, 2, fluxes[j])
             factor, sign = sol["factor"][j], sol["sign"][j]
+            rec.check("Cartan flux solves the equation", sol["solve"][j],
+                      ddt.SOLUTION_TOL, sample=i, flux=f)
             rec.check("transport agrees with algebraic dual", sol["deviation"][j],
                       campaign.tol_identity, sample=i, flux=f)
             rec.check("conformal normalisation is a structure", sol["conformal"][j],
@@ -373,13 +373,11 @@ def _run_thm_c1(campaign: Campaign, rng: np.random.Generator) -> Report:
             rec.expect("orientation sign matches factor", sign == (1 if factor > 0 else -1),
                        sample=i, factor=factor, sign=sign, flux=f)
         # Batch rows equal single forms: a row failing here makes the single-form call raise.
-        if fam["density"][i] <= campaign.tol_identity:
-            rec.expect("linearised density routes agree", True)
-        else:
-            rec.expect("linearised density routes agree", False,
-                       sample=i, error=DENSITY_ROUTES_ERROR,
-                       flux=_Row(7, 2, fluxes[family[0]]), form=_Row(7, 2, directions[i]))
-    rec.details = {"solutions_certified": len(fluxes), "families": draws}
+        first = family[0]
+        rec.expect("linearised density routes agree", sol["density"][first] <= campaign.tol_identity,
+                   sample=i, error=DENSITY_ROUTES_ERROR,
+                   flux=_Row(7, 2, fluxes[first]), form=_Row(7, 2, directions[first]))
+    rec.details = {"solutions_certified": len(fluxes), "families": len(families)}
     return rec.report()
 
 

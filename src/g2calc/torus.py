@@ -296,11 +296,6 @@ def _kernel_shells(tensor: np.ndarray, cutoff: int) -> np.ndarray:
     return shells
 
 
-def _kernel_total(tensor: np.ndarray, cutoff: int) -> int:
-    """The sum of _kernel_shells over the box of the cutoff."""
-    return int(_kernel_shells(tensor, cutoff).sum())
-
-
 @dataclass(frozen=True)
 class CohomologySummary:
     """Dimension counts over all modes with max-norm at most the cutoff."""
@@ -312,12 +307,6 @@ class CohomologySummary:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def betti_one(cutoff: int, data: G2Data | None = None) -> int:
-    """First Betti number from one-forms with d alpha = 0 and d* alpha = 0, mode by mode."""
-    data = _or_standard(data)
-    return _kernel_total(_symbol(np.eye(21), data.metric), cutoff)
 
 
 def harmonic_dims(cutoff: int, data: G2Data | None = None,
@@ -333,7 +322,7 @@ def harmonic_dims(cutoff: int, data: G2Data | None = None,
     data = _or_standard(data)
     # Plain ints, so that the summaries serialise and numpy integers share the cache.
     check = np.cumsum(_kernel_shells(_check_tensor(data, c), cutoff)).tolist()
-    keys = [("betti_one", s) for s in range(len(check))]
+    keys = [("b1", s) for s in range(len(check))]
     if not all(key in data._cache for key in keys):
         b1 = np.cumsum(_kernel_shells(_symbol(np.eye(21), data.metric), cutoff)).tolist()
         data._cache.update(zip(keys, b1))

@@ -25,8 +25,8 @@ PUBLIC_API = {
     "ProductReport", "SU3Point", "correspondence_check", "dx_split", "lift",
     "product_g2", "product_phi", "product_psi", "standard_su3",
     "zero_phase_flux",
-    "CohomologySummary", "ModeBlock", "adjoint_check", "betti_one",
-    "harmonic_dim", "harmonic_dims", "mode_block",
+    "CohomologySummary", "ModeBlock", "adjoint_check", "harmonic_dim",
+    "harmonic_dims", "mode_block",
     "SUITE_IDS", "Campaign", "Report", "all_passed", "emit",
 }
 

@@ -20,19 +20,19 @@ from g2calc.torus import (
     _half_box_grams,
     _kept_entries,
     _kernel_shells,
-    _kernel_total,
     _mode_grams,
     _packing,
     _screen_open,
     _symbol,
     CohomologySummary,
     adjoint_check,
-    betti_one,
     harmonic_dim,
     harmonic_dims,
     mode_block,
     symbol_tensors,
 )
+
+from support import kernel_total
 
 
 @pytest.fixture(scope="module")
@@ -399,8 +399,8 @@ class TestDimensionCounts:
         assert (summary.dim_check_H1, summary.dim_H2, summary.b1) == (7, 0, 7)
 
     def test_betti_number(self):
-        assert betti_one(1) == 7
-        assert betti_one(2) == 7
+        assert harmonic_dim(1).b1 == 7
+        assert harmonic_dim(2).b1 == 7
 
     def test_scale_invariance(self):
         assert harmonic_dim(1, c=-2.0) == harmonic_dim(1, c=1.0)
@@ -433,9 +433,9 @@ class TestDimensionCounts:
 
     def test_chunking_does_not_change_counts(self, G, monkeypatch):
         tensor = check_tensor(G)
-        count = _kernel_total(tensor, 1)
+        count = kernel_total(tensor, 1)
         monkeypatch.setattr(torus, "CHUNK", 100)
-        assert count == _kernel_total(tensor, 1) == harmonic_dim(1).dim_check_H1
+        assert count == kernel_total(tensor, 1) == harmonic_dim(1).dim_check_H1
 
     def test_summary_serialises(self):
         payload = harmonic_dim(1).to_dict()
@@ -453,7 +453,7 @@ class TestKernelCounter:
         # k ^ . on 1-forms is zero at k = 0 and has kernel span(k) at every
         # other mode, so the box holds 7 + (side^7 - 1) kernel dimensions.
         side = 2 * cutoff + 1
-        assert _kernel_total(_coordinate_wedge(7, 1), cutoff) == 7 + side**7 - 1
+        assert kernel_total(_coordinate_wedge(7, 1), cutoff) == 7 + side**7 - 1
 
     @pytest.mark.parametrize("chunk, cutoff", [(1, 1), (100, 1), (torus.CHUNK, 1), (torus.CHUNK, 2)])
     def test_known_kernel_shells(self, monkeypatch, chunk, cutoff):
@@ -486,14 +486,14 @@ class TestKernelCounter:
         assert len(kept_entries(tensor)) == 7 + 3 + 6
         monkeypatch.setattr(torus, "CHUNK", chunk)
         want = 7 + (2 * cutoff + 1) ** 7 - 1
-        assert _kernel_total(tensor, cutoff) == reference("two_blocks", cutoff) == want
+        assert kernel_total(tensor, cutoff) == reference("two_blocks", cutoff) == want
 
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_sparse_path_can_still_fail(self, tensors, reference, cutoff):
         # The flat check tensor with a defect: the counter still builds only some entries,
         # and the count rises above 7.
         assert len(kept_entries(tensors["zeroed_column"])) < 28
-        count = _kernel_total(tensors["zeroed_column"], cutoff)
+        count = kernel_total(tensors["zeroed_column"], cutoff)
         assert count > 7
         assert count == reference("zeroed_column", cutoff)
 
@@ -510,7 +510,7 @@ class TestKernelCounter:
         monkeypatch.setattr(torus, "CHUNK", chunk)
         for tensor, want in ((known, 4 + side**4 - 1), (gauged, 4), (generic, 3)):
             assert full_box_total(tensor, cutoff) == want
-            assert _kernel_total(tensor, cutoff) == want
+            assert kernel_total(tensor, cutoff) == want
 
     def test_coordinate_wedge_slices(self):
         # The same matrices drive every exterior-power step, so every (n, g) is checked.
@@ -541,7 +541,7 @@ class TestKernelCounter:
         # block holds one or two modes and the centre (k = 0) is a block of
         # its own; the reference walks the whole box.
         monkeypatch.setattr(torus, "CHUNK", chunk)
-        assert _kernel_total(tensors[name], cutoff) == reference(name, cutoff)
+        assert kernel_total(tensors[name], cutoff) == reference(name, cutoff)
 
     @pytest.mark.parametrize("m", range(8))
     @pytest.mark.parametrize("name", ["known_kernel", "flat_check", "flat_b1", "flat_check_c-2",
@@ -550,7 +550,7 @@ class TestKernelCounter:
         # CHUNK = side^m puts exactly the last m coordinates in the tail.
         monkeypatch.setattr(torus, "CHUNK", 3**m)
         assert len(list(half_box_blocks(tensors[name], 1))) == 3 ** (7 - m) // 2 + 1
-        assert _kernel_total(tensors[name], 1) == reference(name, 1)
+        assert kernel_total(tensors[name], 1) == reference(name, 1)
 
     @pytest.mark.parametrize("m", range(5))
     @pytest.mark.parametrize("cutoff", [1, 2])
@@ -562,7 +562,7 @@ class TestKernelCounter:
         monkeypatch.setattr(torus, "CHUNK", side**m)
         for tensor in (known, gauged, generic):
             assert len(list(half_box_blocks(tensor, cutoff))) == side ** (4 - m) // 2 + 1
-            assert _kernel_total(tensor, cutoff) == full_box_total(tensor, cutoff)
+            assert kernel_total(tensor, cutoff) == full_box_total(tensor, cutoff)
 
     @pytest.mark.parametrize("cutoff", range(5))
     @pytest.mark.parametrize("d", [4, 7])
@@ -581,11 +581,9 @@ class TestKernelCounter:
     def test_rejects_bad_box(self, cutoff):
         # At the old counter these returned 0 (an empty box) instead of failing.
         with pytest.raises(ValueError, match="cutoff"):
-            _kernel_total(_coordinate_wedge(7, 1), cutoff)
+            kernel_total(_coordinate_wedge(7, 1), cutoff)
         with pytest.raises(ValueError, match="cutoff"):
-            harmonic_dim(cutoff)
-        with pytest.raises(ValueError, match="cutoff"):
-            betti_one(cutoff)
+            harmonic_dim(cutoff).b1
 
 
 class TestGramForm:
@@ -666,7 +664,7 @@ class TestScreen:
         tensor = near_threshold_tensor(ratio, diagonal)
         eigs = np.linalg.eigvalsh(tensor[0].T @ tensor[0])
         assert eigs[0] / eigs[-1] == pytest.approx(ratio * KERNEL_RTOL**2, rel=1e-6)
-        assert _kernel_total(tensor, cutoff) == full_box_total(tensor, cutoff)
+        assert kernel_total(tensor, cutoff) == full_box_total(tensor, cutoff)
 
     def test_diagonal_tensors_put_modes_on_both_sides_of_the_screen(self):
         # Without this the near-threshold counts would not reach the screen's boundary.
@@ -714,7 +712,7 @@ class TestScreen:
         tensor = np.random.default_rng(143).standard_normal((7, 8, 7))
         tensor[j, 3, 4] = bad
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-            _kernel_total(tensor, cutoff)
+            kernel_total(tensor, cutoff)
 
     @pytest.mark.parametrize("j", [0, 6], ids=["head", "tail"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -729,7 +727,7 @@ class TestScreen:
         tensor[j, row, col] = bad
         assert len(kept_entries(tensor)) > 7
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-            _kernel_total(tensor, cutoff)
+            kernel_total(tensor, cutoff)
 
     def test_non_finite_columns_are_kept(self):
         q = np.zeros((28, 28))
@@ -752,7 +750,7 @@ class TestScreen:
             return unpatched(grams, incidence)
 
         monkeypatch.setattr(torus, "_screen_open", recording_screen)
-        _kernel_total(tensors[name], 1)
+        kernel_total(tensors[name], 1)
         assert seen == {(entries, (7, entries - 7))}
 
     @pytest.mark.parametrize("name", ["flat_check", "flat_b1"])
@@ -770,7 +768,7 @@ class TestScreen:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         for cutoff in (2, 3):
             solved.clear()
-            assert _kernel_total(tensors[name], cutoff) == 7
+            assert kernel_total(tensors[name], cutoff) == 7
             assert sum(solved) <= 1
 
     def test_trace_bound_keeps_degenerate_columns_open(self):
