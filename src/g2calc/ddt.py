@@ -43,6 +43,7 @@ from .forms import (
     _positions,
     _scalar,
     _vecmat,
+    _wedge_power,
 )
 from .g2 import G2Data, metric_from_three_form, project2, _or_standard, _require_two_form
 
@@ -115,7 +116,7 @@ def ddt_residual_decomposed(f: KForm, data: G2Data | None = None) -> KForm:
     iuf14 = interior(u, f14)
 
     lead = (3.0 - u_norm2 + 0.5 * f14_norm2) * star_ub
-    cube = (1.0 / 6.0) * wedge(wedge(f14, f14), f14)
+    cube = (1.0 / 6.0) * _wedge_power(f14, 3)
     cross1 = wedge(wedge(data.star_phi, ub), iuf14)
     cross2 = wedge(wedge(data.phi, f14), iuf14)
     return lead - cube - cross1 - cross2
@@ -126,15 +127,14 @@ def _solves(residual_norm, flux_norm, tol: float):
     return residual_norm <= tol * np.maximum(1.0, np.power(flux_norm, 3))
 
 
-def is_solution(f: KForm, data: G2Data | None = None, tol: float | None = None) -> bool:
-    """Whether F solves the deformed equation at tol (SOLUTION_TOL if None).
+def is_solution(f: KForm, data: G2Data | None = None) -> bool:
+    """Whether F solves the deformed equation at SOLUTION_TOL, read at call time.
 
     A batch gives one answer per row.
     """
     data = _or_standard(data)
     m = data.metric
-    tol = SOLUTION_TOL if tol is None else tol
-    return _scalar(_solves(form_norm(ddt_residual(f, data), m), form_norm(f, m), tol))
+    return _scalar(_solves(form_norm(ddt_residual(f, data), m), form_norm(f, m), SOLUTION_TOL))
 
 
 def _require_solution(f: KForm, data: G2Data) -> None:
@@ -262,6 +262,15 @@ def _induced(f_sq: KForm, graph: LinearMap, data: G2Data) -> tuple[float, KForm,
     return factor, phi_f, np.power(np.abs(factor), -0.75) * phi_f
 
 
+def _induced_duals(f_sq: KForm, graph: LinearMap, data: G2Data):
+    # The scalar factor, (1+F#)* phi, star(phi) - F^2/2 and the star of the
+    # normalised structure in its own metric: what solution_report and
+    # linearization_density both read.
+    factor, phi_f, tilde_phi = _induced(f_sq, graph, data)
+    tilde_star = hodge(tilde_phi, metric_from_three_form(tilde_phi))
+    return factor, phi_f, data.star_phi - 0.5 * f_sq, tilde_star
+
+
 def solution_report(f: KForm, data: G2Data | None = None) -> DdtReport:
     """Certify the induced-structure identities for one solution.
 
@@ -286,10 +295,9 @@ def _solution_report(f: KForm, data: G2Data) -> DdtReport:
     f_sq = wedge(f, f)
     residual = _residual(f, f_sq, data)
     graph = graph_map(f, data)
-    factor, phi_f, tilde_phi = _induced(f_sq, graph, data)
+    factor, phi_f, dual_target, tilde_star = _induced_duals(f_sq, graph, data)
     transported = pullback(graph, data.star_phi)
     own_star = hodge(phi_f, metric_from_three_form(phi_f))
-    dual_target = data.star_phi - 0.5 * f_sq
     closed = factor * dual_target
     routes = [own_star.coeffs, transported.coeffs, closed.coeffs]
     # np.max, unlike max(), lets a NaN deviation through.
@@ -299,7 +307,6 @@ def _solution_report(f: KForm, data: G2Data) -> DdtReport:
         for j in range(i + 1, 3)
     ], axis=0))
 
-    tilde_star = hodge(tilde_phi, metric_from_three_form(tilde_phi))
     # The sign is read off the induced star itself, so that it can disagree with the factor.
     sign_c = _scalar(np.where(_dot(tilde_star.coeffs, dual_target.coeffs) > 0, 1, -1))
     conformal = _scalar(row_residual(tilde_star.coeffs, (sign_c * dual_target).coeffs))
@@ -328,38 +335,35 @@ def reformulation_residual(f: KForm, data: G2Data | None = None) -> float:
     data = _or_standard(data)
     _require_two_form(f)
     m = data.metric
-    star_cube = hodge(wedge(wedge(f, f), f), m)
+    star_cube = hodge(_wedge_power(f, 3), m)
     combo = hodge(f, m) + wedge(data.phi, f) - (1.0 / 6.0) * wedge(star_cube, data.star_phi)
     return form_norm(combo, m)
 
 
-def linearization_density(
-    f: KForm,
-    b2: KForm,
-    data: G2Data | None = None,
-    tol_identity: float | None = None,
-) -> KForm:
+def linearization_density(f: KForm, b2: KForm, data: G2Data | None = None) -> KForm:
     """The 6-form b2 ^ (-F^2/2 + star(phi)) at a solution.
 
     Cross-checked against sign(factor) * b2 ^ star(tilde_phi) computed in
-    the induced conformal structure; a relative mismatch above tol_identity
-    (DENSITY_ROUTES_TOL if None) raises.  A batch raises when any row is
-    not a solution or its routes disagree.
+    the induced conformal structure; a relative mismatch above
+    DENSITY_ROUTES_TOL, read at call time, raises.  A batch raises when any
+    row is not a solution or its routes disagree.
     """
+    data = _or_standard(data)
     _require_two_form(f)
     _require_two_form(b2)
-    density, disagreement = _density_routes(solution_report(f, data), b2)
-    tol_identity = DENSITY_ROUTES_TOL if tol_identity is None else tol_identity
-    if not np.all(disagreement <= tol_identity):
+    _require_solution(f, data)
+    factor, _, dual_target, tilde_star = _induced_duals(wedge(f, f), graph_map(f, data), data)
+    density, disagreement = _density_routes(factor, dual_target, tilde_star, b2)
+    if not np.all(disagreement <= DENSITY_ROUTES_TOL):
         raise ValueError(DENSITY_ROUTES_ERROR)
     return density
 
 
-def _density_routes(report: DdtReport, b2: KForm):
-    # The density b2 ^ (star(phi) - F^2/2) of a report's fluxes and its
-    # relative disagreement with the induced-structure route.
-    density = wedge(b2, report.dual_target)
-    other = np.sign(report.scalar_factor) * wedge(b2, report.tilde_star)
+def _density_routes(factor, dual_target: KForm, tilde_star: KForm, b2: KForm):
+    # The density b2 ^ (star(phi) - F^2/2) and its relative disagreement with
+    # the induced-structure route sign(factor) * b2 ^ star(tilde_phi).
+    density = wedge(b2, dual_target)
+    other = np.sign(factor) * wedge(b2, tilde_star)
     return density, _scalar(row_residual(density.coeffs, other.coeffs))
 
 
@@ -385,7 +389,7 @@ def cube_norm_bound(beta: KForm, data: G2Data | None = None) -> tuple[float, flo
     data = _or_standard(data)
     _require_two_form(beta)
     m = data.metric
-    lhs = form_norm(wedge(wedge(beta, beta), beta), m)
+    lhs = form_norm(_wedge_power(beta, 3), m)
     rhs = _scalar(np.sqrt(6.0) / 3.0 * np.power(form_norm(beta, m), 3))
     return lhs, rhs
 
@@ -403,5 +407,5 @@ def wedge_injectivity(f: KForm, data: G2Data | None = None) -> tuple[int, float]
     top = singular.max(axis=-1, initial=0.0, keepdims=True)
     count = np.count_nonzero(singular > RANK_CUTOFF * top, axis=-1)
     rank = _scalar(np.where(top[..., 0] > 0, count, 0))
-    cube_norm = form_norm(wedge(wedge(f, f), f), data.metric)
+    cube_norm = form_norm(_wedge_power(f, 3), data.metric)
     return rank, cube_norm

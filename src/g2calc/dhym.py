@@ -46,6 +46,7 @@ from .forms import (
     _scalar,
     _skew,
     _two_form,
+    _wedge_power,
 )
 
 ONE_ONE_TOL = 1e-8
@@ -56,15 +57,6 @@ ROTATION_MAGNITUDE = 0.6
 ROTATION_TOL = 1e-9
 SYMBOL_ROUTES_ERROR = "symbol routes disagree beyond tolerance"
 ROTATION_ERROR = "could not draw a unitary rotation"
-
-
-def _wedge_power(a: KForm, k: int) -> KForm:
-    if k == 0:
-        return KForm(a.dim, 0, np.ones(a.coeffs.shape[:-1] + (1,)))
-    out = a
-    for _ in range(k - 1):
-        out = wedge(out, a)
-    return out
 
 
 def _wrap_angle(theta: float) -> float:
@@ -135,7 +127,8 @@ class HermitianPoint:
     @cached_property
     def _holomorphic_change(self) -> tuple[LinearMap, LinearMap]:
         # Columns dual to the coframe (dz^1..dz^n, dzbar^1..dzbar^n), and the
-        # inverse; kept as maps so that their pullback matrices are built once.
+        # inverse, built once per point.  Pulling a 2-form back through them
+        # builds a matrix only for n = 1; for n >= 2 the pullback contracts.
         q = self.frame
         u, v = q[:, 0::2], q[:, 1::2]
         t = np.hstack([(u - 1j * v) / 2.0, (u + 1j * v) / 2.0])
@@ -365,15 +358,14 @@ def dhym_report(point: HermitianPoint, f: KForm) -> DhymReport:
     return DhymReport(r, theta, p02_norm, im_residual, vol_identity, im_identity, f11, nf)
 
 
-def symbol_bound(point: HermitianPoint, f: KForm | NormalForm, xi: KForm,
-                 tol_identity: float | None = None) -> tuple[float, float]:
+def symbol_bound(point: HermitianPoint, f: KForm | NormalForm, xi: KForm) -> tuple[float, float]:
     """Principal symbol of the linearised operator at a covector, with its floor.
 
     Returns (sigma, bound) where sigma = sum_i (xi(u_i)^2 + xi(v_i)^2)
     / (1 + lambda_i^2) and bound = |xi|^2 / (1 + max lambda_i^2), so
     ellipticity is the statement sigma >= bound.  The eigenvalue route is
     checked against the ratio n omega_nabla^{n-1} ^ xi ^ J^{-1} xi over
-    omega_nabla^n to tol_identity (ONE_ONE_TOL if None) before returning.
+    omega_nabla^n to ONE_ONE_TOL, read at call time, before returning.
     Batches of forms and covectors give arrays, and any row whose routes
     disagree raises.
     """
@@ -381,8 +373,7 @@ def symbol_bound(point: HermitianPoint, f: KForm | NormalForm, xi: KForm,
     if (xi.dim, xi.grade) != (2 * point.n, 1):
         raise ValueError(f"expected a 1-form on R^{2 * point.n}")
     sigma, bound, disagreement = _symbol_routes(point, nf, xi)
-    tol_identity = ONE_ONE_TOL if tol_identity is None else tol_identity
-    if not np.all(disagreement <= tol_identity):
+    if not np.all(disagreement <= ONE_ONE_TOL):
         raise ValueError(SYMBOL_ROUTES_ERROR)
     return sigma, bound
 

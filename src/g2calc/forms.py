@@ -563,6 +563,16 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm._made(n, a.grade + b.grade, _matvec(wedge_matrix(a, b.grade), b.coeffs))
 
 
+def _wedge_power(a: KForm, k: int) -> KForm:
+    # a ^ ... ^ a with k factors, folded from the left; the unit 0-form for k = 0.
+    if k == 0:
+        return KForm(a.dim, 0, np.ones(a.coeffs.shape[:-1] + (1,)))
+    out = a
+    for _ in range(k - 1):
+        out = wedge(out, a)
+    return out
+
+
 def interior(v: np.ndarray, a: KForm) -> KForm:
     """Interior product i(v) alpha; on grade zero it returns 0."""
     v = np.asarray(v)

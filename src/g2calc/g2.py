@@ -41,6 +41,7 @@ from .forms import (
     _matvec,
     _scalar,
     _vecmat,
+    _wedge_power,
 )
 
 PHI_MONOMIALS = (
@@ -227,7 +228,7 @@ def identity_battery(u: np.ndarray, beta: KForm, data: G2Data | None = None) -> 
         row_residual(wedge(star_phi, iu_phi).coeffs, 3.0 * star_ub.coeffs),
         row_residual(wedge(phi, iu_phi).coeffs, 2.0 * hodge(iu_phi, m).coeffs),
         row_residual(
-            wedge(wedge(iu_phi, iu_phi), iu_phi).coeffs,
+            _wedge_power(iu_phi, 3).coeffs,
             (6.0 * u_norm2 * star_ub).coeffs,
         ),
         row_residual(

@@ -26,6 +26,7 @@ from .forms import (
     wedge,
     _positions,
     _scalar,
+    _wedge_power,
 )
 from .g2 import G2Data, g2_bundle
 from .ddt import ddt_residual, _solves
@@ -36,7 +37,6 @@ from .dhym import (
     standard_kahler,
     _rotation_generator,
     _unitary_rotations,
-    _wedge_power,
 )
 
 PRODUCT_TOL = 1e-8

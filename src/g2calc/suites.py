@@ -18,7 +18,6 @@ import numpy as np
 
 from . import ddt
 from .ddt import (
-    DENSITY_ROUTES_ERROR,
     cartan_solve,
     cartan_two_form,
     cube_norm_bound,
@@ -35,7 +34,6 @@ from .ddt import (
     _solution_report,
 )
 from .dhym import (
-    SYMBOL_ROUTES_ERROR,
     dhym_report,
     j_duality_residual,
     normal_form,
@@ -345,13 +343,14 @@ def _run_thm_c1(campaign: Campaign, rng: np.random.Generator) -> Report:
     data = standard_g2()
     fluxes, families, directions = _cartan_families(
         campaign, rng, lambda: _two_form_draw(rng, 7))
-    # Each solution gets its family's direction; the density check reads the family's first.
+    # Each solution's density is taken along its family's direction.
     directions = np.repeat(directions, [len(family) for family in families], axis=0)
 
     def evaluate(idx):
         f = KForm(7, 2, fluxes[idx])
         rep = _solution_report(f, data)
-        _, density = _density_routes(rep, KForm(7, 2, directions[idx]))
+        _, density = _density_routes(rep.scalar_factor, rep.dual_target, rep.tilde_star,
+                                     KForm(7, 2, directions[idx]))
         scale = np.maximum(1.0, np.power(form_norm(f, data.metric), 3))
         return {"solve": rep.residual_norm / scale, "deviation": rep.lhs_minus_rhs_norm,
                 "conformal": rep.conformal_residual, "factor": rep.scalar_factor,
@@ -372,11 +371,8 @@ def _run_thm_c1(campaign: Campaign, rng: np.random.Generator) -> Report:
                        sample=i, factor=factor, flux=f)
             rec.expect("orientation sign matches factor", sign == (1 if factor > 0 else -1),
                        sample=i, factor=factor, sign=sign, flux=f)
-        # Batch rows equal single forms: a row failing here makes the single-form call raise.
-        first = family[0]
-        rec.expect("linearised density routes agree", sol["density"][first] <= campaign.tol_identity,
-                   sample=i, error=DENSITY_ROUTES_ERROR,
-                   flux=_Row(7, 2, fluxes[first]), form=_Row(7, 2, directions[first]))
+            rec.check("linearised density routes agree", sol["density"][j],
+                      campaign.tol_identity, sample=i, flux=f, form=_Row(7, 2, directions[j]))
     rec.details = {"solutions_certified": len(fluxes), "families": len(families)}
     return rec.report()
 
@@ -495,16 +491,10 @@ def _run_dhym(campaign: Campaign, rng: np.random.Generator) -> Report:
 
         invariant = _Row(2 * n, 2, res["f11"][j])
         sigma, floor = res["sigma"][j], res["floor"][j]
-        # As in thmC1, a failing row is one on which the single-form call raises.
-        if res["routes"][j] <= campaign.tol_identity:
-            rec.expect("symbol dominates its floor",
-                       sigma >= floor - campaign.tol_rel,
-                       sample=i, n=n, sigma=sigma, floor=floor,
-                       form=invariant, covector=covector)
-        else:
-            rec.expect("symbol dominates its floor", False,
-                       sample=i, n=n, error=SYMBOL_ROUTES_ERROR,
-                       form=invariant, covector=covector)
+        rec.check("symbol routes agree", res["routes"][j], campaign.tol_identity,
+                  sample=i, n=n, form=invariant, covector=covector)
+        rec.expect("symbol dominates its floor", sigma >= floor - campaign.tol_rel,
+                   sample=i, n=n, sigma=sigma, floor=floor, form=invariant, covector=covector)
         rec.check("duality against the complex structure", res["duality"][j],
                   campaign.tol_rel, sample=i, n=n, covector=covector)
         if n >= 2:

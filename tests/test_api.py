@@ -41,15 +41,12 @@ def test_every_exported_name_resolves():
         assert getattr(g2calc, name) is not None
 
 
-# The only public functions that take a tolerance or bound, and which: each is
-# reached by a Campaign tolerance or mirrors one that is.  Every other check
-# reads a module constant at call time.  Classes are left out: Campaign's own
-# fields are the settable tolerances.
+# The only public function that takes a tolerance or bound: correspondence_check,
+# which the product suite calls at the Campaign's tol_identity.  Every other
+# check reads a module constant at call time.  Classes are left out: Campaign's
+# own fields are the settable tolerances.
 TOLERANCE_PARAMETERS = {"tol", "tol_identity", "bound"}
 SETTABLE_TOLERANCES = {
-    "is_solution": {"tol"},
-    "linearization_density": {"tol_identity"},
-    "symbol_bound": {"tol_identity"},
     "correspondence_check": {"tol"},
 }
 

@@ -269,7 +269,6 @@ class TestSolutionTolIsReadAtCallTime:
         assert is_solution(f)
         monkeypatch.setattr(ddt_module, "SOLUTION_TOL", 0.0)
         assert not is_solution(f)
-        assert is_solution(f, tol=1e-9)
 
     def test_density_routes_default(self, G, monkeypatch):
         f = cartan_solutions(0.5, -0.2, -0.3)[0]
@@ -278,7 +277,6 @@ class TestSolutionTolIsReadAtCallTime:
         monkeypatch.setattr(ddt_module, "DENSITY_ROUTES_TOL", 0.0)
         with pytest.raises(ValueError, match="routes disagree"):
             linearization_density(f, b2, G)
-        linearization_density(f, b2, G, tol_identity=1e-8)
 
 
 class TestInducedStructure:
@@ -436,8 +434,12 @@ class TestExteriorPowerBudget:
             fluxes.extend(f.coeffs for f in cartan_solutions(*random_zero_sum(rng)))
         f = KForm(7, 2, np.array(fluxes[:32]))
         b2 = KForm(7, 2, rng.standard_normal((32, 21)))
+        def certify(f, b2):
+            rep = _solution_report(f, G)
+            return _density_routes(rep.scalar_factor, rep.dual_target, rep.tilde_star, b2)
+
         # The shared structure builds its own Grams once, on the first call.
-        _density_routes(_solution_report(KForm(7, 2, f.coeffs[0]), G), KForm(7, 2, b2.coeffs[0]))
+        certify(KForm(7, 2, f.coeffs[0]), KForm(7, 2, b2.coeffs[0]))
         grades = []
         original = forms_module.exterior_power
 
@@ -446,7 +448,7 @@ class TestExteriorPowerBudget:
             return original(a, k)
 
         monkeypatch.setattr(forms_module, "exterior_power", counted)
-        _density_routes(_solution_report(f, G), b2)
+        certify(f, b2)
         assert all(k < 3 for k in grades), grades
 
 
@@ -490,6 +492,17 @@ class TestLinearization:
         with pytest.raises(ValueError):
             linearization_density(KForm.monomial(7, (0, 1)), KForm.zero(7, 2), G)
 
+    def test_density_is_the_reports_route(self, G):
+        # The density reads the same factor and forms that the solution report
+        # keeps, so it equals the suites' route bit for bit.
+        rng = np.random.default_rng(60)
+        f = KForm(7, 2, np.stack([cartan_solutions(*random_zero_sum(rng))[0].coeffs
+                                  for _ in range(3)]))
+        b2 = random_form(rng, 7, 2)
+        rep = solution_report(f, G)
+        density, _ = _density_routes(rep.scalar_factor, rep.dual_target, rep.tilde_star, b2)
+        assert linearization_density(f, b2, G).coeffs.tobytes() == density.coeffs.tobytes()
+
     def test_batch_gives_each_row_density(self, G):
         rng = np.random.default_rng(61)
         fluxes = np.stack([cartan_solutions(*random_zero_sum(rng))[-1].coeffs for _ in range(4)])
@@ -506,12 +519,13 @@ class TestLinearization:
         with pytest.raises(ValueError, match="does not solve the deformed equation"):
             linearization_density(batch, KForm(7, 2, np.ones((2, 21))), G)
 
-    def test_one_disagreeing_row_rejects_the_batch(self, G):
+    def test_one_disagreeing_row_rejects_the_batch(self, G, monkeypatch):
         good = cartan_solutions(0.5, -0.2, -0.3)[0]
         batch = KForm(7, 2, np.stack([good.coeffs, good.coeffs]))
         b2 = KForm(7, 2, np.stack([np.zeros(21), np.ones(21)]))
+        monkeypatch.setattr(ddt_module, "DENSITY_ROUTES_TOL", 0.0)
         with pytest.raises(ValueError, match="routes disagree"):
-            linearization_density(batch, b2, G, tol_identity=0.0)
+            linearization_density(batch, b2, G)
 
 
 class TestNormBound:

@@ -468,7 +468,7 @@ class TestBatches:
             assert np.all(one_one_residual(point, rep.f11) <= 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_symbol_and_duality_rows(self, n):
+    def test_symbol_and_duality_rows(self, n, monkeypatch):
         rng = np.random.default_rng(160 + n)
         point = standard_kahler(n)
         f, rows = self.batch(rng, point)
@@ -485,8 +485,9 @@ class TestBatches:
             # A row of a batched normal form is a normal form of its own.
             row_nf = NormalForm(point, nf.lambdas[i], nf.frame[i])
             assert symbol_bound(point, row_nf, KForm(2 * n, 1, xi[i])) == pytest.approx(one, rel=1e-12)
+        monkeypatch.setattr(dhym_module, "ONE_ONE_TOL", -1.0)
         with pytest.raises(ValueError, match="symbol routes disagree"):
-            symbol_bound(point, nf, KForm(2 * n, 1, xi), tol_identity=-1.0)
+            symbol_bound(point, nf, KForm(2 * n, 1, xi))
 
     def test_one_bad_row_rejects_the_batch(self):
         point = standard_kahler(2)
@@ -574,7 +575,6 @@ class TestSymbol:
         monkeypatch.setattr(dhym_module, "ONE_ONE_TOL", 0.0)
         with pytest.raises(ValueError, match="symbol routes disagree"):
             symbol_bound(point, nf, xi)
-        symbol_bound(point, nf, xi, tol_identity=1e-8)
 
     def test_accepts_prepared_normal_form(self):
         rng = np.random.default_rng(101)

@@ -7,7 +7,8 @@ the bytes on purpose remakes the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists each moved field in CHANGES.md.
+which prints, per file and suite, the old and new passed, failed and worst
+residual, and lists each moved field in CHANGES.md.
 """
 
 import hashlib
@@ -45,8 +46,11 @@ def test_report_bytes_are_pinned(seed):
 
 
 def write_golden() -> None:
+    """Remake each file, printing per suite what moved from the file it replaces."""
     GOLDEN.mkdir(exist_ok=True)
     for seed in SEEDS:
+        path = GOLDEN / f"verify-seed{seed}.json"
+        old = json.loads(path.read_text())["report"] if path.exists() else []
         got = verify_report(seed)
         record = {
             "command": f"g2calc verify --seed {seed} --samples 1000 --format json",
@@ -54,7 +58,8 @@ def write_golden() -> None:
             "report": json.loads(got),
             "sha256": hashlib.sha256(got).hexdigest(),
         }
-        (GOLDEN / f"verify-seed{seed}.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        print(f"{path.name}, old -> new:\n{suite_changes(old, record['report'])}")
 
 
 if __name__ == "__main__":

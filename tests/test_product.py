@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import g2calc.product as product_module
-from g2calc.forms import KForm, form_norm, pullback, rel_residual, wedge
+import g2calc.ddt as ddt_module
+from g2calc.forms import KForm, form_norm, pullback, rel_residual, wedge, _wedge_power
 from g2calc.g2 import standard_g2
 from g2calc.ddt import ddt_residual, is_solution, solution_report
-from g2calc.dhym import pq_project, standard_kahler, _wedge_power
+from g2calc.dhym import pq_project, standard_kahler
 from g2calc.product import (
     SU3Point,
     correspondence_check,
@@ -194,7 +195,7 @@ class TestCorrespondence:
             assert rep.agree
             assert not rep.ddt_solves
 
-    def test_seven_dim_side_is_the_solution_test_of_the_lift(self, su3, bundle):
+    def test_seven_dim_side_is_the_solution_test_of_the_lift(self, su3, bundle, monkeypatch):
         rng = np.random.default_rng(140)
         fluxes = [zero_phase_flux(rng, su3)] + [
             KForm(6, 2, scale * rng.standard_normal(15)) for scale in (0.3, 1.5)
@@ -202,7 +203,8 @@ class TestCorrespondence:
         for f in fluxes:
             for tol in (1e-8, 1e-30):
                 rep = correspondence_check(su3, f, tol=tol)
-                assert rep.ddt_solves == is_solution(lift(f), bundle, tol)
+                monkeypatch.setattr(ddt_module, "SOLUTION_TOL", tol)
+                assert rep.ddt_solves == is_solution(lift(f), bundle)
                 assert rep.ddt_residual_norm == form_norm(ddt_residual(lift(f), bundle),
                                                           bundle.metric)
 
