@@ -21,7 +21,6 @@ from .forms import (
     multi_indices,
     pullback,
     rel_residual,
-    sharp,
     sharp2,
     wedge,
 )
@@ -31,7 +30,6 @@ from .g2 import (
     assemble2,
     g2_bundle,
     identity_battery,
-    lambda14_wedge_norm,
     metric_from_three_form,
     project2,
     project3,
@@ -39,7 +37,6 @@ from .g2 import (
 )
 from .ddt import (
     DdtReport,
-    cartan_solutions,
     cartan_solve,
     cartan_two_form,
     cube_norm_bound,
@@ -50,7 +47,6 @@ from .ddt import (
     is_solution,
     linearization_density,
     norm_bound_check,
-    orthogonality_check,
     reformulation_residual,
     scalar_factor,
     solution_report,
@@ -73,7 +69,6 @@ from .product import (
     ProductReport,
     SU3Point,
     correspondence_check,
-    dx_split,
     lift,
     product_g2,
     product_phi,
@@ -83,11 +78,9 @@ from .product import (
 )
 from .torus import (
     CohomologySummary,
-    ModeBlock,
     adjoint_check,
     harmonic_dim,
     harmonic_dims,
-    mode_block,
 )
 from .suites import SUITE_IDS, Campaign, Report, all_passed, emit
 
@@ -96,22 +89,20 @@ __version__ = "0.1.0"
 __all__ = [
     "KForm", "LinearMap", "Metric", "euclidean_metric", "flat", "form_inner",
     "form_norm", "hodge", "interior", "multi_indices", "pullback",
-    "rel_residual", "sharp", "sharp2", "wedge",
+    "rel_residual", "sharp2", "wedge",
     "G2Data", "TwoFormSplit", "assemble2", "g2_bundle", "identity_battery",
-    "lambda14_wedge_norm", "metric_from_three_form", "project2", "project3",
-    "standard_g2",
-    "DdtReport", "cartan_solutions", "cartan_solve", "cartan_two_form",
-    "cube_norm_bound", "ddt_residual", "ddt_residual_decomposed", "graph_map",
-    "induced_phi", "is_solution", "linearization_density", "norm_bound_check",
-    "orthogonality_check", "reformulation_residual", "scalar_factor",
-    "solution_report", "wedge_injectivity",
+    "metric_from_three_form", "project2", "project3", "standard_g2",
+    "DdtReport", "cartan_solve", "cartan_two_form", "cube_norm_bound",
+    "ddt_residual", "ddt_residual_decomposed", "graph_map", "induced_phi",
+    "is_solution", "linearization_density", "norm_bound_check",
+    "reformulation_residual", "scalar_factor", "solution_report",
+    "wedge_injectivity",
     "DhymReport", "HermitianPoint", "NormalForm", "dhym_report",
     "j_duality_residual", "normal_form", "one_one_residual", "pq_project",
     "radius_angle", "standard_kahler", "symbol_bound",
-    "ProductReport", "SU3Point", "correspondence_check", "dx_split", "lift",
+    "ProductReport", "SU3Point", "correspondence_check", "lift",
     "product_g2", "product_phi", "product_psi", "standard_su3",
     "zero_phase_flux",
-    "CohomologySummary", "ModeBlock", "adjoint_check", "harmonic_dim",
-    "harmonic_dims", "mode_block",
+    "CohomologySummary", "adjoint_check", "harmonic_dim", "harmonic_dims",
     "SUITE_IDS", "Campaign", "Report", "all_passed", "emit",
 ]

@@ -143,22 +143,6 @@ def _require_solution(f: KForm, data: G2Data) -> None:
         raise ValueError("input does not solve the deformed equation at this tolerance")
 
 
-def orthogonality_check(f: KForm, data: G2Data | None = None) -> float:
-    """On solutions, |i(u)F14| and |phi ^ star(F^2)| both vanish; return the max.
-
-    A batch gives one value per row; a NaN in either norm is kept.  Raises
-    ValueError unless every row solves at SOLUTION_TOL.
-    """
-    data = _or_standard(data)
-    _require_two_form(f)
-    _require_solution(f, data)
-    split = project2(f, data)
-    contraction = form_norm(interior(split.u, split.f14), data.metric)
-    f_sq = wedge(f, f)
-    seven_part = form_norm(wedge(data.phi, hodge(f_sq, data.metric)), data.metric)
-    return _scalar(np.maximum(contraction, seven_part))
-
-
 def cartan_solve(l1: float, l2: float, l3: float) -> list[float]:
     """Real roots x of x^3 - (3 + (l1^2+l2^2+l3^2)/2) x + l1 l2 l3 = 0.
 
@@ -216,11 +200,6 @@ def _cartan_coeffs(x: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     # Added to zeros, as a sum of monomials would be, so that -0.0 becomes 0.0.
     coeffs[..., _CARTAN_POSITIONS] += x[..., None] + lambdas
     return coeffs
-
-
-def cartan_solutions(l1: float, l2: float, l3: float) -> list[KForm]:
-    """All diagonal solutions with the given zero-sum 14-part weights."""
-    return [cartan_two_form(x, (l1, l2, l3)) for x in cartan_solve(l1, l2, l3)]
 
 
 def scalar_factor(f: KForm, data: G2Data | None = None) -> float:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -55,6 +56,12 @@ def row_residual(lhs, rhs):
     diff = np.asarray(np.linalg.norm(a - b, axis=-1))
     scale = np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))
     return np.divide(diff, scale, out=diff, where=scale > ABS_FLOOR)
+
+
+def _require_tolerance(name: str, value) -> None:
+    """Raise ValueError naming the tolerance unless it is a finite, non-negative real."""
+    if not (isinstance(value, Real) and isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def _scalar(x):
@@ -615,14 +622,6 @@ def flat(v: np.ndarray, m: Metric) -> KForm:
     if v.shape[-1:] != (m.dim,):
         raise ValueError(f"vector must have shape (..., {m.dim}), got {v.shape}")
     return KForm(m.dim, 1, _matvec(m.gram, v))
-
-
-def sharp(a: KForm, m: Metric) -> np.ndarray:
-    """The vector dual to a 1-form; inverse of flat."""
-    _require_metric(a, m)
-    if a.grade != 1:
-        raise ValueError(f"sharp expects a 1-form, got grade {a.grade}")
-    return np.linalg.solve(m.gram, a.coeffs[..., None])[..., 0]
 
 
 def _skew(f: KForm) -> np.ndarray:

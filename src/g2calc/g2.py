@@ -30,7 +30,6 @@ from .forms import (
     euclidean_metric,
     flat,
     form_inner,
-    form_norm,
     hodge,
     interior,
     interior_matrix,
@@ -194,13 +193,6 @@ def project3(gamma: KForm, data: G2Data | None = None) -> tuple[KForm, KForm, KF
         KForm(7, 3, data.proj3_7 @ gamma.coeffs),
         KForm(7, 3, data.proj3_27 @ gamma.coeffs),
     )
-
-
-def lambda14_wedge_norm(beta: KForm, data: G2Data | None = None) -> float:
-    """Norm of beta ^ star(phi); zero exactly on the 14-dimensional part."""
-    data = _or_standard(data)
-    _require_two_form(beta)
-    return form_norm(wedge(beta, data.star_phi), data.metric)
 
 
 def identity_battery(u: np.ndarray, beta: KForm, data: G2Data | None = None) -> float:

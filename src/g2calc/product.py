@@ -25,6 +25,7 @@ from .forms import (
     rel_residual,
     wedge,
     _positions,
+    _require_tolerance,
     _scalar,
     _wedge_power,
 )
@@ -44,11 +45,10 @@ ZERO_PHASE_BOUND = 2.0
 
 
 @lru_cache(maxsize=None)
-def _shifted(k: int, dx: bool = False) -> np.ndarray:
-    """Position on R^7 of each k-tuple on R^6 shifted up by one, after 0 if dx."""
-    head = (0,) if dx else ()
-    pos7 = _positions(7, len(head) + k)
-    return np.array([pos7[head + tuple(i + 1 for i in idx)] for idx in multi_indices(6, k)],
+def _shifted(k: int) -> np.ndarray:
+    """Position on R^7 of each k-tuple on R^6 shifted up by one."""
+    pos7 = _positions(7, k)
+    return np.array([pos7[tuple(i + 1 for i in idx)] for idx in multi_indices(6, k)],
                     dtype=np.intp)
 
 
@@ -66,17 +66,6 @@ def lift(a: KForm, with_dx: bool = False) -> KForm:
     if with_dx:
         return wedge(KForm.monomial(7, (0,)), lifted)
     return lifted
-
-
-def dx_split(a: KForm) -> tuple[KForm, KForm]:
-    """Write a form on R^7 as dx ^ lift(first) + lift(second)."""
-    if a.dim != 7:
-        raise ValueError(f"expected a form on R^7, got R^{a.dim}")
-    k = a.grade
-    if not 1 <= k <= 6:
-        raise ValueError(f"grade must lie in 1..6 to split, got {k}")
-    return (KForm(6, k - 1, a.coeffs[..., _shifted(k - 1, True)]),
-            KForm(6, k, a.coeffs[..., _shifted(k)]))
 
 
 @dataclass(frozen=True)
@@ -189,6 +178,7 @@ def correspondence_check(su3: SU3Point, f: KForm, tol: float = PRODUCT_TOL) -> P
         raise ValueError("expected a 2-form on R^6")
     if np.iscomplexobj(f.coeffs):
         raise ValueError("curvature representative must be real")
+    _require_tolerance("tol", tol)
     metric = su3.point.metric
     data = product_g2(su3)
     lifted = lift(f)

@@ -11,7 +11,6 @@ import json
 import operator
 from dataclasses import dataclass
 from math import comb, isfinite, isnan, pi, sqrt
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +54,7 @@ from .forms import (
     rel_residual,
     row_residual,
     wedge,
+    _require_tolerance,
 )
 from .g2 import g2_bundle, identity_battery, standard_g2
 from .product import correspondence_check, standard_su3, _zero_phase_draw, _zero_phase_fluxes
@@ -661,9 +661,7 @@ class Campaign:
         if self.samples < 1:
             raise ValueError("samples must be positive")
         for name in ("tol_rel", "tol_identity"):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+            _require_tolerance(name, getattr(self, name))
         ordered = tuple(sorted(set(names), key=SUITE_IDS.__getitem__))
         object.__setattr__(self, "suites", ordered)
 

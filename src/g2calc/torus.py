@@ -59,22 +59,6 @@ def symbol_tensors(psi: KForm, metric: Metric) -> np.ndarray:
     return _symbol(metric.hodge_matrix(6) @ wedge_matrix(psi, 2), metric)
 
 
-@dataclass(frozen=True)
-class ModeBlock:
-    """The complex of one Fourier mode, as dense matrices on coefficients."""
-
-    k: tuple[int, ...]
-    d0: np.ndarray
-    d1: np.ndarray
-    d1_prime: np.ndarray
-    dstar1: np.ndarray
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """The check-harmonic condition: d1_prime rows over the coclosed row."""
-        return np.vstack([self.d1_prime, self.dstar1[None, :]])
-
-
 def _check_tensor(data: G2Data, c) -> np.ndarray:
     """symbol_tensors at psi = c star_phi, for a coupling scale c checked to be a finite real."""
     if not (isinstance(c, Real) and isfinite(c)):
@@ -82,29 +66,18 @@ def _check_tensor(data: G2Data, c) -> np.ndarray:
     return symbol_tensors(float(c) * data.star_phi, data.metric)
 
 
-def _mode_symbols(k, data: G2Data, c) -> tuple[np.ndarray, np.ndarray]:
-    """Modes k (..., 7) as floats, every row checked, and the stacked (..., 8, 7) blocks i sum k_j S[j]."""
+def _mode_symbols(k, data: G2Data, c) -> np.ndarray:
+    """The (..., 8, 7) blocks i sum k_j S[j] at modes k (..., 7), every row checked.
+
+    Each is the middle operator's 7 x 7 block over the coclosed row.
+    """
     kvec = np.asarray(k, dtype=np.float64)
     if kvec.shape[-1:] != (7,):
         raise ValueError(f"mode must have seven components, got shape {kvec.shape}")
     bad = ~(np.isfinite(kvec) & (kvec == np.trunc(kvec))).all(axis=-1)
     if bad.any():
         raise ValueError(f"mode components must be finite integers, got {kvec[bad][0].tolist()}")
-    return kvec, 1j * np.einsum("...j,jab->...ab", kvec, _check_tensor(data, c))
-
-
-def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> ModeBlock:
-    """Assemble the mode matrices for one integer frequency vector."""
-    if np.shape(k) != (7,):
-        raise ValueError(f"mode must have seven components, got shape {np.shape(k)}")
-    kvec, symbol = _mode_symbols(k, _or_standard(data), c)
-    return ModeBlock(
-        k=tuple(int(v) for v in kvec),
-        d0=1j * kvec,
-        d1=1j * np.einsum("j,jab->ab", kvec, _coordinate_wedge(7, 1)),
-        d1_prime=symbol[:7],
-        dstar1=symbol[7],
-    )
+    return 1j * np.einsum("...j,jab->...ab", kvec, _check_tensor(data, c))
 
 
 @lru_cache(maxsize=None)
@@ -313,11 +286,12 @@ def harmonic_dims(cutoff: int, data: G2Data | None = None,
                   c: float = 1.0) -> list[CohomologySummary]:
     """Check-harmonic one-form counts and what they give, for the boxes of cutoffs 0..cutoff.
 
-    dim_check_H1 sums the kernels of the stacked (d1_prime; dstar1) blocks,
-    b1 those of the ordinary harmonic condition, and dim_H2 is their
-    difference.  The boxes are nested, so one sweep of the largest box per
-    tensor gives every cutoff.  b1 does not depend on c: it is kept in the
-    structure's cache per cutoff and swept only when a cutoff is missing.
+    dim_check_H1 sums the kernels of the per-mode blocks of the middle
+    operator over the coclosed row, b1 those of the ordinary harmonic
+    condition, and dim_H2 is their difference.  The boxes are nested, so
+    one sweep of the largest box per tensor gives every cutoff.  b1 does not
+    depend on c: it is kept in the structure's cache per cutoff and swept
+    only when a cutoff is missing.
     """
     data = _or_standard(data)
     # Plain ints, so that the summaries serialise and numpy integers share the cache.
@@ -348,7 +322,7 @@ def adjoint_check(k, data: G2Data | None = None, c: float = 1.0) -> float | np.n
     would repeat this residual bit for bit.  A NaN in the block reads NaN.
     """
     data = _or_standard(data)
-    blocks = _mode_symbols(k, data, c)[1][..., :7, :]
+    blocks = _mode_symbols(k, data, c)[..., :7, :]
     g1 = data.metric.gram_on_forms(1)
     weighted = g1 @ blocks @ np.linalg.inv(g1)
     rows = blocks.shape[:-2] + (49,)

@@ -7,8 +7,12 @@ against a second, unrelated code path.
 
 from __future__ import annotations
 
+import contextlib
+import inspect
+import io
 import itertools
 import os
+import sys
 from math import comb, pi, sqrt
 from pathlib import Path
 
@@ -18,10 +22,9 @@ import scipy.linalg
 import g2calc
 import g2calc.ddt as ddt_module
 import g2calc.dhym as dhym_module
-from g2calc import torus
+from g2calc import cli, torus
 from g2calc.ddt import (
     SOLUTION_TOL,
-    cartan_solutions,
     cartan_solve,
     cartan_two_form,
     cube_norm_bound,
@@ -55,7 +58,7 @@ from g2calc.forms import (
     sharp2,
     wedge,
 )
-from g2calc.g2 import G2Data, _from_monomials, identity_battery, standard_g2
+from g2calc.g2 import G2Data, _from_monomials, _or_standard, identity_battery, standard_g2
 from g2calc.product import correspondence_check, standard_su3, zero_phase_flux
 from g2calc.suites import (
     Campaign,
@@ -81,6 +84,38 @@ def package_env() -> dict[str, str]:
     """The environment for a child interpreter that imports the g2calc the tests import."""
     path = [str(Path(g2calc.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def unreached_exports(argv: list[str]) -> tuple[int, list[str]]:
+    """cli.main(argv)'s exit status, and the exported functions it never calls.
+
+    A function counts as called when its frame is entered, an lru_cache'd
+    one when its cache is consulted: a warm cache answers without a frame.
+    The verdict written to stdout is dropped.
+    """
+    exports = {name: getattr(g2calc, name) for name in g2calc.__all__}
+    cached = {name: f for name, f in exports.items() if hasattr(f, "cache_info")}
+    plain = {f.__code__: name for name, f in exports.items() if inspect.isfunction(f)}
+
+    def consulted(f):
+        info = f.cache_info()
+        return info.hits + info.misses
+
+    before = {name: consulted(f) for name, f in cached.items()}
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in plain:
+            reached.add(plain[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+            status = cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    reached |= {name for name, f in cached.items() if consulted(f) > before[name]}
+    return status, sorted((set(plain.values()) | set(cached)) - reached)
 
 
 def evaluate(form: KForm, vectors) -> float | complex:
@@ -112,6 +147,24 @@ def evaluate_wedge(a: KForm, b: KForm, vectors) -> float | complex:
 def kernel_total(tensor: np.ndarray, cutoff: int) -> int:
     """The sum of torus._kernel_shells over the box of the cutoff."""
     return int(torus._kernel_shells(tensor, cutoff).sum())
+
+
+def cartan_solutions(l1: float, l2: float, l3: float) -> list[KForm]:
+    """All diagonal solutions with the given zero-sum 14-part weights."""
+    return [cartan_two_form(x, (l1, l2, l3)) for x in cartan_solve(l1, l2, l3)]
+
+
+def dx_split(a: KForm) -> tuple[KForm, KForm]:
+    """(low, high) with a = dx ^ lift(low) + lift(high), read coefficient by coefficient."""
+    def part(head, k):
+        return np.array([a.coefficient(head + tuple(i + 1 for i in idx))
+                         for idx in multi_indices(6, k)])
+    return KForm(6, a.grade - 1, part((0,), a.grade - 1)), KForm(6, a.grade, part((), a.grade))
+
+
+def mode_block(k, data: G2Data | None = None, c: float = 1.0) -> np.ndarray:
+    """The (..., 8, 7) torus blocks at modes k: the middle operator's 7 rows over the coclosed row."""
+    return torus._mode_symbols(k, _or_standard(data), c)
 
 
 def random_form(rng: np.random.Generator, n: int, k: int, scale: float = 1.0) -> KForm:

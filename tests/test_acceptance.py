@@ -13,7 +13,6 @@ from g2calc import (
     Campaign,
     KForm,
     adjoint_check,
-    cartan_solutions,
     cartan_solve,
     cartan_two_form,
     correspondence_check,
@@ -39,6 +38,8 @@ from g2calc import (
     zero_phase_flux,
 )
 from g2calc.suites import SUITE_IDS, _RUNNERS
+
+from support import cartan_solutions
 
 IDENTITY_TOL = 1e-8
 EXACT_TOL = 1e-9

@@ -1,8 +1,11 @@
 """The public names exported from the package, and what importing it loads."""
 
 import inspect
+import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import g2calc
 from support import package_env
@@ -10,23 +13,21 @@ from support import package_env
 PUBLIC_API = {
     "KForm", "LinearMap", "Metric", "euclidean_metric", "flat", "form_inner",
     "form_norm", "hodge", "interior", "multi_indices", "pullback",
-    "rel_residual", "sharp", "sharp2", "wedge",
+    "rel_residual", "sharp2", "wedge",
     "G2Data", "TwoFormSplit", "assemble2", "g2_bundle", "identity_battery",
-    "lambda14_wedge_norm", "metric_from_three_form", "project2", "project3",
-    "standard_g2",
-    "DdtReport", "cartan_solutions", "cartan_solve", "cartan_two_form",
-    "cube_norm_bound", "ddt_residual", "ddt_residual_decomposed", "graph_map",
-    "induced_phi", "is_solution", "linearization_density", "norm_bound_check",
-    "orthogonality_check", "reformulation_residual", "scalar_factor",
-    "solution_report", "wedge_injectivity",
+    "metric_from_three_form", "project2", "project3", "standard_g2",
+    "DdtReport", "cartan_solve", "cartan_two_form", "cube_norm_bound",
+    "ddt_residual", "ddt_residual_decomposed", "graph_map", "induced_phi",
+    "is_solution", "linearization_density", "norm_bound_check",
+    "reformulation_residual", "scalar_factor", "solution_report",
+    "wedge_injectivity",
     "DhymReport", "HermitianPoint", "NormalForm", "dhym_report",
     "j_duality_residual", "normal_form", "one_one_residual", "pq_project",
     "radius_angle", "standard_kahler", "symbol_bound",
-    "ProductReport", "SU3Point", "correspondence_check", "dx_split", "lift",
+    "ProductReport", "SU3Point", "correspondence_check", "lift",
     "product_g2", "product_phi", "product_psi", "standard_su3",
     "zero_phase_flux",
-    "CohomologySummary", "ModeBlock", "adjoint_check", "harmonic_dim",
-    "harmonic_dims", "mode_block",
+    "CohomologySummary", "adjoint_check", "harmonic_dim", "harmonic_dims",
     "SUITE_IDS", "Campaign", "Report", "all_passed", "emit",
 }
 
@@ -39,6 +40,48 @@ def test_exported_names_are_pinned():
 def test_every_exported_name_resolves():
     for name in g2calc.__all__:
         assert getattr(g2calc, name) is not None
+
+
+# The exported functions that `g2calc verify` never calls.  Each is the guarded
+# public entry to arithmetic that a suite runs through a private helper, adding
+# input checks only, or a function a benchmark workload calls.
+ENTRY_POINTS = {
+    "solution_report": "thmC1 runs its body, _solution_report, on each solution",
+    "linearization_density": "thmC1 runs its routes, _induced_duals and _density_routes",
+    "symbol_bound": "dhym runs its routes, _symbol_routes",
+    "is_solution": "thmC1 checks each Cartan flux by its rule, _solves at SOLUTION_TOL",
+    "induced_phi": "thmC1 reads its pair through _induced in each solution report",
+    "scalar_factor": "thmC1 reads its factor, _factor, in each solution report",
+    "zero_phase_flux": "the product suite runs _zero_phase_draw and _zero_phase_fluxes",
+    "assemble2": "the fresh-structures benchmark workload calls it",
+    "project3": "the fresh-structures benchmark workload calls it",
+}
+
+
+def test_every_exported_function_is_reached():
+    # In a fresh interpreter: after other tests, a warm cache would answer for
+    # the functions that build it, and the campaign would not call them.
+    code = ("import json, support\n"
+            "print(json.dumps(support.unreached_exports("
+            "['verify', '--samples', '60', '--format', 'json'])))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=False, env=package_env(), cwd=Path(__file__).resolve().parent)
+    assert proc.returncode == 0, proc.stderr
+    status, unreached = json.loads(proc.stdout)
+    assert status == 0
+    missed = sorted(set(unreached) - set(ENTRY_POINTS))
+    assert not missed, f"exported functions that verify never calls: {missed}"
+    stale = sorted(set(ENTRY_POINTS) - set(unreached))
+    assert not stale, f"entry points that verify calls or the package does not export: {stale}"
+
+
+def test_readme_python_examples_run():
+    # So that an example cannot name a function the package no longer has.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 # The only public function that takes a tolerance or bound: correspondence_check,

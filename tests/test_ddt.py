@@ -28,7 +28,6 @@ from g2calc.ddt import (
     _density_routes,
     _merged_roots,
     _solution_report,
-    cartan_solutions,
     cartan_solve,
     cartan_two_form,
     cube_norm_bound,
@@ -39,14 +38,19 @@ from g2calc.ddt import (
     is_solution,
     linearization_density,
     norm_bound_check,
-    orthogonality_check,
     reformulation_residual,
     scalar_factor,
     solution_report,
     wedge_injectivity,
 )
 
-from support import random_form, random_structure_rotation, random_vector, suite_two_form
+from support import (
+    cartan_solutions,
+    random_form,
+    random_structure_rotation,
+    random_vector,
+    suite_two_form,
+)
 
 REL = 1e-9
 SQ3 = np.sqrt(3.0)
@@ -220,30 +224,22 @@ class TestStackedCartanRoots:
 
 
 class TestOrthogonality:
+    # On solutions, |i(u)F14| and |phi ^ star(F^2)| both vanish.
+    @staticmethod
+    def split_norms(f, G):
+        split = project2(f, G)
+        return (form_norm(interior(split.u, split.f14), G.metric),
+                form_norm(wedge(G.phi, hodge(wedge(f, f), G.metric)), G.metric))
+
     def test_solutions_have_orthogonal_split(self, G):
         rng = np.random.default_rng(53)
         for _ in range(20):
             lams = random_zero_sum(rng)
             for f in cartan_solutions(*lams):
-                assert orthogonality_check(f, G) < 1e-10
+                assert max(self.split_norms(f, G)) < 1e-10
 
     def test_zero_flux(self, G):
-        assert orthogonality_check(KForm.zero(7, 2), G) == 0.0
-
-    def test_batch_gives_single_form_values_row_by_row(self, G):
-        solutions = cartan_solutions(0.5, -1.0, 0.5)
-        batch = KForm(7, 2, np.stack([f.coeffs for f in solutions]))
-        got = orthogonality_check(batch, G)
-        assert got.shape == (len(solutions),)
-        for i, f in enumerate(solutions):
-            one = orthogonality_check(f, G)
-            assert isinstance(one, float)
-            assert abs(got[i] - one) <= 1e-12
-
-    def test_non_solution_rejected(self, G):
-        f = interior(np.eye(7)[0], G.phi) + KForm.monomial(7, (0, 1))
-        with pytest.raises(ValueError):
-            orthogonality_check(f, G)
+        assert self.split_norms(KForm.zero(7, 2), G) == (0.0, 0.0)
 
 
 class TestSolutionTolIsReadAtCallTime:
@@ -255,13 +251,12 @@ class TestSolutionTolIsReadAtCallTime:
         assert form_norm(ddt_residual(f, G), G.metric) > 0.0
         return f
 
-    @pytest.mark.parametrize("check", [solution_report, orthogonality_check])
-    def test_zero_tolerance_rejects(self, G, check, monkeypatch):
+    def test_zero_tolerance_rejects(self, G, monkeypatch):
         f = self.inexact_solution(G)
-        check(f, G)
+        solution_report(f, G)
         monkeypatch.setattr(ddt_module, "SOLUTION_TOL", 0.0)
         with pytest.raises(ValueError, match="does not solve"):
-            check(f, G)
+            solution_report(f, G)
 
     def test_is_solution_default(self, G, monkeypatch):
         # The default used to be bound when the module loaded, so this stayed True.

@@ -23,7 +23,6 @@ from g2calc.forms import (
     pullback,
     rel_residual,
     row_residual,
-    sharp,
     sharp2,
     wedge,
     wedge_matrix,
@@ -334,13 +333,13 @@ class TestMusical:
         rng = np.random.default_rng(12)
         m = random_metric(rng, 6)
         v = random_vector(rng, 6)
-        assert np.allclose(sharp(flat(v, m), m), v)
+        assert np.allclose(np.linalg.solve(m.gram, flat(v, m).coeffs), v)
 
     def test_complex_flat_sharp_roundtrip(self):
         rng = np.random.default_rng(14)
         m = random_metric(rng, 6)
         alpha = KForm(6, 1, random_vector(rng, 6) + 1j * random_vector(rng, 6))
-        back = flat(sharp(alpha, m), m)
+        back = flat(np.linalg.solve(m.gram, alpha.coeffs), m)
         assert back.coeffs.dtype == np.complex128
         assert rel_residual(back.coeffs, alpha.coeffs) < REL
         assert flat(np.array([1j, 0, 0]), euclidean_metric(3)).coeffs[0] == 1j

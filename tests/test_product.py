@@ -14,7 +14,6 @@ from g2calc.dhym import pq_project, standard_kahler
 from g2calc.product import (
     SU3Point,
     correspondence_check,
-    dx_split,
     lift,
     product_g2,
     product_phi,
@@ -24,6 +23,8 @@ from g2calc.product import (
     _zero_phase_draw,
     _zero_phase_fluxes,
 )
+
+from support import dx_split
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +117,6 @@ class TestLift:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
             lift(KForm.zero(7, 2))
-        with pytest.raises(ValueError):
-            dx_split(KForm.zero(6, 2))
-        with pytest.raises(ValueError):
-            dx_split(KForm.zero(7, 0))
 
 
 class TestResidualDecomposition:
@@ -250,6 +247,13 @@ class TestCorrespondence:
             correspondence_check(su3, KForm.zero(7, 2))
         with pytest.raises(ValueError):
             correspondence_check(su3, KForm(6, 2, np.zeros(15, dtype=complex)))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8, "1e-8", None, 1e-8j])
+    def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(self, su3, tol):
+        # A NaN tolerance would read "solves" as False on both sides yet "agree"
+        # as True, and an infinite one would let every flux solve.
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            correspondence_check(su3, KForm.zero(6, 2), tol=tol)
 
 
 class TestZeroPhaseFlux:
