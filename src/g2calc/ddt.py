@@ -66,20 +66,9 @@ class DdtReport:
     scalar_factor: float
     lhs_minus_rhs_norm: float
     sign_C: int
-    bound_lhs: float
-    bound_rhs: float
     conformal_residual: float
     dual_target: KForm = field(compare=False, repr=False)
     tilde_star: KForm = field(compare=False, repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "residual_norm": self.residual_norm,
-            "scalar_factor": self.scalar_factor,
-            "thmC1_max_deviation": self.lhs_minus_rhs_norm,
-            "bound_lhs": self.bound_lhs,
-            "bound_rhs": self.bound_rhs,
-        }
 
 
 def ddt_residual(f: KForm, data: G2Data | None = None) -> KForm:
@@ -146,7 +135,8 @@ def _require_solution(f: KForm, data: G2Data) -> None:
 def cartan_solve(l1: float, l2: float, l3: float) -> list[float]:
     """Real roots x of x^3 - (3 + (l1^2+l2^2+l3^2)/2) x + l1 l2 l3 = 0.
 
-    The lambdas must sum to zero (they are the diagonal 14-part weights).
+    The lambdas must be finite and sum to zero (they are the diagonal
+    14-part weights); ValueError names them otherwise.
     The depressed cubic always has nonpositive discriminant deficit, so the
     trigonometric closed form applies; each root is polished by Newton
     steps and near-coincident roots are merged.
@@ -157,10 +147,15 @@ def cartan_solve(l1: float, l2: float, l3: float) -> list[float]:
 def _cartan_roots(weights: np.ndarray) -> np.ndarray:
     # cartan_solve's three polished roots for weights of shape (..., 3), sorted
     # along the last axis and not yet merged; each row equals the single call's.
-    # Raises when any row's weights do not sum to zero.
+    # Raises when any row's weights are not finite or do not sum to zero.
     l1, l2, l3 = weights[..., 0], weights[..., 1], weights[..., 2]
-    if np.any(np.abs(l1 + l2 + l3) > 1e-12 * np.maximum(1.0, np.abs(weights).max(axis=-1))):
-        raise ValueError("lambdas must sum to zero")
+    with np.errstate(invalid="ignore"):
+        total = np.abs(l1 + l2 + l3)
+    # Written so that a NaN sum fails the check.
+    bad = ~(np.isfinite(weights).all(axis=-1)
+            & (total <= 1e-12 * np.maximum(1.0, np.abs(weights).max(axis=-1))))
+    if np.any(bad):
+        raise ValueError(f"lambdas must sum to zero and be finite, got {weights[bad][0].tolist()}")
     p = (-(3.0 + 0.5 * (l1 * l1 + l2 * l2 + l3 * l3)))[..., None]
     q = (l1 * l2 * l3)[..., None]
 
@@ -290,15 +285,12 @@ def _solution_report(f: KForm, data: G2Data) -> DdtReport:
     sign_c = _scalar(np.where(_dot(tilde_star.coeffs, dual_target.coeffs) > 0, 1, -1))
     conformal = _scalar(row_residual(tilde_star.coeffs, (sign_c * dual_target).coeffs))
 
-    bound_lhs, bound_rhs, _ = norm_bound_check(f, data)
     return DdtReport(
         residual=residual,
         residual_norm=form_norm(residual, data.metric),
         scalar_factor=factor,
         lhs_minus_rhs_norm=deviation,
         sign_C=sign_c,
-        bound_lhs=bound_lhs,
-        bound_rhs=bound_rhs,
         conformal_residual=conformal,
         dual_target=dual_target,
         tilde_star=tilde_star,

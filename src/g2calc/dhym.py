@@ -51,17 +51,12 @@ from .forms import (
 
 ONE_ONE_TOL = 1e-8
 FRAME_TOL = 1e-10
-# Size of the skew-Hermitian generator of random_unitary_rotation, and the
-# tolerance to which the rotation must preserve omega.
+# Size of the skew-Hermitian generator of _unitary_rotations, and the
+# tolerance to which a rotation must preserve omega.
 ROTATION_MAGNITUDE = 0.6
 ROTATION_TOL = 1e-9
 SYMBOL_ROUTES_ERROR = "symbol routes disagree beyond tolerance"
 ROTATION_ERROR = "could not draw a unitary rotation"
-
-
-def _wrap_angle(theta: float) -> float:
-    """theta reduced modulo 2 pi into [-pi, pi); pi itself maps to -pi."""
-    return _scalar((theta + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 def _check_complex_dim(n) -> None:
@@ -128,7 +123,8 @@ class HermitianPoint:
     def _holomorphic_change(self) -> tuple[LinearMap, LinearMap]:
         # Columns dual to the coframe (dz^1..dz^n, dzbar^1..dzbar^n), and the
         # inverse, built once per point.  Pulling a 2-form back through them
-        # builds a matrix only for n = 1; for n >= 2 the pullback contracts.
+        # builds an exterior power, on every call, only for n = 1; for n >= 2
+        # the pullback contracts.
         q = self.frame
         u, v = q[:, 0::2], q[:, 1::2]
         t = np.hstack([(u - 1j * v) / 2.0, (u + 1j * v) / 2.0])
@@ -215,12 +211,6 @@ class NormalForm:
         w.flags.writeable = False
         return w
 
-    def u_form(self, i: int) -> KForm:
-        return KForm(2 * self.point.n, 1, self.coframe[..., 2 * i, :])
-
-    def v_form(self, i: int) -> KForm:
-        return KForm(2 * self.point.n, 1, self.coframe[..., 2 * i + 1, :])
-
     def diagonal(self, weights) -> KForm:
         """The two-form sum_i weights[i] u^i ^ v^i in this frame."""
         w = self.coframe
@@ -238,16 +228,6 @@ class NormalForm:
         w = self.coframe
         weights = np.repeat(1.0 + np.square(self.lambdas), 2, axis=-1)
         return Metric(2 * self.point.n, w.swapaxes(-1, -2) @ (weights[..., None] * w))
-
-    def rescaled(self) -> KForm | None:
-        """Conformal multiple of omega_nabla whose (n-1) power has unit radius.
-
-        Undefined for n = 1, where no rescaling can absorb the radius.
-        """
-        if self.point.n == 1:
-            return None
-        r, _ = radius_angle(self.lambdas)
-        return np.power(r, -1.0 / (self.point.n - 1)) * self.omega_nabla
 
 
 def normal_form(point: HermitianPoint, f: KForm | None = None) -> NormalForm:
@@ -301,7 +281,7 @@ class DhymReport:
     """Certificates for one curvature representative at one point, or arrays over a batch.
 
     ``f11`` is the J-invariant part the certificates refer to and ``normal``
-    its normal form; neither is serialized.
+    its normal form.
     """
 
     r: float
@@ -312,14 +292,6 @@ class DhymReport:
     im_identity_residual: float
     f11: KForm = field(compare=False, repr=False)
     normal: NormalForm = field(compare=False, repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "theta": _wrap_angle(self.theta),
-            "p02_norm": self.p02_norm,
-            "im_residual": self.im_residual,
-        }
 
 
 def dhym_report(point: HermitianPoint, f: KForm) -> DhymReport:
@@ -406,29 +378,24 @@ def j_duality_residual(point: HermitianPoint, alpha: KForm) -> float:
     return _scalar(row_residual(lhs.coeffs, rhs.coeffs))
 
 
-def random_unitary_rotation(rng: np.random.Generator, point: HermitianPoint) -> LinearMap:
-    """A random isometry commuting with J, drawn from the exponential chart.
-
-    A skew-Hermitian X of size ROTATION_MAGNITUDE is realified, in the
-    frame of ``point``, to a real skew matrix S.  Its exponential comes
-    from the Hermitian eigenproblem of iS: with (mu, W) = eigh(iS),
-    exp(S) = Re(W diag(e^{-i mu}) W^H).  The result must preserve omega,
-    R^T A R = A for A the skew matrix of omega, to ROTATION_TOL.  A draw
-    that does not raises ValueError rather than drawing again, as does one
-    whose eigenproblem fails.
-    """
-    return _unitary_rotations(point, _rotation_generator(rng, point.n))
-
-
 def _rotation_generator(rng: np.random.Generator, n: int) -> np.ndarray:
-    # The draws of one random_unitary_rotation: a complex Gaussian n x n matrix.
+    # The draws of one rotation of _unitary_rotations: a complex Gaussian n x n matrix.
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def _unitary_rotations(point: HermitianPoint, x: np.ndarray) -> LinearMap:
-    # random_unitary_rotation's arithmetic on drawn generators x of shape
-    # (..., n, n): a stack of rotations, each row equal to the single call's.
-    # Any row that fails the omega check, a NaN row included, raises.
+    """Isometries commuting with J, from the exponential chart at drawn generators.
+
+    Each complex n x n generator x, of a stack of shape (..., n, n), is
+    made skew-Hermitian at size ROTATION_MAGNITUDE and realified, in the
+    frame of ``point``, to a real skew matrix S.  Its exponential comes
+    from the Hermitian eigenproblem of iS: with (mu, W) = eigh(iS),
+    exp(S) = Re(W diag(e^{-i mu}) W^H).  Each rotation must preserve
+    omega, R^T A R = A for A the skew matrix of omega, to ROTATION_TOL.
+    A stack with any row that does not, a NaN row included, raises
+    ValueError rather than drawing again, as does one whose eigenproblem
+    fails.
+    """
     n = point.n
     x = ROTATION_MAGNITUDE * 0.5 * (x - x.conj().swapaxes(-1, -2))
     real = np.zeros(x.shape[:-2] + (2 * n, 2 * n))

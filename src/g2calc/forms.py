@@ -310,10 +310,6 @@ class KForm:
         data[_positions(dim, len(indices))[ordered]] = sign * coeff
         return cls(dim, len(indices), data)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "KForm":
-        return cls(int(payload["dim"]), int(payload["grade"]), np.array(payload["coeffs"]))
-
     def _require_single(self, op: str) -> None:
         if self.coeffs.ndim != 1:
             raise ValueError(f"{op} needs a single form, got a batch of shape {self.coeffs.shape[:-1]}")
@@ -478,7 +474,6 @@ class LinearMap:
 
     dim: int
     matrix: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.matrix)
@@ -490,23 +485,6 @@ class LinearMap:
             raise ValueError(f"matrix must be {self.dim}x{self.dim}, got {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls(n, np.eye(n))
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """The map sending x to self(other(x))."""
-        if self.dim != other.dim:
-            raise ValueError("cannot compose maps of different dimensions")
-        return LinearMap(self.dim, self.matrix @ other.matrix)
-
-    def pullback_matrix(self, k: int) -> np.ndarray:
-        """Matrix D with (L* alpha)[J] = sum_I alpha[I] D[I, J] on grade k."""
-        key = ("pullback", k)
-        if key not in self._cache:
-            self._cache[key] = exterior_power(self.matrix, k)
-        return self._cache[key]
 
 
 def _require_same_dim(a: KForm, b: KForm) -> None:
@@ -662,7 +640,7 @@ def pullback(L: LinearMap, a: KForm) -> KForm:
         return KForm._made(a.dim, 0, a.coeffs * np.ones(L.matrix.shape[:-2] + (1,), L.matrix.dtype))
     if _contracts(a.dim, a.grade):
         return KForm._made(a.dim, a.grade, _contract(a.coeffs, L.matrix, a.grade))
-    return KForm._made(a.dim, a.grade, _vecmat(a.coeffs, L.pullback_matrix(a.grade)))
+    return KForm._made(a.dim, a.grade, _vecmat(a.coeffs, exterior_power(L.matrix, a.grade)))
 
 
 def form_inner(a: KForm, b: KForm, m: Metric | None = None):

@@ -665,15 +665,6 @@ class Campaign:
         ordered = tuple(sorted(set(names), key=SUITE_IDS.__getitem__))
         object.__setattr__(self, "suites", ordered)
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "tol_rel": self.tol_rel,
-            "tol_identity": self.tol_identity,
-            "suites": list(self.suites),
-        }
-
     def run_suite(self, name: str) -> Report:
         """The report of one suite, the same whether or not run() runs it."""
         if name not in SUITE_IDS:

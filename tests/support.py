@@ -13,6 +13,7 @@ import io
 import itertools
 import os
 import sys
+from functools import cached_property
 from math import comb, pi, sqrt
 from pathlib import Path
 
@@ -36,10 +37,12 @@ from g2calc.ddt import (
     wedge_injectivity,
 )
 from g2calc.dhym import (
+    HermitianPoint,
+    NormalForm,
     dhym_report,
     j_duality_residual,
     normal_form,
-    random_unitary_rotation,
+    radius_angle,
     standard_kahler,
 )
 from g2calc.forms import (
@@ -86,16 +89,37 @@ def package_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
-def unreached_exports(argv: list[str]) -> tuple[int, list[str]]:
-    """cli.main(argv)'s exit status, and the exported functions it never calls.
+def public_methods(cls) -> dict[str, object]:
+    """The functions behind a class's public methods, classmethods and properties, by name."""
+    found = {}
+    for name, attr in vars(cls).items():
+        if name.startswith("_"):
+            continue
+        if isinstance(attr, (classmethod, staticmethod)):
+            attr = attr.__func__
+        elif isinstance(attr, property):
+            attr = attr.fget
+        elif isinstance(attr, cached_property):
+            attr = attr.func
+        if inspect.isfunction(attr):
+            found[f"{cls.__name__}.{name}"] = attr
+    return found
 
-    A function counts as called when its frame is entered, an lru_cache'd
-    one when its cache is consulted: a warm cache answers without a frame.
-    The verdict written to stdout is dropped.
+
+def unreached_exports(argv: list[str]) -> tuple[int, list[str]]:
+    """cli.main(argv)'s exit status, and the exported functions and methods it never calls.
+
+    The methods are the public methods, classmethods and properties of the
+    exported classes, named "Class.method".  A function counts as called
+    when its frame is entered, an lru_cache'd one when its cache is
+    consulted: a warm cache answers without a frame.  The verdict written
+    to stdout is dropped.
     """
     exports = {name: getattr(g2calc, name) for name in g2calc.__all__}
     cached = {name: f for name, f in exports.items() if hasattr(f, "cache_info")}
     plain = {f.__code__: name for name, f in exports.items() if inspect.isfunction(f)}
+    for cls in filter(inspect.isclass, exports.values()):
+        plain.update((f.__code__, name) for name, f in public_methods(cls).items())
 
     def consulted(f):
         info = f.cache_info()
@@ -188,6 +212,28 @@ def suite_two_form(rng: np.random.Generator, n: int, scale: float = 1.0) -> KFor
 def standard_star_phi() -> KForm:
     """Frozen coefficients of star(phi) for golden comparisons."""
     return _from_monomials(4, STAR_PHI_MONOMIALS)
+
+
+def random_unitary_rotation(rng: np.random.Generator, point: HermitianPoint) -> LinearMap:
+    """One isometry commuting with J: dhym._unitary_rotations at one drawn generator."""
+    return dhym_module._unitary_rotations(point, dhym_module._rotation_generator(rng, point.n))
+
+
+def coframe_pair(nf: NormalForm, i: int) -> tuple[KForm, KForm]:
+    """The coframe 1-forms u^i and v^i of a normal form."""
+    dim = 2 * nf.point.n
+    return KForm(dim, 1, nf.coframe[..., 2 * i, :]), KForm(dim, 1, nf.coframe[..., 2 * i + 1, :])
+
+
+def rescaled(nf: NormalForm) -> KForm | None:
+    """The conformal multiple of omega_nabla whose (n-1) power has unit radius.
+
+    Undefined for n = 1, where no rescaling can absorb the radius.
+    """
+    if nf.point.n == 1:
+        return None
+    r, _ = radius_angle(nf.lambdas)
+    return np.power(r, -1.0 / (nf.point.n - 1)) * nf.omega_nabla
 
 
 def random_structure_rotation(

@@ -42,9 +42,11 @@ def test_every_exported_name_resolves():
         assert getattr(g2calc, name) is not None
 
 
-# The exported functions that `g2calc verify` never calls.  Each is the guarded
-# public entry to arithmetic that a suite runs through a private helper, adding
-# input checks only, or a function a benchmark workload calls.
+# The exported functions, and the public methods and properties of exported
+# classes ("Class.method"), that `g2calc verify` never calls.  Each function is
+# the guarded public entry to arithmetic that a suite runs through a private
+# helper, adding input checks only, or one a benchmark workload calls; each
+# method has its own reason.
 ENTRY_POINTS = {
     "solution_report": "thmC1 runs its body, _solution_report, on each solution",
     "linearization_density": "thmC1 runs its routes, _induced_duals and _density_routes",
@@ -55,6 +57,10 @@ ENTRY_POINTS = {
     "zero_phase_flux": "the product suite runs _zero_phase_draw and _zero_phase_fluxes",
     "assemble2": "the fresh-structures benchmark workload calls it",
     "project3": "the fresh-structures benchmark workload calls it",
+    "KForm.coefficient": "the independent coefficient reader the tests check forms with",
+    "KForm.to_dict": "a witness serialises its forms with it, so only a failing check reaches it",
+    "NormalForm.eta": "the descendant metric of the dHYM moduli count, which has no suite yet",
+    "Campaign.run": "the benchmark workloads run campaigns through it",
 }
 
 
@@ -70,7 +76,7 @@ def test_every_exported_function_is_reached():
     status, unreached = json.loads(proc.stdout)
     assert status == 0
     missed = sorted(set(unreached) - set(ENTRY_POINTS))
-    assert not missed, f"exported functions that verify never calls: {missed}"
+    assert not missed, f"exported functions and methods that verify never calls: {missed}"
     stale = sorted(set(ENTRY_POINTS) - set(unreached))
     assert not stale, f"entry points that verify calls or the package does not export: {stale}"
 

@@ -53,9 +53,9 @@ def test_product_g2_returns_the_cached_bundle():
 
 
 @pytest.mark.parametrize("cls, keyed", [
-    (Metric, True), (LinearMap, True), (G2Data, True),
+    (Metric, True), (LinearMap, False), (G2Data, True),
     (HermitianPoint, False), (NormalForm, False), (SU3Point, False),
 ])
 def test_only_keyed_state_has_a_cache_field(cls, keyed):
-    # Metric and LinearMap key theirs by grade, G2Data by cutoff.
+    # Metric keys its cache by grade, G2Data by cutoff.
     assert ("_cache" in {f.name for f in dataclasses.fields(cls)}) == keyed

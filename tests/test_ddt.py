@@ -128,6 +128,15 @@ class TestCartanFamily:
         with pytest.raises(ValueError):
             cartan_solve(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("weights", [
+        (np.nan, 0.0, 0.0), (np.inf, -np.inf, 0.0), (np.inf, 0.0, 0.0), (1.0, -1.0, np.nan),
+    ])
+    def test_non_finite_weights_rejected(self, weights):
+        # A NaN sum compares false against any tolerance, and an infinite
+        # weight makes the tolerance infinite: both must still fail the check.
+        with pytest.raises(ValueError, match=r"lambdas must sum to zero and be finite, got \["):
+            cartan_solve(*weights)
+
     def test_all_roots_solve(self, G):
         rng = np.random.default_rng(52)
         for _ in range(50):
@@ -370,7 +379,6 @@ class TestSolutionReport:
             sign = 1 if factor > 0 else -1
             conformal = float(row_residual(hodge(tilde, metric_from_three_form(tilde)).coeffs,
                                            (float(sign) * dual).coeffs))
-            bound_lhs, bound_rhs, _ = norm_bound_check(f, G)
             assert np.array_equal(rep.residual.coeffs, residual.coeffs)
             assert rep.residual_norm == form_norm(residual, G.metric)
             assert rep.scalar_factor == factor
@@ -380,7 +388,6 @@ class TestSolutionReport:
             )
             assert rep.sign_C == sign
             assert rep.conformal_residual == conformal
-            assert (rep.bound_lhs, rep.bound_rhs) == (bound_lhs, bound_rhs)
 
     def test_non_solution_rejected(self, G):
         with pytest.raises(ValueError):
@@ -396,7 +403,7 @@ class TestSolutionReport:
             one = solution_report(f, G)
             assert np.array_equal(rep.residual.coeffs[i], one.residual.coeffs)
             for name in ("residual_norm", "lhs_minus_rhs_norm", "conformal_residual",
-                         "scalar_factor", "bound_lhs", "bound_rhs", "sign_C"):
+                         "scalar_factor", "sign_C"):
                 assert getattr(rep, name).shape == (len(fluxes),)
                 assert getattr(rep, name)[i] == getattr(one, name), name
         assert isinstance(one.sign_C, int) and isinstance(one.conformal_residual, float)
@@ -407,16 +414,6 @@ class TestSolutionReport:
         assert is_solution(batch, G).tolist() == [True, False]
         with pytest.raises(ValueError, match="does not solve"):
             solution_report(batch, G)
-
-    def test_serialised_field_names(self, G):
-        rep = solution_report(KForm.zero(7, 2), G)
-        assert set(rep.to_dict()) == {
-            "residual_norm",
-            "scalar_factor",
-            "thmC1_max_deviation",
-            "bound_lhs",
-            "bound_rhs",
-        }
 
 
 class TestExteriorPowerBudget:
