@@ -11,7 +11,7 @@ import json
 import operator
 from dataclasses import dataclass
 from math import comb, isfinite, isnan, pi, sqrt
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,11 +73,12 @@ SUITE_IDS: dict[str, int] = {
 
 MAX_WITNESSES = 5
 
-# Rows per batched call.  A batch builds matrices for each of its rows (wedge
-# and Hodge matrices, exterior-power steps), so the cap fixes their memory
-# whatever the sample count.  With 1000 samples, 32 rows ran as fast as 128
-# or 256 and kept the peak RSS of the five batched suites about 1 MB lower.
-CHUNK_ROWS = 32
+# Rows per batched call.  Larger chunks spread each call's Python overhead
+# over more rows: at 1000 samples on a 2-core Xeon the seven pointwise
+# suites took 385 ms at 32 rows and 218 ms at 256 (dhym 82 and 43 ms).  The
+# chunk no longer bounds memory: forms._contract, whose tensors are most of
+# a chunk's, works through any batch in blocks of forms._CONTRACT_ENTRIES.
+CHUNK_ROWS = 256
 
 
 def _strict(value):
@@ -91,17 +92,24 @@ def _strict(value):
     return value
 
 
-class _Row(NamedTuple):
-    """One row of a batch of forms, made a KForm only when a witness needs it."""
+class _Column(NamedTuple):
+    """One per-row check of a table: residuals against a tolerance, or outcomes.
 
-    dim: int
-    grade: int
-    coeffs: np.ndarray
+    ``values`` holds a residual per row, or, when ``tol`` is None, the
+    outcome of an expectation per row.  ``where`` marks the rows the check
+    applies to (all of them when None); other rows' values are not read.
+    ``info(row)`` gives the witness fields of a row; it runs only for the
+    failing rows that become witnesses.
+    """
+
+    label: str
+    values: np.ndarray
+    tol: float | None
+    info: Callable[[int], dict]
+    where: np.ndarray | None = None
 
 
 def _plain(value):
-    if isinstance(value, _Row):
-        value = KForm(*value)
     if isinstance(value, KForm):
         return value.to_dict()
     if isinstance(value, np.generic):
@@ -166,6 +174,41 @@ class _Recorder:
         else:
             self._fail({"check": label, **info})
 
+    def columns(self, table: list[_Column]) -> None:
+        """Record a table of per-row checks, in (row, check) order.
+
+        The counts, the worst residual and the witnesses are those of check()
+        and expect() called row by row, and within a row check by check.
+        """
+        rows = len(table[0].values)
+        applies = np.stack([np.ones(rows, dtype=bool) if c.where is None else c.where
+                            for c in table], axis=1)
+        ok = np.stack([c.values.astype(bool) if c.tol is None
+                       else np.isfinite(c.values) & (c.values <= c.tol)
+                       for c in table], axis=1)
+        measured = [i for i, c in enumerate(table) if c.tol is not None]
+        if measured and isfinite(self.worst):
+            residuals = np.stack([table[i].values for i in measured], axis=1).astype(float)
+            live = applies[:, measured]
+            # The first non-finite residual in (row, check) order stays the worst.
+            bad = live & ~np.isfinite(residuals)
+            if bad.any():
+                self.worst = float(residuals.flat[np.argmax(bad)])
+            elif live.any():
+                self.worst = max(self.worst, float(residuals[live].max()))
+        self.passed += int(np.count_nonzero(applies & ok))
+        failing = applies & ~ok
+        self.failed += int(np.count_nonzero(failing))
+        for row, col in zip(*np.nonzero(failing)):
+            if len(self.witnesses) >= MAX_WITNESSES:
+                break
+            c, row = table[col], int(row)
+            entry = {"check": c.label}
+            if c.tol is not None:
+                entry.update(residual=float(c.values[row]), tolerance=c.tol)
+            entry.update(c.info(row))
+            self.witnesses.append({k: _plain(v) for k, v in entry.items()})
+
     def report(self) -> Report:
         return Report(
             suite=self.suite,
@@ -213,22 +256,27 @@ def _run_appendix_a(campaign: Campaign, rng: np.random.Generator) -> Report:
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (n, k, *_) in enumerate(draws):
         groups.setdefault((n, k), []).append(i)
-    residuals: dict[str, np.ndarray] = {}
+    labels = ("double star sign", "star isometry", "contraction of star", "star of contraction")
+    residuals = {label: np.full(campaign.samples, np.nan) for label in labels}
     for rows in groups.values():
         for label, values in _batched(lambda idx: _appendix_a_rows(draws, idx), rows).items():
-            residuals.setdefault(label, np.full(campaign.samples, np.nan))[rows] = values
+            residuals[label][rows] = values
 
-    for i, (n, k, _, a, _, v) in enumerate(draws):
-        form = _Row(n, k, a)
-        rec.check("double star sign", residuals["double star sign"][i],
-                  campaign.tol_rel, sample=i, dim=n, grade=k, form=form)
-        rec.check("star isometry", residuals["star isometry"][i],
-                  campaign.tol_rel, sample=i, dim=n, grade=k, form=form)
-        rec.check("contraction of star", residuals["contraction of star"][i],
-                  campaign.tol_rel, sample=i, dim=n, grade=k, form=form, vector=v)
-        if k >= 1:
-            rec.check("star of contraction", residuals["star of contraction"][i],
-                      campaign.tol_rel, sample=i, dim=n, grade=k, form=form, vector=v)
+    def form(i):
+        n, k, _, a, *_ = draws[i]
+        return {"sample": i, "dim": n, "grade": k, "form": KForm(n, k, a)}
+
+    def form_and_vector(i):
+        return {**form(i), "vector": draws[i][5]}
+
+    tol = campaign.tol_rel
+    rec.columns([
+        _Column("double star sign", residuals["double star sign"], tol, form),
+        _Column("star isometry", residuals["star isometry"], tol, form),
+        _Column("contraction of star", residuals["contraction of star"], tol, form_and_vector),
+        _Column("star of contraction", residuals["star of contraction"], tol, form_and_vector,
+                np.array([k >= 1 for _, k, *_ in draws])),
+    ])
     rec.details = {"dimensions": list(dims), "trials": campaign.samples}
     return rec.report()
 
@@ -312,9 +360,9 @@ def _run_appendix_b(campaign: Campaign, rng: np.random.Generator) -> Report:
         lambda idx: {"battery": identity_battery(vectors[idx], KForm(7, 2, betas[idx]), data)},
         range(campaign.samples),
     )["battery"]
-    for i in range(campaign.samples):
-        rec.check("contraction battery", battery[i], campaign.tol_rel,
-                  sample=i, vector=vectors[i], form=_Row(7, 2, betas[i]))
+    rec.columns([_Column(
+        "contraction battery", battery, campaign.tol_rel,
+        lambda i: {"sample": i, "vector": vectors[i], "form": KForm(7, 2, betas[i])})])
     rec.details["battery_trials"] = campaign.samples
     return rec.report()
 
@@ -338,6 +386,11 @@ def _cartan_families(campaign: Campaign, rng: np.random.Generator, extra):
     return fluxes, families, np.array(extras)
 
 
+def _family_of(families) -> list[int]:
+    """The index of each row's family, for families given as ranges of rows."""
+    return [i for i, rows in enumerate(families) for _ in rows]
+
+
 def _run_thm_c1(campaign: Campaign, rng: np.random.Generator) -> Report:
     rec = _Recorder("thmC1")
     data = standard_g2()
@@ -357,22 +410,24 @@ def _run_thm_c1(campaign: Campaign, rng: np.random.Generator) -> Report:
                 "sign": rep.sign_C, "density": density}
 
     sol = _batched(evaluate, range(len(fluxes)))
-    for i, family in enumerate(families):
-        for j in family:
-            f = _Row(7, 2, fluxes[j])
-            factor, sign = sol["factor"][j], sol["sign"][j]
-            rec.check("Cartan flux solves the equation", sol["solve"][j],
-                      ddt.SOLUTION_TOL, sample=i, flux=f)
-            rec.check("transport agrees with algebraic dual", sol["deviation"][j],
-                      campaign.tol_identity, sample=i, flux=f)
-            rec.check("conformal normalisation is a structure", sol["conformal"][j],
-                      campaign.tol_identity, sample=i, flux=f)
-            rec.expect("factor stays away from zero", abs(factor) > 1e-6,
-                       sample=i, factor=factor, flux=f)
-            rec.expect("orientation sign matches factor", sign == (1 if factor > 0 else -1),
-                       sample=i, factor=factor, sign=sign, flux=f)
-            rec.check("linearised density routes agree", sol["density"][j],
-                      campaign.tol_identity, sample=i, flux=f, form=_Row(7, 2, directions[j]))
+    family = _family_of(families)
+
+    def solution(j, **values):
+        return {"sample": family[j], **values, "flux": KForm(7, 2, fluxes[j])}
+
+    tol = campaign.tol_identity
+    rec.columns([
+        _Column("Cartan flux solves the equation", sol["solve"], ddt.SOLUTION_TOL, solution),
+        _Column("transport agrees with algebraic dual", sol["deviation"], tol, solution),
+        _Column("conformal normalisation is a structure", sol["conformal"], tol, solution),
+        _Column("factor stays away from zero", np.abs(sol["factor"]) > 1e-6, None,
+                lambda j: solution(j, factor=sol["factor"][j])),
+        _Column("orientation sign matches factor",
+                sol["sign"] == np.where(sol["factor"] > 0, 1, -1), None,
+                lambda j: solution(j, factor=sol["factor"][j], sign=sol["sign"][j])),
+        _Column("linearised density routes agree", sol["density"], tol,
+                lambda j: {**solution(j), "form": KForm(7, 2, directions[j])}),
+    ])
     rec.details = {"solutions_certified": len(fluxes), "families": len(families)}
     return rec.report()
 
@@ -392,9 +447,9 @@ def _run_prop_d1(campaign: Campaign, rng: np.random.Generator) -> Report:
         return {"split": row_residual(split.coeffs, ddt_residual(f, data).coeffs)}
 
     split = _batched(evaluate, range(campaign.samples))["split"]
-    for i in range(campaign.samples):
-        rec.check("type split reassembles the residual", split[i],
-                  campaign.tol_rel, sample=i, scale=scales[i], flux=_Row(7, 2, fluxes[i]))
+    rec.columns([_Column(
+        "type split reassembles the residual", split, campaign.tol_rel,
+        lambda i: {"sample": i, "scale": scales[i], "flux": KForm(7, 2, fluxes[i])})])
     rec.details = {"fluxes_checked": campaign.samples}
     return rec.report()
 
@@ -432,20 +487,30 @@ def _run_cor_d2(campaign: Campaign, rng: np.random.Generator) -> Report:
 
     sol = _batched(per_solution, range(len(fluxes)))
     fam = _batched(per_family, range(draws))
-    for i, family in enumerate(families):
-        for j in family:
-            f = _Row(7, 2, fluxes[j])
-            rec.expect("7-part bound holds on solutions", sol["ok"][j],
-                       sample=i, lhs=sol["lhs"][j], rhs=sol["rhs"][j], flux=f)
-            if sol["cube"][j] > campaign.tol_identity:
-                rec.expect("wedge map has full rank", sol["rank"][j] == 21,
-                           sample=i, rank=sol["rank"][j], cube_norm=sol["cube"][j], flux=f)
-            rec.check("first-order reformulation vanishes", sol["reformulation"][j],
-                      campaign.tol_identity, sample=i, flux=f)
-        cube_lhs, cube_rhs = fam["lhs"][i], fam["rhs"][i]
-        rec.expect("14-part cube bound",
-                   cube_lhs <= cube_rhs * (1.0 + campaign.tol_rel) + 1e-12,
-                   sample=i, lhs=cube_lhs, rhs=cube_rhs, form=_Row(7, 2, betas[i]))
+    family = _family_of(families)
+    # Each family's cube bound is recorded after its solutions, on its last row.
+    last = np.zeros(len(fluxes), dtype=bool)
+    last[[rows[-1] for rows in families]] = True
+    cube_ok = fam["lhs"] <= fam["rhs"] * (1.0 + campaign.tol_rel) + 1e-12
+
+    def solution(j, **values):
+        return {"sample": family[j], **values, "flux": KForm(7, 2, fluxes[j])}
+
+    def cube(j):
+        i = family[j]
+        return {"sample": i, "lhs": fam["lhs"][i], "rhs": fam["rhs"][i],
+                "form": KForm(7, 2, betas[i])}
+
+    rec.columns([
+        _Column("7-part bound holds on solutions", sol["ok"], None,
+                lambda j: solution(j, lhs=sol["lhs"][j], rhs=sol["rhs"][j])),
+        _Column("wedge map has full rank", sol["rank"] == 21, None,
+                lambda j: solution(j, rank=sol["rank"][j], cube_norm=sol["cube"][j]),
+                sol["cube"] > campaign.tol_identity),
+        _Column("first-order reformulation vanishes", sol["reformulation"],
+                campaign.tol_identity, solution),
+        _Column("14-part cube bound", cube_ok[family], None, cube, last),
+    ])
     rec.details = {"solutions_checked": len(fluxes), "families": draws}
     return rec.report()
 
@@ -476,30 +541,43 @@ def _run_dhym(campaign: Campaign, rng: np.random.Generator) -> Report:
         n: _batched(lambda idx: _dhym_rows(draws, rows, idx), range(len(rows)))
         for n, rows in groups.items()
     }
+    # The per-sample values in sample order; rotation is NaN where n = 1.
+    col = {}
+    for key in ("im", "vol", "lower", "r", "sigma", "floor", "routes", "duality", "rotation"):
+        col[key] = np.full(campaign.samples, np.nan)
+        for n, rows in groups.items():
+            if key in results[n]:
+                col[key][rows] = results[n][key]
 
-    for i, (n, f, xi, _) in enumerate(draws):
-        res, j = results[n], where[i]
-        form, covector = _Row(2 * n, 2, f), _Row(2 * n, 1, xi)
-        rec.check("rotated top power is real",
-                  res["im"][j], campaign.tol_rel, sample=i, n=n, form=form)
-        rec.check("volume ratio identity",
-                  res["vol"][j], campaign.tol_rel, sample=i, n=n, form=form)
-        rec.check("lower power reproduction",
-                  res["lower"][j], campaign.tol_rel, sample=i, n=n, form=form)
-        rec.expect("radius at least one", res["r"][j] >= 1.0 - campaign.tol_rel,
-                   sample=i, n=n, r=res["r"][j], form=form)
+    def drawn(i, **values):
+        n = draws[i][0]
+        return {"sample": i, "n": n, **values, "form": KForm(2 * n, 2, draws[i][1])}
 
-        invariant = _Row(2 * n, 2, res["f11"][j])
-        sigma, floor = res["sigma"][j], res["floor"][j]
-        rec.check("symbol routes agree", res["routes"][j], campaign.tol_identity,
-                  sample=i, n=n, form=invariant, covector=covector)
-        rec.expect("symbol dominates its floor", sigma >= floor - campaign.tol_rel,
-                   sample=i, n=n, sigma=sigma, floor=floor, form=invariant, covector=covector)
-        rec.check("duality against the complex structure", res["duality"][j],
-                  campaign.tol_rel, sample=i, n=n, covector=covector)
-        if n >= 2:
-            rec.check("eigenvalues invariant under rotation", res["rotation"][j],
-                      campaign.tol_identity, sample=i, n=n, form=invariant)
+    def symbol(i, form=True, covector=True, **values):
+        # The invariant part f11 is the form of the symbol and rotation checks.
+        n, _, xi, _ = draws[i]
+        out = {"sample": i, "n": n, **values}
+        if form:
+            out["form"] = KForm(2 * n, 2, results[n]["f11"][where[i]])
+        if covector:
+            out["covector"] = KForm(2 * n, 1, xi)
+        return out
+
+    tol, tol_identity = campaign.tol_rel, campaign.tol_identity
+    rec.columns([
+        _Column("rotated top power is real", col["im"], tol, drawn),
+        _Column("volume ratio identity", col["vol"], tol, drawn),
+        _Column("lower power reproduction", col["lower"], tol, drawn),
+        _Column("radius at least one", col["r"] >= 1.0 - tol, None,
+                lambda i: drawn(i, r=col["r"][i])),
+        _Column("symbol routes agree", col["routes"], tol_identity, symbol),
+        _Column("symbol dominates its floor", col["sigma"] >= col["floor"] - tol, None,
+                lambda i: symbol(i, sigma=col["sigma"][i], floor=col["floor"][i])),
+        _Column("duality against the complex structure", col["duality"], tol,
+                lambda i: symbol(i, form=False)),
+        _Column("eigenvalues invariant under rotation", col["rotation"], tol_identity,
+                lambda i: symbol(i, covector=False), np.array([d[0] >= 2 for d in draws])),
+    ])
     rec.details = {"complex_dimensions": [1, 2, 3]}
     return rec.report()
 
@@ -548,22 +626,22 @@ def _run_product(campaign: Campaign, rng: np.random.Generator) -> Report:
                                          tol=campaign.tol_identity).to_dict(),
         range(campaign.samples),
     )
-    solved_both = 0
-    solved_neither = 0
-    for i in range(campaign.samples):
-        branch = i % 3
-        f = _Row(6, 2, fluxes[i])
-        rep = {key: values[i] for key, values in reports.items()}
-        rec.expect("classifications agree", rep["agree"], sample=i,
-                   branch=branch, flux=f, **rep)
-        if branch == 0:
-            rec.expect("engineered flux solves both sides",
-                       rep["ddt_solves"] and rep["su3_solves"],
-                       sample=i, flux=f, **rep)
-        if rep["ddt_solves"] and rep["su3_solves"]:
-            solved_both += 1
-        elif not rep["ddt_solves"] and not rep["su3_solves"]:
-            solved_neither += 1
+    branch = np.arange(campaign.samples) % 3
+    both = reports["ddt_solves"] & reports["su3_solves"]
+    solved_both = int(np.count_nonzero(both))
+    solved_neither = int(np.count_nonzero(~reports["ddt_solves"] & ~reports["su3_solves"]))
+
+    def report(i):
+        return {key: values[i] for key, values in reports.items()}
+
+    rec.columns([
+        _Column("classifications agree", reports["agree"], None,
+                lambda i: {"sample": i, "branch": i % 3, "flux": KForm(6, 2, fluxes[i]),
+                           **report(i)}),
+        _Column("engineered flux solves both sides", both, None,
+                lambda i: {"sample": i, "flux": KForm(6, 2, fluxes[i]), **report(i)},
+                branch == 0),
+    ])
     rec.details = {"solved_both": solved_both, "solved_neither": solved_neither}
     return rec.report()
 

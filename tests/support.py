@@ -259,6 +259,23 @@ def random_structure_rotation(
     raise ValueError("could not draw a structure-preserving rotation")
 
 
+def replay_columns(rec: _Recorder, table) -> None:
+    """The check() and expect() calls that rec.columns(table) stands for, made one by one.
+
+    Rows in order and, within a row, the table's checks in order; a check
+    skips the rows its mask leaves out, and every row builds its witness
+    fields.
+    """
+    for row in range(len(table[0].values)):
+        for c in table:
+            if c.where is not None and not c.where[row]:
+                continue
+            if c.tol is None:
+                rec.expect(c.label, c.values[row], **c.info(row))
+            else:
+                rec.check(c.label, c.values[row], c.tol, **c.info(row))
+
+
 # The per-sample suite bodies that the batched runners in g2calc.suites
 # replaced, kept as reference loops: each draws and checks one sample at a
 # time through the single-form API, in the order the batched runners keep.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2calc import forms
 from g2calc.forms import (
     ABS_FLOOR,
     KForm,
@@ -26,9 +27,14 @@ from g2calc.forms import (
     sharp2,
     wedge,
     wedge_matrix,
+    _contract,
+    _interior_terms,
     _matvec,
     _skew,
     _two_form,
+    _upper_pairs,
+    _wedge_table,
+    _wedge_terms,
 )
 from g2calc.g2 import metric_from_three_form, standard_g2
 
@@ -543,7 +549,7 @@ class TestKernels:
                     a = KForm(n, k, random_form(rng, n, k).coeffs
                               + imag * 1j * rng.standard_normal(comb(n, k)))
                     b = random_form(rng, n, l)
-                    # wedge is wedge_matrix applied to b, so the oracle is the scatter sum.
+                    # The oracle is the scatter sum, which shares no table with forms.
                     want = scatter_wedge(a, b).coeffs
                     got = wedge_matrix(a, l) @ b.coeffs
                     assert got.shape == want.shape
@@ -815,6 +821,39 @@ class TestContractedKernels:
                     assert np.abs(mat - want).max() <= 1e-12 * np.abs(want).max()
 
 
+class TestContractBlocks:
+    """_contract works through a large batch in blocks; each row comes out as it would alone."""
+
+    CASES = [
+        # (coefficient batch shape, matrix batch shape)
+        ((), (40,)),          # a single form against stacked maps
+        ((40,), ()),          # a stack of forms against one matrix
+        ((40,), (40,)),
+        ((3, 1, 9), (9,)),    # more than one leading axis, broadcast
+        ((2, 1), (1, 17)),
+    ]
+
+    @pytest.mark.parametrize("n, k", [(7, 4), (8, 4), (7, 3), (6, 3), (5, 2)])
+    @pytest.mark.parametrize("coeff_batch, mat_batch", CASES)
+    def test_blocked_equals_unblocked_bit_for_bit(self, monkeypatch, n, k, coeff_batch, mat_batch):
+        rng = np.random.default_rng(410 + n * 10 + k)
+        coeffs = rng.standard_normal(coeff_batch + (comb(n, k),))
+        mats = np.eye(n) + 0.3 * rng.standard_normal(mat_batch + (n, n))
+        monkeypatch.setattr(forms, "_CONTRACT_ENTRIES", 10**9)
+        whole = _contract(coeffs, mats, k)
+        # Blocks of three rows, and of the default size.
+        for entries in (3 * n**k, 2**15):
+            monkeypatch.setattr(forms, "_CONTRACT_ENTRIES", entries)
+            blocked = _contract(coeffs, mats, k)
+            assert blocked.shape == whole.shape == np.broadcast_shapes(coeff_batch, mat_batch) + (comb(n, k),)
+            assert blocked.tobytes() == whole.tobytes()
+        complex_coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
+        monkeypatch.setattr(forms, "_CONTRACT_ENTRIES", 10**9)
+        whole = _contract(complex_coeffs, mats, k)
+        monkeypatch.setattr(forms, "_CONTRACT_ENTRIES", 3 * n**k)
+        assert _contract(complex_coeffs, mats, k).tobytes() == whole.tobytes()
+
+
 def scatter_interior(v, a):
     """Reference interior product: reference_interior_table products summed with np.add.at."""
     if a.grade == 0:
@@ -880,6 +919,28 @@ class TestProductKernels:
             assert (got.grade, got.coeffs.dtype) == (5, np.float64)
             assert not got.coeffs.any()
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_grouped_tables_sort_the_wedge_table(self, n):
+        # Column I of the grouped tables lists _wedge_table's entries with output
+        # I in their table order, so _wedge_table stays the one source of signs.
+        for k in range(n + 1):
+            for l in range(n + 1 - k):
+                ia, ib, out, signs = _wedge_table(n, k, l)
+                got = _wedge_terms(n, k, l)
+                assert got[0].shape == (comb(k + l, k), comb(n, k + l))
+                for col in range(comb(n, k + l)):
+                    want = [(x, y, s) for x, y, o, s in zip(ia, ib, out, signs) if o == col]
+                    assert list(zip(*(t[:, col].tolist() for t in got))) == want
+            if k >= 1:
+                j, rest, out, signs = _wedge_table(n, 1, k - 1)
+                got = _interior_terms(n, k)
+                assert got[0].shape == (n - k + 1, comb(n, k - 1))
+                for col in range(comb(n, k - 1)):
+                    want = [(o, x, s) for x, r, o, s in zip(j, rest, out, signs) if r == col]
+                    assert list(zip(*(t[:, col].tolist() for t in got))) == want
+        for table in _wedge_terms(n, 1, n - 1) + _interior_terms(n, 1):
+            assert not table.flags.writeable
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_skew_and_two_form_are_inverse(self, n):
         rng = np.random.default_rng(320 + n)
@@ -893,6 +954,10 @@ class TestProductKernels:
         b = rng.standard_normal((n, n))
         skew = b - b.T
         assert np.array_equal(_skew(_two_form(skew)), skew)
+        # The index pair is built once per dimension and cannot be written.
+        pairs = _upper_pairs(n)
+        assert pairs is _upper_pairs(n) and not pairs.flags.writeable
+        assert np.array_equal(pairs, np.triu_indices(n, 1))
 
 
 # Batched and per-row products add the same terms, possibly in another order,
@@ -954,6 +1019,32 @@ class TestBatches:
                     rows_close(wedge(single, b).coeffs,
                                [wedge(single, y).coeffs for y in b_rows],
                                norms(single.coeffs) * norms(b.coeffs))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_products_equal_single_form_calls_bit_for_bit(self, n):
+        # Real and complex rows, batch against batch and mixed with a single
+        # form, every pair of grades including those past the top.
+        rng = np.random.default_rng(335 + n)
+        for imag in (0.0, 1.0):
+            vs = rng.standard_normal((BATCH, n)) + imag * 1j * rng.standard_normal((BATCH, n))
+            for k in range(n + 1):
+                a = batch_of_forms(rng, n, k, imag)
+                rows = [KForm(n, k, c) for c in a.coeffs]
+                pairs = [(interior(vs, a), [interior(v, r) for v, r in zip(vs, rows)]),
+                         (interior(vs[0], a), [interior(vs[0], r) for r in rows]),
+                         (interior(vs, rows[0]), [interior(v, rows[0]) for v in vs])]
+                for l in range(n + 1):
+                    b = batch_of_forms(rng, n, l, 1.0 - imag)
+                    b_rows = [KForm(n, l, c) for c in b.coeffs]
+                    pairs += [(wedge(a, b), [wedge(x, y) for x, y in zip(rows, b_rows)]),
+                              (wedge(rows[0], b), [wedge(rows[0], y) for y in b_rows]),
+                              (wedge(a, b_rows[0]), [wedge(x, b_rows[0]) for x in rows])]
+                for batch, singles in pairs:
+                    assert batch.coeffs.shape == (BATCH,) + singles[0].coeffs.shape
+                    assert batch.coeffs.flags.c_contiguous
+                    for row, single in zip(batch.coeffs, singles):
+                        assert row.dtype == single.coeffs.dtype
+                        assert row.tobytes() == single.coeffs.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_metric_operations_act_row_by_row(self, n):

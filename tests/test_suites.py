@@ -4,20 +4,21 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import support
 from g2calc import ddt, dhym, g2, product, suites
-from g2calc.forms import Metric
+from g2calc.forms import KForm, Metric
 from g2calc.suites import (
-    CHUNK_ROWS,
     MAX_WITNESSES,
     SUITE_IDS,
     Campaign,
     Report,
     _RUNNERS,
+    _Column,
     _Recorder,
     all_passed,
     emit,
@@ -30,6 +31,7 @@ from support import (
     reference_prop_d1,
     reference_product,
     reference_thm_c1,
+    replay_columns,
 )
 
 
@@ -37,6 +39,9 @@ def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 FAST = ("appendixA", "appendixB", "propD1", "dhym", "product")
+
+# Rows per batched call in the tests that need a call to span several chunks.
+SMALL_CHUNK = 16
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +293,114 @@ class TestNonFinite:
 
 
 
+def random_table(rng, rows, specials=0.15):
+    """A table of two to five checks over rows, with every kind of entry mixed in.
+
+    Residual checks hold values from 0 to 1 on a log scale, with NaN, +inf,
+    -inf, 0.0 and -0.0 scattered at the rate specials; expectations hold
+    booleans; about half the checks carry a mask.  Witness fields include a
+    form and numpy scalars, as the suites' do.
+    """
+    table = []
+    for c in range(int(rng.integers(2, 6))):
+        tol = None if rng.random() < 0.4 else float(rng.choice([0.0, 1e-9, 1e-3, 0.5]))
+        if tol is None:
+            values = rng.random(rows) < 0.6
+        else:
+            values = 10.0 ** rng.uniform(-14.0, 0.0, size=rows)
+            special = rng.random(rows) < specials
+            values[special] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], size=special.sum())
+        where = None if rng.random() < 0.5 else rng.random(rows) < 0.7
+
+        def info(row, c=c, values=values):
+            return {"sample": row, "column": c, "value": values[row], "count": np.int64(row),
+                    "form": KForm(3, 1, [float(row), float(c), 0.5])}
+
+        table.append(_Column(f"check {c}", values, tol, info, where))
+    return table
+
+
+def recorder_state(rec):
+    # repr keeps NaN, the sign of an infinity and of a zero apart.
+    return (rec.passed, rec.failed, repr(rec.worst),
+            [json.dumps(w) for w in rec.report().witnesses])
+
+
+class TestColumns:
+    """_Recorder.columns against the check() and expect() calls it stands for."""
+
+    def both(self, before, tables):
+        """The recorder state after before(rec) and the tables, by columns and by scalar calls."""
+        states = []
+        for record in (_Recorder.columns, replay_columns):
+            rec = _Recorder("x")
+            before(rec)
+            for table in tables:
+                record(rec, table)
+            states.append(recorder_state(rec))
+        return states
+
+    @pytest.mark.parametrize("cap", [MAX_WITNESSES, 10**6])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tables_match_the_scalar_calls(self, monkeypatch, seed, cap):
+        monkeypatch.setattr(suites, "MAX_WITNESSES", cap)
+        rng = np.random.default_rng(900 + seed)
+        tables = [random_table(rng, int(rng.integers(1, 40))) for _ in range(int(rng.integers(1, 4)))]
+        got, want = self.both(lambda rec: rec.check("before", 1e-12, 1e-9), tables)
+        assert got == want
+
+    @pytest.mark.parametrize("first", [0.25, math.nan, math.inf, -math.inf])
+    def test_earlier_checks_keep_their_worst(self, first):
+        # A non-finite worst recorded before the table stays; a finite one is
+        # replaced only by a larger or non-finite residual of the table.
+        rng = np.random.default_rng(950)
+        table = random_table(rng, 30)
+        got, want = self.both(lambda rec: rec.check("before", first, 1e-9), [table])
+        assert got == want
+
+    def test_table_with_every_kind_of_entry(self, monkeypatch):
+        # Masked entries, NaN, both infinities and more than MAX_WITNESSES
+        # failures spread over three labels, on a cap and uncapped.
+        values = np.array([1e-12, np.nan, np.inf, -np.inf, 0.5, 2e-10, np.nan, 0.7])
+        where = np.array([True, True, False, True, True, False, True, True])
+        outcomes = np.array([True, False, True, False, False, True, True, False])
+
+        def info(row):
+            return {"sample": row, "form": KForm(2, 1, [float(row), -1.0])}
+
+        table = [
+            _Column("residual", values, 1e-9, info),
+            _Column("masked residual", values[::-1].copy(), 1e-9, info, where),
+            _Column("outcome", outcomes, None, info, where[::-1].copy()),
+        ]
+        failed = set()
+        for cap in (MAX_WITNESSES, 10**6):
+            monkeypatch.setattr(suites, "MAX_WITNESSES", cap)
+            got, want = self.both(lambda rec: None, [table])
+            assert got == want
+            passed, count, worst, witnesses = got
+            assert count > MAX_WITNESSES
+            assert len(witnesses) == min(cap, count)
+            assert worst == "nan"
+            failed |= {json.loads(w)["check"] for w in witnesses}
+        assert failed == {"residual", "masked residual", "outcome"}
+
+    def test_builds_witness_fields_only_for_witnesses(self):
+        built = []
+
+        def info(row):
+            built.append(row)
+            return {"sample": row}
+
+        values = np.array([0.0, 1.0, 0.0, 1.0] * 5)
+        rec = _Recorder("x")
+        rec.columns([_Column("a", values, 0.5, info), _Column("b", values < 0.5, None, info)])
+        assert (rec.passed, rec.failed) == (20, 20)
+        # Failing rows in (row, check) order: (1, a), (1, b), (3, a), ...; the first five.
+        assert built == [1, 1, 3, 3, 5]
+        assert [w["check"] for w in rec.witnesses] == ["a", "b", "a", "b", "a"]
+
+
 REFERENCES = {
     "appendixA": reference_appendix_a,
     "appendixB": reference_appendix_b,
@@ -322,6 +435,8 @@ def check_log(monkeypatch):
 
     monkeypatch.setattr(_Recorder, "check", logged_check)
     monkeypatch.setattr(_Recorder, "expect", logged_expect)
+    # A table is logged entry by entry through the scalar calls it stands for.
+    monkeypatch.setattr(_Recorder, "columns", replay_columns)
     return logs
 
 
@@ -381,8 +496,10 @@ class TestBatchedSuites:
         for module in (suites, support):
             monkeypatch.setattr(module, "rel_residual", fingerprint)
             monkeypatch.setattr(module, "j_duality_residual", fingerprint_duality)
+        # Chunks of a few rows, so that every batched call spans several of them.
+        monkeypatch.setattr(suites, "CHUNK_ROWS", SMALL_CHUNK)
         rows = {"appendixA": samples // 24, "thmC1": 67, "dhym": samples // 3}.get(name, samples)
-        assert rows > CHUNK_ROWS
+        assert rows > SMALL_CHUNK
         campaign = Campaign(seed=7, samples=samples, suites=(name,))
         got, want = run_both(name, campaign, check_log)
         assert (got.passed, got.failed) == (want.passed, want.failed)
@@ -430,6 +547,26 @@ class TestBatchedSuites:
         assert_same_witnesses(got.witnesses, want.witnesses)
 
 
+# Bound on the traced allocation peak of one pointwise suite at 1000 samples.
+# At 32-row chunks the largest was 3.94 MB (appendixA); forms._contract caps
+# its tensors whatever the chunk size, so a larger CHUNK_ROWS must stay under it.
+PEAK_MB = 5.0
+
+
+class TestMemory:
+    @pytest.mark.parametrize("name", REFERENCES)
+    def test_pointwise_suite_peak_stays_bounded(self, name):
+        Campaign(0, 1000, suites=(name,)).run()  # standard structures and tables built
+        tracemalloc.start()
+        try:
+            report = Campaign(0, 1000, suites=(name,)).run()[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.failed == 0
+        assert peak / 2**20 <= PEAK_MB
+
+
 class TestDrawLoops:
     BUILDERS = ("_unitary_rotations", "_zero_phase_fluxes", "_cartan_roots")
 
@@ -474,9 +611,10 @@ class TestDrawLoops:
             return original(phi)
 
         monkeypatch.setattr(ddt, "metric_from_three_form", counted)
+        monkeypatch.setattr(suites, "CHUNK_ROWS", 32)
         report = Campaign(0, 60, suites=("thmC1",)).run()[0]
         solutions = report.details["solutions_certified"]
         assert report.failed == 0
         assert solutions == 201
-        assert len(rows) == 2 * -(-solutions // CHUNK_ROWS) == 14
+        assert len(rows) == 2 * -(-solutions // 32) == 14
         assert sum(rows) == 2 * solutions
