@@ -374,9 +374,19 @@ def wedge_injectivity(f: KForm, data: G2Data | None = None) -> tuple[int, float]
     """
     data = _or_standard(data)
     _require_two_form(f)
-    singular = np.linalg.svd(wedge_matrix(f, 2), compute_uv=False)
-    top = singular.max(axis=-1, initial=0.0, keepdims=True)
-    count = np.count_nonzero(singular > RANK_CUTOFF * top, axis=-1)
-    rank = _scalar(np.where(top[..., 0] > 0, count, 0))
+    mat = wedge_matrix(f, 2)
+    # A row of M whose M^T M has lambda_min >= 1e-8 lambda_max > 0 has
+    # sigma_min >= 1e-4 sigma_max, far above RANK_CUTOFF: rank 21.  The other
+    # rows, a non-finite one included, go to the SVD.
+    gram = mat.swapaxes(-1, -2) @ mat
+    finite = np.isfinite(gram).all(axis=(-2, -1))[..., None, None]
+    eigs = np.linalg.eigvalsh(np.where(finite, gram, 0.0))
+    rank = np.full(mat.shape[:-2], 21)
+    rest = ~((eigs[..., -1] > 0) & (eigs[..., 0] >= 1e-8 * eigs[..., -1]))
+    if rest.any():
+        singular = np.linalg.svd(mat[rest], compute_uv=False)
+        top = singular.max(axis=-1, initial=0.0, keepdims=True)
+        count = np.count_nonzero(singular > RANK_CUTOFF * top, axis=-1)
+        rank[rest] = np.where(top[..., 0] > 0, count, 0)
     cube_norm = form_norm(_wedge_power(f, 3), data.metric)
-    return rank, cube_norm
+    return _scalar(rank), cube_norm

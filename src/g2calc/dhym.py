@@ -383,6 +383,13 @@ def _rotation_generator(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def _generators(normals: np.ndarray, n: int) -> np.ndarray:
+    # _rotation_generator's matrices from its 2 n^2 normals per row, (..., 2 n^2):
+    # the real parts, then the imaginary parts.
+    shape = normals.shape[:-1] + (n, n)
+    return normals[..., :n * n].reshape(shape) + 1j * normals[..., n * n:].reshape(shape)
+
+
 def _unitary_rotations(point: HermitianPoint, x: np.ndarray) -> LinearMap:
     """Isometries commuting with J, from the exponential chart at drawn generators.
 

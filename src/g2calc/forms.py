@@ -53,9 +53,14 @@ def row_residual(lhs, rhs):
     """
     a = np.asarray(lhs)
     b = np.asarray(rhs)
-    diff = np.asarray(np.linalg.norm(a - b, axis=-1))
-    scale = np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))
+    diff = np.asarray(_row_norms(a - b))
+    scale = np.maximum(_row_norms(a), _row_norms(b))
     return np.divide(diff, scale, out=diff, where=scale > ABS_FLOOR)
+
+
+def _row_norms(x):
+    """np.linalg.norm(x, axis=-1) as numpy evaluates it, without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
 def _require_tolerance(name: str, value) -> None:
@@ -491,6 +496,18 @@ class Metric:
     def gram_inv(self) -> np.ndarray:
         return np.linalg.inv(self.gram)
 
+    @cached_property
+    def _identity(self) -> bool:
+        # Whether every Gram matrix is exactly I, compared bit for bit (a -0.0
+        # takes the product path).  The operators then skip their products
+        # with it, which are exact: each dropped term is a product with 0 or 1.
+        return self.gram.tobytes() == _identity_bytes(self.dim) * (self.gram.size // self.dim**2)
+
+    def _spread(self, x: np.ndarray, axes: int = 1) -> np.ndarray:
+        # x, whose last `axes` axes are a form or matrix, broadcast against the
+        # stack of Gram matrices as a product with them would be: times ones.
+        return x if self.gram.ndim == 2 else x * np.ones(self.gram.shape[:-2] + (1,) * axes)
+
     def gram_on_forms(self, k: int) -> np.ndarray:
         """Gram matrix of the induced inner product on grade-k coefficients.
 
@@ -533,6 +550,11 @@ class Metric:
 
 
 @lru_cache(maxsize=None)
+def _identity_bytes(n: int) -> bytes:
+    return np.eye(n).tobytes()
+
+
+@lru_cache(maxsize=None)
 def euclidean_metric(n: int) -> Metric:
     """The shared standard metric on R^n with orientation +1."""
     return Metric(n, np.eye(n))
@@ -558,6 +580,40 @@ class LinearMap:
             raise ValueError(f"matrix must be {self.dim}x{self.dim}, got {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
+
+    @cached_property
+    def _signed_permutation(self) -> tuple[tuple[int, ...], tuple[float, ...]] | None:
+        # (rows, signs) when the matrix is one real signed permutation, column j
+        # being signs[j] e_rows[j]; None otherwise, a stack included.
+        mat = self.matrix
+        if mat.ndim != 2 or np.iscomplexobj(mat) or np.count_nonzero(mat) != self.dim:
+            return None
+        rows = np.abs(mat).argmax(axis=0)
+        signs = mat[rows, np.arange(self.dim)]
+        if len(set(rows.tolist())) != self.dim or not (np.abs(signs) == 1.0).all():
+            return None
+        return tuple(rows.tolist()), tuple(signs.tolist())
+
+
+@lru_cache(maxsize=None)
+def _permuted(k: int, rows: tuple[int, ...], signs: tuple[float, ...]):
+    # Pullback of k-forms through the signed permutation (rows, signs) of
+    # LinearMap._signed_permutation as gathers and signs: (L* a)[J] is
+    # out_signs[J] * a[gather[J]], since det L[I, J] vanishes unless I holds
+    # the rows of J.  Every product the contraction makes is with 0 or +-1.
+    n = len(rows)
+    pos = _positions(n, k)
+    gather, out_signs = [], []
+    for idx in multi_indices(n, k):
+        image, sign = _sorted_indices(n, tuple(rows[j] for j in idx))
+        gather.append(pos[image])
+        out_signs.append(sign * prod(signs[j] for j in idx))
+    return _frozen(np.array(gather, dtype=np.intp)), _frozen(np.array(out_signs))
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
 def _require_same_dim(a: KForm, b: KForm) -> None:
@@ -671,12 +727,26 @@ def _require_metric(a: KForm, m: Metric) -> None:
         raise ValueError(f"form on R^{a.dim} does not match metric on R^{m.dim}")
 
 
+@lru_cache(maxsize=None)
+def _hodge_moves(n: int, k: int):
+    # The Hodge star of the identity Gram matrix as gathers and signs: entry J
+    # of star(a) is signs[J] * a[gather[J]], with J the complement of the
+    # gathered index and the sign hodge_matrix gives it, orientation aside.
+    _, dst, _, signs = _wedge_table(n, k, n - k)
+    gather = np.argsort(dst)
+    return _frozen(gather), _frozen(signs[gather])
+
+
 def hodge(a: KForm, m: Metric | None = None) -> KForm:
     """Hodge star of a form, defined by beta ^ star(alpha) = <beta, alpha> vol."""
     if m is None:
         m = euclidean_metric(a.dim)
     _require_metric(a, m)
     n, k = a.dim, a.grade
+    if m._identity:
+        gather, signs = _hodge_moves(n, k)
+        values = m._spread(a.coeffs).take(gather, axis=-1)
+        return KForm._made(n, n - k, (m.orientation * signs) * values)
     if not _contracts(n, k):
         return KForm._made(n, n - k, _matvec(m.hodge_matrix(k), a.coeffs))
     # hodge_matrix applied without building it: the inverse gram's power on a,
@@ -695,7 +765,7 @@ def flat(v: np.ndarray, m: Metric) -> KForm:
     v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
     if v.shape[-1:] != (m.dim,):
         raise ValueError(f"vector must have shape (..., {m.dim}), got {v.shape}")
-    return KForm(m.dim, 1, _matvec(m.gram, v))
+    return KForm(m.dim, 1, m._spread(v) if m._identity else _matvec(m.gram, v))
 
 
 def _skew(f: KForm) -> np.ndarray:
@@ -729,7 +799,8 @@ def sharp2(f: KForm, m: Metric) -> LinearMap:
     _require_metric(f, m)
     if f.grade != 2:
         raise ValueError(f"sharp2 expects a 2-form, got grade {f.grade}")
-    return LinearMap(f.dim, np.linalg.solve(m.gram, -_skew(f)))
+    skew = -_skew(f)
+    return LinearMap(f.dim, m._spread(skew, 2) if m._identity else np.linalg.solve(m.gram, skew))
 
 
 def pullback(L: LinearMap, a: KForm) -> KForm:
@@ -742,6 +813,9 @@ def pullback(L: LinearMap, a: KForm) -> KForm:
     if a.grade == 0:
         # A function pulls back to itself, broadcast against the map stack like other grades.
         return KForm._made(a.dim, 0, a.coeffs * np.ones(L.matrix.shape[:-2] + (1,), L.matrix.dtype))
+    if L._signed_permutation is not None:
+        gather, signs = _permuted(a.grade, *L._signed_permutation)
+        return KForm._made(a.dim, a.grade, signs * a.coeffs.take(gather, axis=-1))
     if _contracts(a.dim, a.grade):
         return KForm._made(a.dim, a.grade, _contract(a.coeffs, L.matrix, a.grade))
     return KForm._made(a.dim, a.grade, _vecmat(a.coeffs, exterior_power(L.matrix, a.grade)))
@@ -758,6 +832,8 @@ def form_inner(a: KForm, b: KForm, m: Metric | None = None):
     if m is None:
         m = euclidean_metric(a.dim)
     _require_metric(a, m)
+    if m._identity:
+        return _scalar(_dot(m._spread(a.coeffs.conj()), b.coeffs))
     return _scalar(_dot(_vecmat(a.coeffs.conj(), m.gram_on_forms(a.grade)), b.coeffs))
 
 

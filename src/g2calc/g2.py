@@ -40,7 +40,6 @@ from .forms import (
     _matvec,
     _scalar,
     _vecmat,
-    _wedge_power,
 )
 
 PHI_MONOMIALS = (
@@ -214,22 +213,25 @@ def identity_battery(u: np.ndarray, beta: KForm, data: G2Data | None = None) -> 
     iu_star_phi = interior(u, star_phi)
     u_norm2 = _dot(_vecmat(u, m.gram), u)
     beta_norm2 = form_inner(beta, beta, m)
+    # Each square is built once; the cube folds from the left, as _wedge_power does.
+    iu_phi_sq = wedge(iu_phi, iu_phi)
+    beta_sq = wedge(beta, beta)
 
     residuals = [
         row_residual(wedge(phi, iu_star_phi).coeffs, -4.0 * star_ub.coeffs),
         row_residual(wedge(star_phi, iu_phi).coeffs, 3.0 * star_ub.coeffs),
         row_residual(wedge(phi, iu_phi).coeffs, 2.0 * hodge(iu_phi, m).coeffs),
         row_residual(
-            _wedge_power(iu_phi, 3).coeffs,
+            wedge(iu_phi_sq, iu_phi).coeffs,
             (6.0 * u_norm2 * star_ub).coeffs,
         ),
         row_residual(
-            wedge(wedge(iu_phi, iu_phi), beta).coeffs,
+            wedge(iu_phi_sq, beta).coeffs,
             2.0 * wedge(wedge(star_phi, ub), interior(u, beta)).coeffs,
         ),
         row_residual(
-            wedge(iu_phi, wedge(beta, beta)).coeffs,
-            (-beta_norm2 * star_ub + wedge(phi, interior(u, wedge(beta, beta)))).coeffs,
+            wedge(iu_phi, beta_sq).coeffs,
+            (-beta_norm2 * star_ub + wedge(phi, interior(u, beta_sq))).coeffs,
         ),
     ]
     # np.max, unlike max(), lets a NaN residual through.

@@ -216,11 +216,15 @@ def zero_phase_flux(rng: np.random.Generator, su3: SU3Point) -> KForm:
 
 def _zero_phase_draw(rng: np.random.Generator, su3: SU3Point) -> tuple[np.ndarray, np.ndarray]:
     # The draws of one zero_phase_flux: the eigenvalue pair, then the rotation's generator.
+    return _zero_phase_pair(rng), _rotation_generator(rng, su3.point.n)
+
+
+def _zero_phase_pair(rng: np.random.Generator) -> np.ndarray:
+    # The eigenvalue pair of one zero_phase_flux, drawn until its product is below 0.99.
     while True:
         pair = rng.uniform(-ZERO_PHASE_BOUND, ZERO_PHASE_BOUND, size=2)
         if abs(pair[0] * pair[1]) < 0.99:
-            break
-    return pair, _rotation_generator(rng, su3.point.n)
+            return pair
 
 
 def _zero_phase_fluxes(su3: SU3Point, pair: np.ndarray, generator: np.ndarray) -> KForm:

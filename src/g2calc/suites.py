@@ -37,7 +37,7 @@ from .dhym import (
     j_duality_residual,
     normal_form,
     standard_kahler,
-    _rotation_generator,
+    _generators,
     _symbol_routes,
     _unitary_rotations,
 )
@@ -57,7 +57,7 @@ from .forms import (
     _require_tolerance,
 )
 from .g2 import g2_bundle, identity_battery, standard_g2
-from .product import correspondence_check, standard_su3, _zero_phase_draw, _zero_phase_fluxes
+from .product import correspondence_check, standard_su3, _zero_phase_fluxes, _zero_phase_pair
 from .torus import adjoint_check, harmonic_dim, harmonic_dims
 
 SUITE_IDS: dict[str, int] = {
@@ -249,9 +249,8 @@ def _run_appendix_a(campaign: Campaign, rng: np.random.Generator) -> Report:
         n = dims[i % 3]
         gram = _random_gram(rng, n) if i % 3 == 0 else None
         k = int(rng.integers(0, n + 1))
-        a = rng.standard_normal(comb(n, k))
-        b = rng.standard_normal(comb(n, k))
-        draws.append((n, k, gram, a, b, rng.standard_normal(n)))
+        # The two forms and the vector, in one draw.
+        draws.append((n, k, gram, rng.standard_normal(2 * comb(n, k) + n)))
 
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (n, k, *_) in enumerate(draws):
@@ -263,11 +262,12 @@ def _run_appendix_a(campaign: Campaign, rng: np.random.Generator) -> Report:
             residuals[label][rows] = values
 
     def form(i):
-        n, k, _, a, *_ = draws[i]
-        return {"sample": i, "dim": n, "grade": k, "form": KForm(n, k, a)}
+        n, k, _, raw = draws[i]
+        return {"sample": i, "dim": n, "grade": k, "form": KForm(n, k, raw[:comb(n, k)])}
 
     def form_and_vector(i):
-        return {**form(i), "vector": draws[i][5]}
+        n, _, _, raw = draws[i]
+        return {**form(i), "vector": raw[-n:]}
 
     tol = campaign.tol_rel
     rec.columns([
@@ -283,11 +283,12 @@ def _run_appendix_a(campaign: Campaign, rng: np.random.Generator) -> Report:
 
 def _appendix_a_rows(draws: list, idx: np.ndarray) -> dict[str, np.ndarray]:
     """The star and contraction residuals of draws[idx], which share (n, k)."""
-    n, k, gram, *_ = draws[idx[0]]
+    n, k, gram, _ = draws[idx[0]]
     # The chunk's stacked Metric checks its random Gram matrices (n = 6).
     m = euclidean_metric(n) if gram is None else Metric(n, np.stack([draws[i][2] for i in idx]))
-    a, b, v = (np.stack([draws[i][col] for i in idx]) for col in (3, 4, 5))
-    a, b = KForm(n, k, a), KForm(n, k, b)
+    raw, size = np.stack([draws[i][3] for i in idx]), comb(n, k)
+    a, b = KForm(n, k, raw[:, :size]), KForm(n, k, raw[:, size:2 * size])
+    v = np.ascontiguousarray(raw[:, 2 * size:])
     vb = flat(v, m)
     star_a = hodge(a, m)
     inner = form_inner(a, b, m)
@@ -351,11 +352,10 @@ def _run_appendix_b(campaign: Campaign, rng: np.random.Generator) -> Report:
                not np.any(wedge(flux, witness).coeffs))
     rec.details["degenerate_rank"] = int(rank)
 
-    vectors = np.empty((campaign.samples, 7))
-    betas = np.empty((campaign.samples, 21))
-    for i in range(campaign.samples):
-        vectors[i] = rng.standard_normal(7)
-        betas[i] = data.proj2_14 @ rng.standard_normal(21)
+    # Each sample's vector and raw 2-form, in one draw.
+    raw = rng.standard_normal((campaign.samples, 28))
+    vectors = raw[:, :7]
+    betas = np.matmul(data.proj2_14, raw[:, 7:, None])[..., 0]
     battery = _batched(
         lambda idx: {"battery": identity_battery(vectors[idx], KForm(7, 2, betas[idx]), data)},
         range(campaign.samples),
@@ -524,43 +524,42 @@ def _run_dhym(campaign: Campaign, rng: np.random.Generator) -> Report:
     rec.check("fundamental form angle",
               abs(golden.theta - pi / 2.0), campaign.tol_rel)
 
-    draws = []
-    for i in range(campaign.samples):
-        n = (1, 2, 3)[i % 3]
-        f = _two_form_draw(rng, 2 * n)
-        xi = rng.standard_normal(2 * n)
-        generator = _rotation_generator(rng, n) if n >= 2 else None
-        draws.append((n, f, xi, generator))
-
-    groups: dict[int, list[int]] = {}
-    for i, (n, *_) in enumerate(draws):
-        groups.setdefault(n, []).append(i)
-    # Sample i is row where[i] of its group's results.
-    where = {i: j for rows in groups.values() for j, i in enumerate(rows)}
-    results = {
-        n: _batched(lambda idx: _dhym_rows(draws, rows, idx), range(len(rows)))
-        for n, rows in groups.items()
-    }
+    # Sample i has n = i % 3 + 1 and is row i // 3 of that n's stacks.  Its
+    # draws are all normals: its form, its covector and, for n >= 2, its
+    # rotation's generator.  They come in one draw, cut into a stack per n.
+    samples = campaign.samples
+    sizes = {n: comb(2 * n, 2) + 2 * n + (2 * n * n if n >= 2 else 0) for n in (1, 2, 3)}
+    counts = np.resize(list(sizes.values()), samples)
+    starts = np.cumsum(counts) - counts
+    raw = rng.standard_normal(counts.sum())
+    stacks = {}
+    for n in range(1, min(samples, 3) + 1):
+        block = raw[starts[n - 1::3, None] + np.arange(sizes[n])]
+        cut = comb(2 * n, 2)
+        stacks[n] = (block[:, :cut], block[:, cut:cut + 2 * n],
+                     _generators(block[:, cut + 2 * n:], n) if n >= 2 else None)
+    results = {n: _batched(lambda idx: _dhym_rows(n, *stack, idx), range(len(stack[0])))
+               for n, stack in stacks.items()}
     # The per-sample values in sample order; rotation is NaN where n = 1.
     col = {}
     for key in ("im", "vol", "lower", "r", "sigma", "floor", "routes", "duality", "rotation"):
-        col[key] = np.full(campaign.samples, np.nan)
-        for n, rows in groups.items():
+        col[key] = np.full(samples, np.nan)
+        for n in results:
             if key in results[n]:
-                col[key][rows] = results[n][key]
+                col[key][n - 1::3] = results[n][key]
 
     def drawn(i, **values):
-        n = draws[i][0]
-        return {"sample": i, "n": n, **values, "form": KForm(2 * n, 2, draws[i][1])}
+        n = i % 3 + 1
+        return {"sample": i, "n": n, **values, "form": KForm(2 * n, 2, stacks[n][0][i // 3])}
 
     def symbol(i, form=True, covector=True, **values):
         # The invariant part f11 is the form of the symbol and rotation checks.
-        n, _, xi, _ = draws[i]
+        n = i % 3 + 1
         out = {"sample": i, "n": n, **values}
         if form:
-            out["form"] = KForm(2 * n, 2, results[n]["f11"][where[i]])
+            out["form"] = KForm(2 * n, 2, results[n]["f11"][i // 3])
         if covector:
-            out["covector"] = KForm(2 * n, 1, xi)
+            out["covector"] = KForm(2 * n, 1, stacks[n][1][i // 3])
         return out
 
     tol, tol_identity = campaign.tol_rel, campaign.tol_identity
@@ -576,19 +575,18 @@ def _run_dhym(campaign: Campaign, rng: np.random.Generator) -> Report:
         _Column("duality against the complex structure", col["duality"], tol,
                 lambda i: symbol(i, form=False)),
         _Column("eigenvalues invariant under rotation", col["rotation"], tol_identity,
-                lambda i: symbol(i, covector=False), np.array([d[0] >= 2 for d in draws])),
+                lambda i: symbol(i, covector=False), np.arange(samples) % 3 > 0),
     ])
     rec.details = {"complex_dimensions": [1, 2, 3]}
     return rec.report()
 
 
-def _dhym_rows(draws: list, rows: list, idx: np.ndarray) -> dict:
-    """dhym's per-sample quantities for draws[rows[j]], j in idx, which share n."""
-    picked = [draws[rows[j]] for j in idx]
-    n = picked[0][0]
+def _dhym_rows(n: int, forms: np.ndarray, covectors: np.ndarray, generators,
+               idx: np.ndarray) -> dict:
+    """dhym's per-sample quantities for rows idx of the stacks of complex dimension n."""
     point = standard_kahler(n)
-    f = KForm(2 * n, 2, np.stack([d[1] for d in picked]))
-    xi = KForm(2 * n, 1, np.stack([d[2] for d in picked]))
+    f = KForm(2 * n, 2, forms[idx])
+    xi = KForm(2 * n, 1, covectors[idx])
     rep = dhym_report(point, f)
     nf = rep.normal
     sigma, floor, routes = _symbol_routes(point, nf, xi)
@@ -597,7 +595,7 @@ def _dhym_rows(draws: list, rows: list, idx: np.ndarray) -> dict:
            "f11": rep.f11.coeffs, "sigma": sigma, "floor": floor, "routes": routes,
            "duality": j_duality_residual(point, xi)}
     if n >= 2:
-        rotations = _unitary_rotations(point, np.stack([d[3] for d in picked]))
+        rotations = _unitary_rotations(point, generators[idx])
         rotated = normal_form(point, pullback(rotations, rep.f11))
         out["rotation"] = row_residual(np.sort(rotated.lambdas), np.sort(nf.lambdas))
     return out
@@ -608,15 +606,15 @@ def _run_product(campaign: Campaign, rng: np.random.Generator) -> Report:
     su3 = standard_su3()
     fluxes = np.empty((campaign.samples, 15))
     pairs, generators = [], []
-    for i in range(campaign.samples):
-        branch = i % 3
-        if branch == 0:
-            pair, generator = _zero_phase_draw(rng, su3)
-            pairs.append(pair)
-            generators.append(generator)
-        else:
-            fluxes[i] = _two_form_draw(rng, 6, 1.5 if branch == 1 else 0.3)
-    pairs, generators = np.array(pairs), np.array(generators)
+    for i in range(0, campaign.samples, 3):
+        pairs.append(_zero_phase_pair(rng))
+        # The generator of sample i and the fluxes of the next two, in one draw.
+        follow = min(2, campaign.samples - 1 - i)
+        raw = rng.standard_normal(18 + 15 * follow)
+        generators.append(raw[:18])
+        for j, scale in zip(range(follow), (1.5, 0.3)):
+            fluxes[i + 1 + j] = scale * raw[18 + 15 * j:33 + 15 * j]
+    pairs, generators = np.array(pairs), _generators(np.array(generators), 3)
     fluxes[0::3] = _batched(
         lambda idx: {"flux": _zero_phase_fluxes(su3, pairs[idx], generators[idx]).coeffs},
         range(len(pairs)),

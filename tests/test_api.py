@@ -54,7 +54,7 @@ ENTRY_POINTS = {
     "is_solution": "thmC1 checks each Cartan flux by its rule, _solves at SOLUTION_TOL",
     "induced_phi": "thmC1 reads its pair through _induced in each solution report",
     "scalar_factor": "thmC1 reads its factor, _factor, in each solution report",
-    "zero_phase_flux": "the product suite runs _zero_phase_draw and _zero_phase_fluxes",
+    "zero_phase_flux": "the product suite runs _zero_phase_pair and _zero_phase_fluxes",
     "assemble2": "the fresh-structures benchmark workload calls it",
     "project3": "the fresh-structures benchmark workload calls it",
     "KForm.coefficient": "the independent coefficient reader the tests check forms with",

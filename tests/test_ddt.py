@@ -609,6 +609,34 @@ class TestWedgeInjectivity:
         rank, cube = wedge_injectivity(KForm.zero(7, 2), G)
         assert (rank, cube) == (0, 0.0)
 
+    def test_screened_ranks_are_the_svd_counts(self, G, monkeypatch):
+        # Rows the eigenvalue screen settles and rows it leaves to the SVD, in one batch.
+        rng = np.random.default_rng(65)
+        degenerate = (KForm.monomial(7, (1, 2)) - KForm.monomial(7, (3, 4))).coeffs
+        solutions = [f.coeffs for f in cartan_solutions(*random_zero_sum(rng))]
+        rows = np.stack([*rng.standard_normal((4, 21)), degenerate, np.zeros(21),
+                         degenerate + 1e-7 * rng.standard_normal(21), *solutions])
+        svd = np.linalg.svd
+        mats = forms_module.wedge_matrix(KForm(7, 2, rows), 2)
+        want = []
+        for mat in mats:
+            singular = svd(mat, compute_uv=False)
+            top = singular.max()
+            want.append(int(np.count_nonzero(singular > ddt_module.RANK_CUTOFF * top)) if top > 0 else 0)
+        sent = []
+
+        def counted(a, *args, **kwargs):
+            sent.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        ranks, _ = wedge_injectivity(KForm(7, 2, rows), G)
+        assert ranks.tolist() == want
+        assert want[4:7] == [16, 0, 21]
+        # The degenerate, zero and nearly degenerate rows go to the SVD, and only they.
+        assert sent == [3]
+        assert [wedge_injectivity(KForm(7, 2, row), G)[0] for row in rows] == want
+
 
 class TestStructureRotations:
     def test_rotation_preserves_phi_and_metric(self, G):

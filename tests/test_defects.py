@@ -80,6 +80,16 @@ def scaled_two_form_lift(original):
     return lift
 
 
+def flipped_star_sign(original):
+    # One sign of the table the Hodge star at an identity Gram matrix reads.
+    def _hodge_moves(n, k):
+        gather, signs = original(n, k)
+        flipped = signs.copy()
+        flipped[0] = -flipped[0]
+        return gather, flipped
+    return _hodge_moves
+
+
 def euclidean_symbol(original):
     def symbol_tensors(psi, metric):
         return original(psi, euclidean_metric(7))
@@ -112,6 +122,8 @@ DEFECTS = {
     "angle": Defect(dhym, "radius_angle", shifted_angle, ("dhym",)),
     "two-form lift": Defect(product, "lift", scaled_two_form_lift, ("product",)),
     "euclidean symbol": Defect(torus, "symbol_tensors", euclidean_symbol, ("torus",)),
+    "flat-model star sign": Defect(forms, "_hodge_moves", flipped_star_sign, ("appendixA", "dhym"),
+                                   {"dhym": "duality against the complex structure"}),
 }
 
 

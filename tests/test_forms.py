@@ -1196,6 +1196,7 @@ class TestKernelResults:
         rng = np.random.default_rng(370)
         m = random_metric(rng, 5)
         move = LinearMap(5, np.eye(5) + 0.3 * rng.standard_normal((5, 5)))
+        swap = LinearMap(5, -np.eye(5)[::-1])
         for imag in (0.0, 1.0):
             for shape in ((), (3,)):
                 a = KForm(5, 2, rng.standard_normal(shape + (10,)) + imag * 1j)
@@ -1208,11 +1209,13 @@ class TestKernelResults:
                     "interior": (interior(v, a), 1, (a,)),
                     "interior of a function": (interior(v, KForm(5, 0, np.ones(shape + (1,)))), 0, ()),
                     "hodge": (hodge(a, m), 3, (a,)),
+                    "hodge at the identity": (hodge(a, euclidean_metric(5)), 3, (a,)),
                     "pullback": (pullback(move, a), 2, (a,)),
+                    "pullback through a signed permutation": (pullback(swap, a), 2, (a,)),
                     "sum": (a + c, 2, (a, c)),
                     "difference": (a - c, 2, (a, c)),
                 }
-                cached = [m.gram, m.hodge_matrix(2), move.matrix]
+                cached = [m.gram, m.hodge_matrix(2), move.matrix, swap.matrix]
                 for name, (form, grade, inputs) in results.items():
                     arrays = [x.coeffs for x in inputs] + [v] + cached
                     assert form.grade == grade, name
@@ -1226,3 +1229,135 @@ class TestKernelResults:
         scaled = a * np.longdouble(2.0)
         assert scaled.coeffs.dtype == np.float64
         assert np.array_equal(scaled.coeffs, 2.0 * np.ones(4))
+
+
+def product_path(m: Metric) -> Metric:
+    """m with its identity shortcut off: its operators multiply by its Gram matrices."""
+    twin = Metric(m.dim, m.gram, m.orientation)
+    twin.__dict__["_identity"] = False
+    return twin
+
+
+def contracting(L: LinearMap) -> LinearMap:
+    """L with its signed-permutation shortcut off: pullbacks contract or take exterior powers."""
+    twin = LinearMap(L.dim, L.matrix)
+    twin.__dict__["_signed_permutation"] = None
+    return twin
+
+
+def signed_permutation(rng, n):
+    mat = np.zeros((n, n))
+    mat[rng.permutation(n), np.arange(n)] = rng.choice([-1.0, 1.0], size=n)
+    return mat
+
+
+def assert_same(got, want):
+    # Value for value, with the type, dtype and shape; -0.0 equals 0.0.
+    if isinstance(want, KForm):
+        assert (got.dim, got.grade) == (want.dim, want.grade)
+        got, want = got.coeffs, want.coeffs
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want)
+
+
+def three_rows(a: KForm) -> KForm:
+    return KForm(a.dim, a.grade, np.stack([a.coeffs, -2.0 * a.coeffs, a.coeffs.conj()]))
+
+
+class TestFlatModelShortcuts:
+    """At an identity Gram matrix, and through a signed permutation, the operators
+    skip their products with 0 and 1; each result equals the product path's."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_identity_metric_operators_equal_the_product_path(self, n):
+        rng = np.random.default_rng(1400 + n)
+        eye = np.eye(n)
+        for m in (euclidean_metric(n), Metric(n, eye, -1), Metric(n, np.stack([eye] * 3), -1)):
+            assert m._identity
+            slow = product_path(m)
+            for k in range(n + 1):
+                for a in real_and_complex_forms(rng, n, k):
+                    for x in (a, three_rows(a)):
+                        assert_same(hodge(x, m), hodge(x, slow))
+                        for y in (a, three_rows(a)):
+                            assert_same(form_inner(x, y, m), form_inner(x, y, slow))
+            v = rng.standard_normal((3, n))
+            for x in (v[0], v, v + 1j * rng.standard_normal((3, n))):
+                assert_same(flat(x, m), flat(x, slow))
+            if n >= 2:
+                for f in real_and_complex_forms(rng, n, 2):
+                    for x in (f, three_rows(f)):
+                        assert_same(sharp2(x, m).matrix, sharp2(x, slow).matrix)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_signed_permutation_pullback_equals_the_contraction(self, n):
+        rng = np.random.default_rng(1410 + n)
+        for _ in range(3):
+            L = LinearMap(n, signed_permutation(rng, n))
+            assert L._signed_permutation is not None
+            slow = contracting(L)
+            for k in range(n + 1):
+                for a in real_and_complex_forms(rng, n, k):
+                    for x in (a, three_rows(a)):
+                        assert_same(pullback(L, x), pullback(slow, x))
+
+    def test_only_one_real_signed_permutation_takes_the_table(self):
+        rng = np.random.default_rng(1420)
+        perm = signed_permutation(rng, 4)
+        assert LinearMap(4, perm)._signed_permutation is not None
+        scaled, repeated, extra = 2.0 * perm, perm.copy(), perm.copy()
+        repeated[:, 1] = repeated[:, 0]
+        extra[np.nonzero(perm[:, 0])[0][0], 1] = 0.5
+        nan = np.where(perm == 0, 0.0, np.nan)
+        for mat in (scaled, repeated, extra, nan, np.stack([perm, perm]), 1j * perm, np.zeros((4, 4))):
+            assert LinearMap(4, mat)._signed_permutation is None
+
+    def test_identity_is_every_gram_bit_for_bit(self):
+        eye = np.eye(3)
+        assert Metric(3, np.stack([eye, eye]))._identity
+        other = eye.copy()
+        other[0, 0] = 2.0
+        signed_zero = eye.copy()
+        signed_zero[0, 1] = signed_zero[1, 0] = -0.0
+        for gram in (other, np.stack([eye, other]), signed_zero, 2.0 * eye):
+            assert not Metric(3, gram)._identity
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_stay_non_finite_in_their_row(self, bad):
+        rng = np.random.default_rng(1430)
+        n = 7
+        m = euclidean_metric(n)
+        L = LinearMap(n, signed_permutation(rng, n))
+        assert m._identity and L._signed_permutation is not None
+
+        def assert_row(values):
+            values = np.reshape(values, (3, -1))
+            assert np.isfinite(values[[0, 2]]).all()
+            assert not np.isfinite(values[1]).all()
+
+        for k in range(n + 1):
+            coeffs = rng.standard_normal((3, comb(n, k)))
+            coeffs[1, -1] = bad
+            x = KForm(n, k, coeffs)
+            assert_row(hodge(x, m).coeffs)
+            assert_row(pullback(L, x).coeffs)
+            assert_row(form_inner(x, x, m))
+        v = rng.standard_normal((3, n))
+        v[1, -1] = bad
+        assert_row(flat(v, m).coeffs)
+        f = rng.standard_normal((3, comb(n, 2)))
+        f[1, -1] = bad
+        assert_row(sharp2(KForm(n, 2, f), m).matrix)
+
+    def test_row_norms_are_numpys_bit_for_bit(self):
+        rng = np.random.default_rng(1440)
+        real = rng.standard_normal((4, 35)) * 10.0 ** rng.uniform(-8.0, 8.0, (4, 1))
+        cplx = real + 1j * rng.standard_normal((4, 35))
+        cases = (real[0], cplx[0], real, cplx, real.reshape(2, 2, 35), real[:, ::3],
+                 np.zeros(35), np.zeros((3, 21)), np.zeros(21, dtype=complex))
+        for x in cases:
+            got, want = forms._row_norms(x), np.linalg.norm(x, axis=-1)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

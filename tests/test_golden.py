@@ -13,15 +13,18 @@ residual, and lists each moved field in CHANGES.md.
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from g2calc import Campaign, emit
+from g2calc.suites import Report
 from support import suite_changes
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 SEEDS = (0, 1, 42)
 
 
@@ -43,6 +46,30 @@ def test_report_bytes_are_pinned(seed):
     assert report == golden["report"], "per suite, golden -> this run:\n" + suite_changes(
         golden["report"], report)
     assert hashlib.sha256(got).hexdigest() == golden["sha256"]
+
+
+def readme_blocks(language: str) -> list[str]:
+    """The bodies of README.md's fenced code blocks tagged with the language."""
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.M | re.S)
+    return [body for tag, body in blocks if tag == language]
+
+
+def test_readme_examples_are_the_seed_42_report():
+    golden = json.loads((GOLDEN / "verify-seed42.json").read_text())["report"]
+    reports = [Report(r["suite"], r["passed"], r["failed"], r["worst_residual"],
+                      tuple(r["witnesses"]), r["details"]) for r in golden]
+    text = emit(reports, "text", Campaign(seed=42, samples=1000)).decode().splitlines()
+    command = "$ g2calc verify --seed 42 --samples 1000 --format text\n"
+    (example,) = [body for body in readme_blocks("sh") if body.startswith(command)]
+    # The example elides lines with "..."; the lines it shows are the command's, in order.
+    shown = [line for line in example.splitlines()[1:] if line != "..."]
+    assert len(shown) >= 3
+    assert shown == [line for line in text if line in shown]
+    # The JSON example is the command's first report, its residual rounded as the text rounds it.
+    (schema,) = readme_blocks("json")
+    (entry,) = json.loads(schema)
+    want = golden[0]
+    assert entry == {**want, "worst_residual": float(f"{want['worst_residual']:.3e}")}
 
 
 def write_golden() -> None:
