@@ -6,9 +6,11 @@ differential operator in the deformation complex reduces to a small matrix
 per integer mode k.  The middle operator of the complex sends a one-form
 alpha to star(d alpha ^ star_phi), a first-order map whose per-mode block
 is linear in k; its kernel intersected with the coclosed condition counts
-the check-harmonic one-forms.  Summing kernel dimensions over a box of
-modes certifies the dimension of that space and, by subtracting the first
-Betti number, the obstruction count.
+the check-harmonic one-forms.  The symbol identity (_symbol_identity)
+leaves no kernel at any mode k != 0, so k = 0 alone certifies the
+dimension of that space and, by subtracting the first Betti number, the
+obstruction count; summing kernel dimensions over a box of modes is the
+second, independent route.
 """
 
 from __future__ import annotations
@@ -28,13 +30,10 @@ from .g2 import G2Data, _or_standard
 # counts as zero: exact kernels sit below 1e-7, genuine ones above 0.4.
 KERNEL_RTOL = 1e-6
 
-# Most modes per block of Gram matrices in the box counts: a block holds whole tails, the
-# last m coordinates for the largest m with side^m <= CHUNK.  For 7 x 7 Grams a block's
-# working set is at most about 470 bytes per mode (all 28 packed entries and the screen
-# temporaries; about 75 bytes with the 7 diagonal entries alone), so 2048 modes fit a 2 MB
-# per-core L2 cache.  In two sweeps of the cutoff-3 and cutoff-1 counts on a 2-core Xeon,
-# with all 28 entries built, 1536 and 2048 were within 4 % of each other, and 1024, 3072
-# and 4096 (2401-mode blocks at cutoff 3) took 20-32 % longer.
+# Modes per block of Gram matrices in the box counts.  A block's working set is about 800
+# bytes per mode (the mode table, 28 pair products, 28 packed entries and the screen's
+# temporaries), so 2048 modes fit a 2 MB per-core L2 cache; the cutoff-1 half box
+# (1094 modes) is one block.
 CHUNK = 2048
 
 
@@ -64,6 +63,27 @@ def _check_tensor(data: G2Data, c) -> np.ndarray:
     if not (isinstance(c, Real) and isfinite(c)):
         raise ValueError(f"coupling scale c must be a finite real number, got {c!r}")
     return symbol_tensors(float(c) * data.star_phi, data.metric)
+
+
+def _symbol_identity(tensor: np.ndarray, weight: np.ndarray, g1: np.ndarray) -> float:
+    """Residual of S(k)^T W S(k) = |k|^2_g G_1 at every mode, for S(k) = sum k_j tensor[j].
+
+    W = diag(weight, 1) weighs the middle rows and the gauge row.  With W = L L^T, the table
+    of _gram_form for L^T S holds S_j^T W S_j and, for j < l, S_j^T W S_l + S_l^T W S_j,
+    which must equal G_1[j, j] G_1 and 2 G_1[j, l] G_1.  The residual is the largest
+    difference over max|G_1|^2, NaN if any entry is or if weight has no Cholesky factor.
+    Where it vanishes and G_1 is positive definite, S(k) v = 0 forces
+    |k|^2_g v^T G_1 v = 0, so no mode k != 0 has a kernel.
+    """
+    try:
+        factor = np.linalg.cholesky(weight)
+    except np.linalg.LinAlgError:
+        return float("nan")
+    j, l = _packing(len(tensor))[:2]
+    rows, cols, _, _ = _packing(len(g1))
+    target = np.where(j == l, 1.0, 2.0)[:, None] * g1[j, l][:, None] * g1[rows, cols]
+    weighted = np.concatenate([factor.T @ tensor[:, :-1], tensor[:, -1:]], axis=1)
+    return float(np.max(np.abs(_gram_form(weighted) - target)) / np.max(np.abs(g1)) ** 2)
 
 
 def _mode_symbols(k, data: G2Data, c) -> np.ndarray:
@@ -115,9 +135,12 @@ def _gram_form(tensor: np.ndarray) -> np.ndarray:
     entries of a d x d Gram, and each row holds the U entries of a c x c
     Gram in _packing(c) order.
     """
-    j, l = _packing(len(tensor))[:2]
-    rows, cols, _, _ = _packing(tensor.shape[2])
-    full = np.einsum("jrc,lrd->jlcd", tensor, tensor)[:, :, rows, cols]
+    d, r, c = tensor.shape
+    j, l = _packing(d)[:2]
+    rows, cols, _, _ = _packing(c)
+    # One product: flat.T @ flat holds T_j^T T_l in block (j, l).
+    flat = tensor.transpose(1, 0, 2).reshape(r, d * c)
+    full = (flat.T @ flat).reshape(d, c, d, c).transpose(0, 2, 1, 3)[:, :, rows, cols]
     return np.where((j == l)[:, None], full[j, l], full[j, l] + full[l, j])
 
 
@@ -132,140 +155,60 @@ def _mode_grams(q: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return q.T @ (k[j] * k[l])
 
 
-def _kept_entries(q: np.ndarray, c: int) -> np.ndarray:
-    """The packed entries of a c x c Gram that the table q of _gram_form can make nonzero.
-
-    These are the c diagonal entries and every off-diagonal entry whose
-    column of q is not all zero; NaN and inf count as nonzero.  Every term
-    of a dropped entry is 0 times a finite mode product, so the entry is
-    exactly 0.0 at every finite mode.
-    """
-    keep = q.any(axis=0)
-    keep[:c] = True
-    return np.flatnonzero(keep)
-
-
 def _screen_open(grams: np.ndarray, incidence: np.ndarray) -> np.ndarray:
     """Columns of a packed Gram stack that may have a kernel.
 
     grams holds the c diagonal entries of each Gram, then its off-diagonal
-    entries in the order of the columns of the (c, p) incidence, which are
-    columns of _packing(c)[3]; every off-diagonal entry left out is zero.
-    A column is settled when lo > 2 rtol^2 trace(G), where by Gershgorin's
-    theorem lo = min_i (G_ii - sum_{j != i} |G_ij|) bounds every eigenvalue
-    of the symmetric G from below; a zero entry adds nothing to the sums,
-    and with no off-diagonal entry lo is the least diagonal entry.  The
-    bound is sound.  If trace(G) <= 0, then lo <= min_i G_ii <= trace(G) / c
-    <= 2 rtol^2 trace(G), so the column stays open.  Otherwise lo > 0 makes
-    G positive definite, so lambda_max <= trace(G) and lambda_min >= lo >
-    2 rtol^2 lambda_max; eigvalsh errs there by about 1e-15 lambda_max, far
-    below the threshold, so it would count no kernel either.  NaN and inf
-    columns compare false and stay open.
+    entries in the order of the columns of the (c, p) incidence, as in
+    _packing(c), whose incidence matrix is _packing(c)[3].  A column is
+    settled when lo > 2 rtol^2 trace(G), where by Gershgorin's theorem
+    lo = min_i (G_ii - sum_{j != i} |G_ij|) bounds every eigenvalue of the
+    symmetric G from below.  The bound is sound.  If trace(G) <= 0, then
+    lo <= min_i G_ii <= trace(G) / c <= 2 rtol^2 trace(G), so the column
+    stays open.  Otherwise lo > 0 makes G positive definite, so
+    lambda_max <= trace(G) and lambda_min >= lo > 2 rtol^2 lambda_max;
+    eigvalsh errs there by about 1e-15 lambda_max, far below the threshold,
+    so it would count no kernel either.  NaN and inf columns compare false
+    and stay open.
     """
     c = len(incidence)
-    diag = grams[:c]
-    lo = diag
-    if incidence.size:
-        lo = incidence @ np.abs(grams[c:])
-        np.subtract(diag, lo, out=lo)
-    bound = diag.sum(axis=0)
+    lo = grams[:c] - incidence @ np.abs(grams[c:])
     # The factor 2 leaves room for rounding in the Gram, the bounds and eigvalsh.
-    bound *= 2 * KERNEL_RTOL**2
-    return ~(lo.min(axis=0) > bound)
-
-
-def _unpacked(grams: np.ndarray, c: int, kept: np.ndarray) -> np.ndarray:
-    """The (n, c, c) symmetric matrices of the packed entries kept (len(kept), n), zero elsewhere."""
-    packed = np.zeros((c * (c + 1) // 2, grams.shape[1]))
-    packed[kept] = grams
-    return packed[_packing(c)[2]].T.reshape(-1, c, c)
-
-
-def _index(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _half_box_grams(q: np.ndarray, d: int, cutoff: int):
-    """Packed Grams of the half box from the centre k = 0 on, in blocks of whole head prefixes.
-
-    q is the table of _gram_form over d coordinates, restricted to u of its packed entries:
-    each block has one row per entry.  _kernel_shells keeps the entries of _kept_entries, and
-    every entry it drops is exactly 0.0 at every mode, so it is not built.
-    The head h is the first d - m coordinates and the tail t the last m, for the largest m
-    with side^m <= CHUNK.  G(h, t) is a quadratic in t with coefficients depending on h, so a
-    prefix is one (u, K) map against the K = m(m+1)/2 + m + 1 tail monomials (t_j t_l, t_l, 1),
-    and a block of CHUNK // side^m prefixes is one product with the monomial table.  The first
-    block is the centre's prefix h = 0 from the tail centre on, the quadratic part alone.
-    Yields (offset, grams), offset being the flat index of the block's first mode less the centre's.
-    """
-    side = 2 * cutoff + 1
-    m = d
-    while m and side**m > CHUNK:
-        m -= 1
-    head, n = d - m, side**m
-    # pair[j, l] is the row of q that holds the pair {j, l}.
-    pair = _packing(d)[2].reshape(d, d)
-    # The tail modes as columns, in C order, as np.unravel_index gives them.
-    tail = np.indices((side,) * m).reshape(m, n) - cutoff
-    j, l = _packing(m)[:2]
-    monomials = np.vstack([tail[j] * tail[l], tail, np.ones((1, n))])
-    q_tail = q[pair[head:, head:][j, l]].T
-    u, quadratic = q_tail.shape
-    # t and -t sit at tail indices i and n - 1 - i: the half from the tail centre on.
-    yield 0, q_tail @ monomials[:quadratic, n // 2:]
-    q_head, q_cross = q[pair[:head, :head][_packing(head)[:2]]], q[pair[:head, head:]]
-    # Prefix index to head mode, as np.unravel_index in C order.
-    strides = side ** np.arange(head - 1, -1, -1)[:, None]
-    centre = side**head // 2
-    step = CHUNK // n
-    # The prefix maps are built for side blocks at a time: a block of a few modes does
-    # not pay their numpy calls alone, and they cover at most side * CHUNK / side^m prefixes.
-    for start in range(centre + 1, side**head, side * step):
-        stop = min(start + side * step, side**head)
-        h = np.arange(start, stop) // strides % side - cutoff
-        # linear[:, p] is the (u, K) map of prefix p: quadratic part, cross term and G(h, 0).
-        linear = np.concatenate([np.broadcast_to(q_tail[:, None], (u, stop - start, quadratic)),
-                                 np.einsum("jp,jlu->upl", h, q_cross),
-                                 _mode_grams(q_head, h)[:, :, None]], axis=2)
-        for first in range(start, stop, step):
-            maps = linear[:, first - start:first - start + step].reshape(-1, len(monomials))
-            yield (first - centre) * n - n // 2, (maps @ monomials).reshape(u, -1)
+    return ~(lo.min(axis=0) > 2 * KERNEL_RTOL**2 * grams[:c].sum(axis=0))
 
 
 def _kernel_shells(tensor: np.ndarray, cutoff: int) -> np.ndarray:
     """Kernel dimensions of i * sum k_j tensor[j] over the box, per shell max|k_i| = 0..cutoff.
 
     The Gram matrix is even in k, and k and -k sit at flat indices i and total - 1 - i, so
-    only the half box from k = 0 on is evaluated (_half_box_grams): the centre counts once and
-    every other mode twice.  Only the packed Gram entries of _kept_entries are built and
-    screened; the rest are exactly 0.0 at every mode, so the screen and eigvalsh see the same
-    matrices as with every entry built.  The Gershgorin screen (_screen_open) settles only
-    modes where eigvalsh, within its rounding error, would count no kernel, and eigvalsh counts
-    the rest.  So the counts are the same integers at any CHUNK, and their running sums are the
+    only the half box from k = 0 on is evaluated, CHUNK modes at a time: the centre counts
+    once and every other mode twice.  The Gershgorin screen (_screen_open) settles only modes
+    where eigvalsh, within its rounding error, would count no kernel, and eigvalsh counts the
+    rest.  So the counts are the same integers at any CHUNK, and their running sums are the
     counts of every smaller box.
     """
-    cutoff = _index("cutoff", cutoff)
+    try:
+        cutoff = operator.index(cutoff)
+    except TypeError:
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}") from None
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     d, c = len(tensor), tensor.shape[2]
     box = (2 * cutoff + 1,) * d
-    centre = box[0] ** d // 2
+    total = box[0] ** d
     q = _gram_form(tensor)
-    kept = _kept_entries(q, c)
-    incidence = _packing(c)[3][:, kept[c:] - c]
+    _, _, entry, incidence = _packing(c)
     shells = np.zeros(cutoff + 1, dtype=np.int64)
-    for offset, grams in _half_box_grams(q[:, kept], d, cutoff):
-        open_ = _screen_open(grams, incidence)
-        if open_.any():
-            open_ = np.flatnonzero(open_)
-            eigs = np.linalg.eigvalsh(_unpacked(grams[:, open_], c, kept))
+    for start in range(total // 2, total, CHUNK):
+        flat = np.arange(start, min(start + CHUNK, total))
+        modes = np.array(np.unravel_index(flat, box)) - cutoff
+        grams = _mode_grams(q, modes)
+        open_ = np.flatnonzero(_screen_open(grams, incidence))
+        if open_.size:
+            eigs = np.linalg.eigvalsh(grams[:, open_][entry].T.reshape(-1, c, c))
             zero = np.count_nonzero(eigs <= KERNEL_RTOL**2 * eigs[:, -1:], axis=1)
-            flat = centre + offset + open_
-            shell = np.abs(np.array(np.unravel_index(flat, box)) - cutoff).max(axis=0)
-            np.add.at(shells, shell, np.where(flat == centre, 1, 2) * zero)
+            shell = np.abs(modes[:, open_]).max(axis=0)
+            np.add.at(shells, shell, np.where(flat[open_] == total // 2, 1, 2) * zero)
     return shells
 
 

@@ -9,6 +9,7 @@ report.
 import json
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from g2calc import cli, ddt, dhym, forms, g2, product, suites, torus
@@ -96,6 +97,29 @@ def euclidean_symbol(original):
     return symbol_tensors
 
 
+def scaled_output(original):
+    def scaled(*args):
+        return original(*args) * 1.001
+    return scaled
+
+
+def zeroed_middle_row(original):
+    def _symbol(rows, metric):
+        out = original(rows, metric)
+        out[:, 0] = 0.0
+        return out
+    return _symbol
+
+
+def euclidean_gauge_row(original):
+    # The coclosed row -G_1 built from the Euclidean metric, whatever the structure's.
+    def _symbol(rows, metric):
+        out = original(rows, metric)
+        out[:, -1] = -np.eye(7)
+        return out
+    return _symbol
+
+
 class Defect(NamedTuple):
     module: object
     name: str
@@ -121,7 +145,22 @@ DEFECTS = {
     "scalar factor": Defect(ddt, "_factor", scaled_factor, ("thmC1",)),
     "angle": Defect(dhym, "radius_angle", shifted_angle, ("dhym",)),
     "two-form lift": Defect(product, "lift", scaled_two_form_lift, ("product",)),
-    "euclidean symbol": Defect(torus, "symbol_tensors", euclidean_symbol, ("torus",)),
+    "euclidean symbol": Defect(torus, "symbol_tensors", euclidean_symbol, ("torus",),
+                               {"torus": "symbol identity"}),
+    "scaled symbol": Defect(torus, "_symbol", scaled_output, ("torus",),
+                            {"torus": "symbol identity"}),
+    "scaled symbol tensors": Defect(torus, "symbol_tensors", scaled_output, ("torus",),
+                                    {"torus": "symbol identity"}),
+    "scaled check tensor": Defect(torus, "_check_tensor", scaled_output, ("torus",),
+                                  {"torus": "symbol identity"}),
+    "scaled coordinate wedge": Defect(forms, "_coordinate_wedge", scaled_output, ("torus",),
+                                      {"torus": "symbol identity"}),
+    "scaled gram form": Defect(torus, "_gram_form", scaled_output, ("torus",),
+                               {"torus": "symbol identity"}),
+    "zeroed middle row": Defect(torus, "_symbol", zeroed_middle_row, ("torus",),
+                                {"torus": "symbol identity"}),
+    "euclidean gauge row": Defect(torus, "_symbol", euclidean_gauge_row, ("torus",),
+                                  {"torus": "symbol identity"}),
     "flat-model star sign": Defect(forms, "_hodge_moves", flipped_star_sign, ("appendixA", "dhym"),
                                    {"dhym": "duality against the complex structure"}),
 }
@@ -152,9 +191,26 @@ def cold_kahler():
         cache.cache_clear()
 
 
-def assert_caught(monkeypatch, capsys, defect, names):
-    """Plant the defect, run `g2calc verify` on the suites, and check each one's failures."""
+# The one check a suite reports when it raises instead of running to the end.
+FLOOR = "suite ran to completion"
+
+
+def strict_json(text):
+    """Parse text as strict JSON: NaN and Infinity tokens are rejected."""
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def assert_caught(monkeypatch, capsys, defect, names, labels=None):
+    """Plant the defect, run `g2calc verify` on the suites, and check each one's failures.
+
+    Each report must include the witness label of its suite in labels, by
+    default the defect row's, and no report may fall back on the floor check
+    "suite ran to completion" unless labels names it.  Returns the parsed reports.
+    """
     row = DEFECTS[defect]
+    labels = row.labels if labels is None else labels
     plant(monkeypatch, row.module, row.name, row.build)
     monkeypatch.setattr(suites, "MAX_WITNESSES", 10**6)
     monkeypatch.delenv("G2CALC_SEED", raising=False)
@@ -162,14 +218,18 @@ def assert_caught(monkeypatch, capsys, defect, names):
     for name in names:
         argv += ["--suite", name]
     code = cli.main(argv)
-    payload = json.loads(capsys.readouterr().out)
+    payload = strict_json(capsys.readouterr().out)
     assert code == 1
     assert [r["suite"] for r in payload] == list(names)
     for report in payload:
         assert report["failed"] > 0, report["suite"]
         assert len(report["witnesses"]) == report["failed"]
-        if report["suite"] in row.labels:
-            assert row.labels[report["suite"]] in {w["check"] for w in report["witnesses"]}
+        checks = {w["check"] for w in report["witnesses"]}
+        if report["suite"] in labels:
+            assert labels[report["suite"]] in checks
+        if labels.get(report["suite"]) != FLOOR:
+            assert FLOOR not in checks, report["witnesses"]
+    return payload
 
 
 # thmC1 certifies the most G2 arithmetic, so each of its rows is a case of
@@ -186,12 +246,34 @@ def test_defect_fails_its_other_suites_without_raising(fresh_structure, monkeypa
     assert_caught(monkeypatch, capsys, defect, names)
 
 
-@pytest.mark.xfail(raises=ValueError, strict=True,
-                   reason="HermitianPoint checks its orientation with a raising guard")
 def test_fresh_kahler_points_under_a_wedge_defect(cold_kahler, monkeypatch, capsys):
     # In a fresh process standard_kahler builds its points under the defect,
-    # and the constructor's guard raises before the suite can report.
-    assert_caught(monkeypatch, capsys, "wedge", ("dhym", "product"))
+    # and the constructor's guard raises before either suite checks anything:
+    # each report holds that one failed check, with the guard's error.
+    payload = assert_caught(monkeypatch, capsys, "wedge", ("dhym", "product"),
+                            {"dhym": FLOOR, "product": FLOOR})
+    for report in payload:
+        (floor,) = report["witnesses"]
+        assert floor["exception"] == "ValueError"
+        assert "orientation" in floor["message"]
+
+
+def test_a_raising_suite_reports_one_failed_check(fresh_structure, monkeypatch, capsys):
+    # Signs of the signed-permutation pullback table scaled by 1.001 make
+    # dhym's normal form raise; verify still prints strict JSON and exits 1.
+    def scaled_signs(original):
+        def _permuted(k, rows, signs):
+            gather, out_signs = original(k, rows, signs)
+            return gather, out_signs * 1.001
+        return _permuted
+
+    monkeypatch.setitem(DEFECTS, "permuted signs",
+                        Defect(forms, "_permuted", scaled_signs, ("dhym",)))
+    (report,) = assert_caught(monkeypatch, capsys, "permuted signs", ("dhym",),
+                              {"dhym": FLOOR})
+    assert report["passed"] == 0
+    assert report["witnesses"] == [{"check": "suite ran to completion", "exception": "ValueError",
+                                    "message": "form is not of type (1,1) at this tolerance"}]
 
 
 def test_zero_solution_tolerance_fails_the_solve_check(monkeypatch):

@@ -133,6 +133,19 @@ class TestCampaign:
         with pytest.raises(ValueError, match="unknown suite 'appendixZ'"):
             campaign.run_suite("appendixZ")
 
+    def test_a_suite_that_raises_reports_one_failed_check(self, monkeypatch):
+        def broken(campaign, rng):
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setitem(_RUNNERS, "appendixB", broken)
+        reports = Campaign(seed=4, samples=9, suites=("appendixB", "propD1")).run()
+        assert reports[0] == Report("appendixB", 0, 1, 0.0, ({
+            "check": "suite ran to completion", "exception": "ZeroDivisionError",
+            "message": "planted"},), {})
+        assert reports[1] == Campaign(seed=4, samples=9, suites=("propD1",)).run()[0]
+        assert reports[1].failed == 0
+        assert json.loads(emit(reports, "json"), parse_constant=reject_constant)[0]["failed"] == 1
+
     def test_to_dict_round_trips_through_json(self):
         # The fields hold plain numbers and names, so the plan serialises as it is.
         campaign = Campaign(seed=5, samples=10, suites=("dhym",))
@@ -181,7 +194,7 @@ class TestReports:
     def test_torus_details_carry_the_dimension_summary(self, full_run):
         _, reports = full_run
         torus = next(r for r in reports if r.suite == "torus")
-        for key, value in (("cutoff", 3), ("dim_check_H1", 7),
+        for key, value in (("cutoff", 1), ("dim_check_H1", 7),
                            ("dim_H2", 0), ("b1", 7)):
             assert torus.details[key] == value
 

@@ -11,19 +11,19 @@ from hypothesis import given, settings, strategies as st
 
 from g2calc.forms import KForm, LinearMap, hodge, pullback, rel_residual, wedge, wedge_matrix
 from g2calc.g2 import g2_bundle, standard_g2
-from g2calc import torus
+from g2calc import suites, torus
 from g2calc.ddt import graph_map
+from g2calc.suites import Campaign
 from g2calc.torus import (
     KERNEL_RTOL,
     _coordinate_wedge,
     _gram_form,
-    _half_box_grams,
-    _kept_entries,
     _kernel_shells,
     _mode_grams,
     _packing,
     _screen_open,
     _symbol,
+    _symbol_identity,
     CohomologySummary,
     adjoint_check,
     harmonic_dim,
@@ -75,34 +75,13 @@ def pack(grams):
     return grams[:, rows, cols].T
 
 
-def unpack(packed, c, kept):
-    """Columns (len(kept), n) of the packed entries `kept` as matrices (n, c, c), zero elsewhere."""
-    rows, cols = (index[kept] for index in triangle(c))
+def unpack(packed, c):
+    """Packed columns (U, n) as symmetric matrices (n, c, c)."""
+    rows, cols = triangle(c)
     full = np.zeros((packed.shape[1], c, c))
     full[:, rows, cols] = packed.T
     full[:, cols, rows] = packed.T
     return full
-
-
-def kept_entries(tensor):
-    """The packed Gram entries the counter builds for a tensor."""
-    return _kept_entries(_gram_form(tensor), tensor.shape[2])
-
-
-def half_box_blocks(tensor, cutoff):
-    """The counter's blocks of kept packed Grams over the half box."""
-    return _half_box_grams(_gram_form(tensor)[:, kept_entries(tensor)], len(tensor), cutoff)
-
-
-def half_box_columns(tensor, cutoff, flat):
-    """The counter's kept packed Grams at the half-box modes with flat C-order indices `flat`."""
-    centre = (2 * cutoff + 1) ** len(tensor) // 2
-    found = {}
-    for offset, grams in half_box_blocks(tensor, cutoff):
-        for f in flat:
-            if 0 <= f - centre - offset < grams.shape[1]:
-                found[f] = grams[:, f - centre - offset]
-    return np.stack([found[f] for f in flat], axis=1)
 
 
 def check_tensor(data, c=1.0):
@@ -155,6 +134,20 @@ def zeroed_column_tensor(data):
     tensor = check_tensor(data)
     tensor[:, :7, 2] = 0.0
     return tensor
+
+
+def recorded_blocks(monkeypatch):
+    """A list that receives (modes (d, n), packed Grams (U, n)) of each block the counter builds."""
+    blocks = []
+    unpatched = torus._mode_grams
+
+    def recording_grams(q, modes):
+        grams = unpatched(q, modes)
+        blocks.append((np.array(modes), grams.copy()))
+        return grams
+
+    monkeypatch.setattr(torus, "_mode_grams", recording_grams)
+    return blocks
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +374,119 @@ class TestAdjoint:
         assert np.isnan(adjoint_check(k, broken))
 
 
+def check_identity(tensor, data, c=1.0):
+    """_symbol_identity of a check tensor at coupling scale c, with W = diag(G_1 / c^2, 1)."""
+    g1 = data.metric.gram_on_forms(1)
+    return _symbol_identity(tensor, g1 / c**2, g1)
+
+
+def b1_identity(tensor, data):
+    """_symbol_identity of a b1 tensor, with W = diag(G_2, 1)."""
+    return _symbol_identity(tensor, data.metric.gram_on_forms(2), data.metric.gram_on_forms(1))
+
+
+def drawn_structures(count, scale=0.3, seed=150):
+    rng = np.random.default_rng(seed)
+    G = standard_g2()
+    return [g2_bundle(pullback(graph_map(KForm(7, 2, scale * rng.standard_normal(21)), G), G.phi))
+            for _ in range(count)]
+
+
+class TestSymbolIdentity:
+    @pytest.mark.parametrize("c", [1.0, -2.0, 0.5, 3.7])
+    def test_flat_identities_are_exact_at_every_scale(self, G, c):
+        assert check_identity(check_tensor(G, c), G, c) == 0.0
+        assert b1_identity(b1_tensor(G), G) == 0.0
+
+    def test_drawn_structures_satisfy_the_identities(self, perturbed):
+        for data in [perturbed] + drawn_structures(20):
+            assert check_identity(check_tensor(data), data) <= 1e-14
+            assert check_identity(check_tensor(data, -2.0), data, -2.0) <= 1e-14
+            assert b1_identity(b1_tensor(data), data) <= 1e-14
+
+    def test_identity_is_the_gram_of_every_mode(self, perturbed):
+        # S(k)^T W S(k) = |k|^2_g G_1 at modes outside every box the suite counts.
+        g1 = perturbed.metric.gram_on_forms(1)
+        weight = np.eye(8)
+        weight[:7, :7] = g1
+        modes = np.random.default_rng(151).integers(-40, 41, size=(50, 7))
+        for k in modes:
+            s = mode_block(k, perturbed).imag
+            assert rel_residual(s.T @ weight @ s, (k @ g1 @ k) * g1) <= 1e-13
+
+    @pytest.mark.parametrize("defect", ["scaled", "zeroed row", "euclidean gauge row",
+                                        "wrong scale in W"])
+    def test_defective_symbols_fail(self, perturbed, defect):
+        # Scaling changes no kernel count and no adjoint residual; the identity sees it.
+        tensor, c = check_tensor(perturbed, -2.0), -2.0
+        if defect == "scaled":
+            tensor = 1.001 * tensor
+        elif defect == "zeroed row":
+            tensor[:, 3] = 0.0
+        elif defect == "euclidean gauge row":
+            tensor[:, -1] = -np.eye(7)
+        else:
+            c = 1.0
+        assert check_identity(tensor, perturbed, c) > 1e-3
+
+    def test_defective_b1_symbols_fail(self, perturbed):
+        tensor = b1_tensor(perturbed)
+        assert b1_identity(1.001 * tensor, perturbed) > 1e-3
+        tensor[:, 5] = 0.0
+        assert b1_identity(tensor, perturbed) > 1e-3
+
+    def test_nan_reads_nan_and_fails_the_suite(self, G, monkeypatch):
+        tensor = check_tensor(G)
+        tensor[2, 4, 1] = np.nan
+        assert np.isnan(check_identity(tensor, G))
+        unpatched = suites._check_tensor
+
+        def with_nan(data, c):
+            out = unpatched(data, c)
+            out[2, 4, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(suites, "_check_tensor", with_nan)
+        report = Campaign(0, 10, suites=("torus",)).run()[0]
+        assert report.failed == 11
+        assert {w["check"] for w in report.witnesses} == {"symbol identity"}
+        assert all(np.isnan(w["residual"]) for w in report.witnesses)
+        assert np.isnan(report.worst_residual)
+
+    def test_nan_in_g1_fails_its_structure_and_keeps_every_other_check(self, monkeypatch):
+        # The second drawn structure's G_1 reads NaN: its definiteness and both identities
+        # fail as checks, the margin reads NaN, and every other check runs as before.
+        clean = Campaign(0, 10, suites=("torus",)).run()[0]
+        unpatched = suites.g2_bundle
+        built = []
+
+        def nan_gram_bundle(phi):
+            data = unpatched(phi)
+            built.append(data)
+            # Built in order: the perturbed structure, then the drawn ones.
+            if len(built) == 3:
+                g1 = data.metric.gram_on_forms(1).copy()
+                g1[2, 5] = np.nan
+                data.metric._cache["gram_forms", 1] = g1
+            return data
+
+        monkeypatch.setattr(suites, "g2_bundle", nan_gram_bundle)
+        report = Campaign(0, 10, suites=("torus",)).run()[0]
+        assert report.failed == 3
+        assert report.passed == clean.passed - 3
+        assert [(w["check"], w["structure"]) for w in report.witnesses] == [
+            ("G1 positive definite", "drawn 1"), ("symbol identity", "drawn 1"),
+            ("b1 symbol identity", "drawn 1")]
+        assert np.isnan(report.details.pop("identity_margin"))
+        assert report.details == {k: v for k, v in clean.details.items() if k != "identity_margin"}
+
+    def test_suite_records_the_identities_and_their_margin(self):
+        report = Campaign(0, 10, suites=("torus",)).run()[0]
+        assert report.failed == 0
+        assert 0.0 < report.details["identity_margin"] < 1.0
+        assert report.worst_residual <= 1e-14
+
+
 class TestDimensionCounts:
     def test_flat_box_one(self):
         summary = harmonic_dim(1)
@@ -456,7 +562,7 @@ class TestKernelCounter:
         want = [7] + [(2 * s + 1) ** 7 - (2 * s - 1) ** 7 for s in range(1, cutoff + 1)]
         assert _kernel_shells(_coordinate_wedge(7, 1), cutoff).tolist() == want
 
-    @pytest.mark.parametrize("chunk", [1, 100, torus.CHUNK])
+    @pytest.mark.parametrize("chunk", [7, 100, torus.CHUNK])
     def test_one_sweep_gives_every_smaller_box(self, G, perturbed, reference, monkeypatch, chunk):
         # A fresh cache, so that b1 is swept at this CHUNK too.
         monkeypatch.setattr(torus, "CHUNK", chunk)
@@ -468,23 +574,71 @@ class TestKernelCounter:
             assert harmonic_dims(2, data, c) == [CohomologySummary(s, h, h - b, b)
                                                  for s, (h, b) in enumerate(counts)]
 
+    @pytest.mark.parametrize("chunk", [7, torus.CHUNK])
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    @pytest.mark.parametrize("name", ["known_kernel", "flat_check", "flat_b1", "flat_check_c-2",
+                                      "perturbed_check", "perturbed_b1", "two_blocks",
+                                      "zeroed_column"])
+    def test_counts_match_the_plain_eigvalsh_oracle(self, tensors, reference, monkeypatch,
+                                                    name, cutoff, chunk):
+        # At CHUNK 7 the half boxes of cutoffs 1 and 2 (1094 and 39063 modes) end in a
+        # partial block; at the default CHUNK the cutoff-1 half box is one partial block.
+        monkeypatch.setattr(torus, "CHUNK", chunk)
+        assert kernel_total(tensors[name], cutoff) == reference(name, cutoff)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 100, 65536])
+    @pytest.mark.parametrize("name, cutoff", [
+        ("known_kernel", 1), ("known_kernel", 2),
+        ("flat_check", 1), ("flat_check", 2),
+        ("flat_b1", 1), ("flat_b1", 2),
+        ("flat_check_c-2", 1),
+        ("perturbed_check", 1), ("perturbed_b1", 1),
+    ])
+    def test_half_box_matches_full_box(self, tensors, reference, monkeypatch, name, cutoff, chunk):
+        # Chunks of 1 and 2 make blocks of one or two modes, so the centre (k = 0) is a block
+        # of its own or shares one with a mode counted twice; at 65536 the half box is one
+        # block.  The reference walks the whole box.
+        monkeypatch.setattr(torus, "CHUNK", chunk)
+        assert kernel_total(tensors[name], cutoff) == reference(name, cutoff)
+
+    @pytest.mark.parametrize("m", range(8))
+    @pytest.mark.parametrize("name", ["known_kernel", "flat_check", "flat_b1", "flat_check_c-2",
+                                      "perturbed_check", "perturbed_b1"])
+    def test_every_split_matches_full_box(self, tensors, reference, monkeypatch, name, m):
+        # CHUNK = 3^m splits the 3^7 // 2 + 1 modes of the cutoff-1 half box into blocks of
+        # 3^m, the last one partial unless m = 0.
+        monkeypatch.setattr(torus, "CHUNK", 3**m)
+        blocks = recorded_blocks(monkeypatch)
+        assert kernel_total(tensors[name], 1) == reference(name, 1)
+        assert len(blocks) == -(-(3**7 // 2 + 1) // 3**m)
+
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_every_split_matches_full_box_in_four_dimensions(self, monkeypatch, cutoff, m):
+        side = 2 * cutoff + 1
+        known = _coordinate_wedge(4, 1)
+        gauged = np.concatenate([known, -np.eye(4)[:, None, :]], axis=1)
+        generic = np.random.default_rng(144).standard_normal((4, 5, 3))
+        monkeypatch.setattr(torus, "CHUNK", side**m)
+        for tensor in (known, gauged, generic):
+            blocks = recorded_blocks(monkeypatch)
+            assert kernel_total(tensor, cutoff) == full_box_total(tensor, cutoff)
+            assert len(blocks) == -(-(side**4 // 2 + 1) // side**m)
+
     @pytest.mark.parametrize("chunk", [1, 100, torus.CHUNK])
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_partially_sparse_tensor_matches_full_box(self, tensors, reference, monkeypatch,
                                                       cutoff, chunk):
-        # Only the entries within the two blocks are built; a wrongly dropped one would
-        # change the kernel that every mode has.
-        tensor = tensors["two_blocks"]
-        assert len(kept_entries(tensor)) == 7 + 3 + 6
+        # The 12 Gram entries across the two blocks are zero at every mode; the second block
+        # has three rows for four columns, so every mode has a kernel of dimension one.
         monkeypatch.setattr(torus, "CHUNK", chunk)
         want = 7 + (2 * cutoff + 1) ** 7 - 1
-        assert kernel_total(tensor, cutoff) == reference("two_blocks", cutoff) == want
+        assert kernel_total(tensors["two_blocks"], cutoff) == reference("two_blocks", cutoff) == want
 
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_sparse_path_can_still_fail(self, tensors, reference, cutoff):
-        # The flat check tensor with a defect: the counter still builds only some entries,
+        # The flat check tensor with a column of its middle rows zeroed: its Grams are sparse,
         # and the count rises above 7.
-        assert len(kept_entries(tensors["zeroed_column"])) < 28
         count = kernel_total(tensors["zeroed_column"], cutoff)
         assert count > 7
         assert count == reference("zeroed_column", cutoff)
@@ -520,54 +674,29 @@ class TestKernelCounter:
                     assert np.array_equal(w[j] @ beta.coeffs, want)
 
 
-    @pytest.mark.parametrize("chunk", [1, 2, 100, 65536])
-    @pytest.mark.parametrize("name, cutoff", [
-        ("known_kernel", 1), ("known_kernel", 2),
-        ("flat_check", 1), ("flat_check", 2),
-        ("flat_b1", 1), ("flat_b1", 2),
-        ("flat_check_c-2", 1),
-        ("perturbed_check", 1), ("perturbed_b1", 1),
-    ])
-    def test_half_box_matches_full_box(self, tensors, reference, monkeypatch, name, cutoff, chunk):
-        # Chunks of 1 and 2 make every coordinate a head coordinate, so a
-        # block holds one or two modes and the centre (k = 0) is a block of
-        # its own; the reference walks the whole box.
-        monkeypatch.setattr(torus, "CHUNK", chunk)
-        assert kernel_total(tensors[name], cutoff) == reference(name, cutoff)
-
-    @pytest.mark.parametrize("m", range(8))
-    @pytest.mark.parametrize("name", ["known_kernel", "flat_check", "flat_b1", "flat_check_c-2",
-                                      "perturbed_check", "perturbed_b1"])
-    def test_every_split_matches_full_box(self, tensors, reference, monkeypatch, name, m):
-        # CHUNK = side^m puts exactly the last m coordinates in the tail.
-        monkeypatch.setattr(torus, "CHUNK", 3**m)
-        assert len(list(half_box_blocks(tensors[name], 1))) == 3 ** (7 - m) // 2 + 1
-        assert kernel_total(tensors[name], 1) == reference(name, 1)
-
-    @pytest.mark.parametrize("m", range(5))
-    @pytest.mark.parametrize("cutoff", [1, 2])
-    def test_every_split_matches_full_box_in_four_dimensions(self, monkeypatch, cutoff, m):
-        side = 2 * cutoff + 1
-        known = _coordinate_wedge(4, 1)
-        gauged = np.concatenate([known, -np.eye(4)[:, None, :]], axis=1)
-        generic = np.random.default_rng(144).standard_normal((4, 5, 3))
-        monkeypatch.setattr(torus, "CHUNK", side**m)
-        for tensor in (known, gauged, generic):
-            assert len(list(half_box_blocks(tensor, cutoff))) == side ** (4 - m) // 2 + 1
-            assert kernel_total(tensor, cutoff) == full_box_total(tensor, cutoff)
-
     @pytest.mark.parametrize("cutoff", range(5))
     @pytest.mark.parametrize("d", [4, 7])
-    def test_blocks_fit_the_chunk_and_tile_the_half_box(self, d, cutoff):
-        # The memory bound that the CHUNK comment promises, at the default CHUNK.
-        tensor = np.random.default_rng(148).standard_normal((d, d + 1, d))
-        covered = 0
-        for offset, grams in half_box_blocks(tensor, cutoff):
-            assert grams.shape == ((d * (d + 1)) // 2, grams.shape[1])
-            assert 0 < grams.shape[1] <= torus.CHUNK
-            assert offset == covered
-            covered += grams.shape[1]
-        assert covered == (2 * cutoff + 1) ** d // 2 + 1
+    def test_blocks_fit_the_chunk_and_tile_the_half_box(self, monkeypatch, d, cutoff):
+        # The memory bound that the CHUNK comment promises, at the default CHUNK: each block
+        # of modes has at most CHUNK of them, and the blocks walk the half box from k = 0 on,
+        # in flat C order.  The tensor's Gram is |k|^2 I, so the screen settles k != 0.  Each
+        # block is checked as it is built, so the test holds one block at a time, as the
+        # counter does (the cutoff-4 half box in seven dimensions has 2.4M modes).
+        tensor = np.concatenate([_coordinate_wedge(d, 1), -np.eye(d)[:, None, :]], axis=1)
+        side = 2 * cutoff + 1
+        walked = [side**d // 2]
+        unpatched = torus._mode_grams
+
+        def checking_grams(q, modes):
+            assert 0 < modes.shape[1] <= torus.CHUNK
+            flat = np.ravel_multi_index(tuple(modes + cutoff), (side,) * d)
+            assert np.array_equal(flat, np.arange(walked[0], walked[0] + len(flat)))
+            walked[0] += len(flat)
+            return unpatched(q, modes)
+
+        monkeypatch.setattr(torus, "_mode_grams", checking_grams)
+        assert kernel_total(tensor, cutoff) == d
+        assert walked == [side**d]
 
     @pytest.mark.parametrize("cutoff", [-1, 1.5, None])
     def test_rejects_bad_box(self, cutoff):
@@ -593,33 +722,27 @@ class TestGramForm:
         data = request.getfixturevalue(structure)
         grams = _mode_grams(_gram_form(check_tensor(data)), modes.T)
         assert grams.shape == (28, len(modes))
-        for k, gram in zip(modes, unpack(grams, 7, np.arange(28))):
+        for k, gram in zip(modes, unpack(grams, 7)):
             s = mode_block(k, data)
             assert rel_residual(gram, (s.conj().T @ s).real) <= 1e-13
 
     @pytest.mark.parametrize("structure", ["G", "perturbed"])
-    def test_split_grams_match_direct_gram(self, request, structure):
-        # The whole cutoff-1 box sits in the tail table; at cutoff 4 the head
-        # is the first three coordinates.  On the perturbed structure, where
-        # q[j, l] for j != l is nonzero, modes with a nonzero head and tail
-        # fail if the cross term is dropped.  The Gram is even in k, so a
-        # mode before the centre is read at -k.
+    def test_split_grams_match_direct_gram(self, request, monkeypatch, structure):
+        # The Grams the counter builds over the cutoff-1 half box, split into blocks of 100
+        # modes, against S^H S at each mode and at its opposite: the Gram is even in k, so the
+        # half box stands for the whole box.  On the perturbed structure q[j, l] for j != l
+        # is nonzero, so a dropped cross term fails.
         data = request.getfixturevalue(structure)
-        tensor = check_tensor(data)
-        rng = np.random.default_rng(145)
-        drawn = rng.integers(-4, 5, size=(2000, 7))
-        drawn = drawn[drawn[:, :3].any(axis=1) & drawn[:, 3:].any(axis=1)][:200]
-        assert len(drawn) == 200
-        box = np.stack(np.unravel_index(np.arange(3**7), (3,) * 7), axis=1) - 1
-        for cutoff, modes in ((1, box), (4, drawn)):
-            side = 2 * cutoff + 1
-            flat = np.ravel_multi_index(tuple((modes + cutoff).T), (side,) * 7)
-            half = np.where(flat >= side**7 // 2, flat, side**7 - 1 - flat)
-            grams = unpack(half_box_columns(tensor, cutoff, half.tolist()), 7, kept_entries(tensor))
-            for k, gram in zip(modes, grams):
-                s = mode_block(k, data)
-                assert rel_residual(gram, (s.conj().T @ s).real) <= 1e-13
-
+        monkeypatch.setattr(torus, "CHUNK", 100)
+        blocks = recorded_blocks(monkeypatch)
+        kernel_total(check_tensor(data), 1)
+        modes = np.concatenate([modes for modes, _ in blocks], axis=1).T
+        grams = unpack(np.concatenate([grams for _, grams in blocks], axis=1), 7)
+        assert len(blocks) == 11 and len(modes) == 3**7 // 2 + 1
+        for k in (modes, -modes):
+            s = mode_block(k, data)
+            for gram, direct in zip(grams, np.einsum("mrc,mrd->mcd", s.conj(), s).real):
+                assert rel_residual(gram, direct) <= 1e-13
 
 def near_threshold_tensor(ratio, diagonal):
     """A random tensor whose Gram at k = e_1 has lambda_min / lambda_max = ratio * rtol^2.
@@ -665,7 +788,7 @@ class TestScreen:
         for ratio in (0.5, 1.5, 3.0):
             grams = _mode_grams(_gram_form(near_threshold_tensor(ratio, True)), modes)
             open_ = _screen_open(grams, _packing(7)[3])
-            counted = hits(unpack(grams, 7, np.arange(28))) > 0
+            counted = hits(unpack(grams, 7)) > 0
             # The off-diagonal entries are zero, and screening the diagonal alone agrees.
             assert not grams[7:].any()
             assert np.array_equal(_screen_open(grams[:7], _packing(7)[3][:, :0]), open_)
@@ -696,11 +819,8 @@ class TestScreen:
     @pytest.mark.parametrize("j", [0, 6], ids=["head", "tail"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("cutoff", [0, 1])
-    def test_non_finite_tensor_still_fails(self, monkeypatch, bad, cutoff, j):
-        # With CHUNK = 3^6 the cutoff-1 box has coordinate 0 alone in the
-        # head, so the bad entry reaches the per-prefix term at j = 0 and the
-        # tail table at j = 6.  At cutoff 0 every coordinate is in the tail.
-        monkeypatch.setattr(torus, "CHUNK", 3**6)
+    def test_non_finite_tensor_still_fails(self, bad, cutoff, j):
+        # The bad entry sits in the slice of the first or the last coordinate.
         tensor = np.random.default_rng(143).standard_normal((7, 8, 7))
         tensor[j, 3, 4] = bad
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
@@ -709,41 +829,14 @@ class TestScreen:
     @pytest.mark.parametrize("j", [0, 6], ids=["head", "tail"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("cutoff", [0, 1])
-    def test_non_finite_flat_tensor_still_fails(self, tensors, monkeypatch, bad, cutoff, j):
-        # The flat check tensor builds the Gram diagonal alone.  A bad value where the tensor
-        # is zero makes off-diagonal columns of the Gram table non-finite, so they are built
-        # and the failure reaches eigvalsh, in the head and in the tail.
-        monkeypatch.setattr(torus, "CHUNK", 3**6)
+    def test_non_finite_flat_tensor_still_fails(self, tensors, bad, cutoff, j):
+        # The flat check tensor's Grams are diagonal.  A bad value where the tensor is zero
+        # makes off-diagonal entries non-finite, and the failure reaches eigvalsh.
         tensor = tensors["flat_check"].copy()
         row, col = np.argwhere(tensor[j] == 0)[0]
         tensor[j, row, col] = bad
-        assert len(kept_entries(tensor)) > 7
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
             kernel_total(tensor, cutoff)
-
-    def test_non_finite_columns_are_kept(self):
-        q = np.zeros((28, 28))
-        q[3, 10], q[27, 20], q[0, 12] = np.nan, -np.inf, 1e-300
-        assert _kept_entries(q, 7).tolist() == [0, 1, 2, 3, 4, 5, 6, 10, 12, 20]
-
-    @pytest.mark.parametrize("name, entries", [
-        ("flat_check", 7), ("flat_b1", 7), ("flat_check_c-2", 28),
-        ("perturbed_check", 28), ("perturbed_b1", 28),
-    ])
-    def test_flat_sweeps_build_the_diagonal_alone(self, tensors, monkeypatch, name, entries):
-        # Guards the speed of the flat sweeps: S^T S = |k|^2 I there, so the 21 off-diagonal
-        # entries are zero at every mode and are neither built nor screened.  If structural
-        # zeros stopped being found, this would fail instead of the sweep slowing quietly.
-        seen = set()
-        unpatched = torus._screen_open
-
-        def recording_screen(grams, incidence):
-            seen.add((len(grams), incidence.shape))
-            return unpatched(grams, incidence)
-
-        monkeypatch.setattr(torus, "_screen_open", recording_screen)
-        kernel_total(tensors[name], 1)
-        assert seen == {(entries, (7, entries - 7))}
 
     @pytest.mark.parametrize("name", ["flat_check", "flat_b1"])
     def test_screen_settles_every_nonzero_flat_mode(self, tensors, monkeypatch, name):
