@@ -14,7 +14,7 @@ root of its determinant so that phi has unit comass.  Two-forms split into
 a 7-dimensional piece {i(u)phi} and a 14-dimensional piece annihilated by
 wedging with star(phi); three-forms split as 1 + 7 + 27.  Projections are
 assembled from the wedge operator's integer spectrum, never from an
-eigensolver.
+eigensolver.  A package may be a stack: a batch of 3-forms gives one row per structure.
 """
 
 from __future__ import annotations
@@ -113,7 +113,10 @@ def metric_from_three_form(phi: KForm) -> Metric:
 
 
 def g2_bundle(phi: KForm) -> G2Data:
-    """Assemble metric, dual form and projections for a positive 3-form."""
+    """Assemble metric, dual form and projections for a positive 3-form.
+
+    A batch of 3-forms (..., 35) gives a stack: each row is its single 3-form's package bit for bit.
+    """
     metric = metric_from_three_form(phi)
     star_phi = hodge(phi, metric)
 
@@ -127,11 +130,12 @@ def g2_bundle(phi: KForm) -> G2Data:
     proj2_14 = (2.0 * eye2 - wedge_op) / 3.0
 
     gram3 = metric.gram_on_forms(3)
-    phi_norm2 = float(phi.coeffs @ gram3 @ phi.coeffs)
-    proj3_1 = np.outer(phi.coeffs, gram3 @ phi.coeffs) / phi_norm2
+    # |phi|^2 as (phi @ gram3) @ phi: one vector-matrix product and one dot per row.
+    phi_norm2 = np.matmul(_vecmat(phi.coeffs, gram3)[..., None, :], phi.coeffs[..., None])
+    proj3_1 = phi.coeffs[..., :, None] * _matvec(gram3, phi.coeffs)[..., None, :] / phi_norm2
     basis3_7 = interior_matrix(star_phi)  # columns i(e_i)star_phi, 35 x 7
-    normal = basis3_7.T @ gram3 @ basis3_7
-    proj3_7 = basis3_7 @ np.linalg.solve(normal, basis3_7.T @ gram3)
+    weighted = basis3_7.swapaxes(-1, -2) @ gram3
+    proj3_7 = basis3_7 @ np.linalg.solve(weighted @ basis3_7, weighted)
     proj3_27 = np.eye(35) - proj3_1 - proj3_7
 
     return G2Data(
@@ -169,9 +173,9 @@ def project2(f: KForm, data: G2Data | None = None) -> TwoFormSplit:
     _require_two_form(f)
     part7 = _matvec(data.proj2_7, f.coeffs)
     cols = data.basis2_7
-    rhs = _matvec(cols.T, part7)
+    rhs = _matvec(cols.swapaxes(-1, -2), part7)
     # One right-hand side per row, so that a batch row solves as a single form does.
-    u = np.linalg.solve(cols.T @ cols, rhs[..., None])[..., 0]
+    u = np.linalg.solve(cols.swapaxes(-1, -2) @ cols, rhs[..., None])[..., 0]
     f14 = KForm(7, 2, f.coeffs - _matvec(cols, u))
     return TwoFormSplit(u=u, f14=f14)
 
@@ -188,9 +192,9 @@ def project3(gamma: KForm, data: G2Data | None = None) -> tuple[KForm, KForm, KF
     if (gamma.dim, gamma.grade) != (7, 3):
         raise ValueError("expected a 3-form on R^7")
     return (
-        KForm(7, 3, data.proj3_1 @ gamma.coeffs),
-        KForm(7, 3, data.proj3_7 @ gamma.coeffs),
-        KForm(7, 3, data.proj3_27 @ gamma.coeffs),
+        KForm(7, 3, _matvec(data.proj3_1, gamma.coeffs)),
+        KForm(7, 3, _matvec(data.proj3_7, gamma.coeffs)),
+        KForm(7, 3, _matvec(data.proj3_27, gamma.coeffs)),
     )
 
 

@@ -669,22 +669,27 @@ def _run_torus(campaign: Campaign, rng: np.random.Generator) -> Report:
 
     # The symbol identities hold at every mode; with G_1 positive definite they leave no
     # kernel at any k != 0, so the counts above are those of every box.
-    structures = [("flat", base, (1.0, -2.0)), ("perturbed", moved, (1.0,))]
-    for i in range(8):
-        flux = KForm(7, 2, 0.3 * rng.standard_normal(21))
-        structures.append((f"drawn {i}", g2_bundle(pullback(graph_map(flux, base), base.phi)), (1.0,)))
+    # One draw of 8 fluxes gives the numbers of 8 draws of one; the drawn structures are one stack.
+    drawn = g2_bundle(pullback(graph_map(KForm(7, 2, 0.3 * rng.standard_normal((8, 21))), base), base.phi))
+    structures = [(["flat"], base, (1.0, -2.0)), (["perturbed"], moved, (1.0,)),
+                  ([f"drawn {i}" for i in range(8)], drawn, (1.0,))]
     margins = []
-    for name, data, scales in structures:
+    for names, data, scales in structures:
         g1 = data.metric.gram_on_forms(1)
-        # eigvalsh raises on a non-finite matrix; NaN then fails the check.
-        least = float(np.linalg.eigvalsh(g1)[0]) if np.isfinite(g1).all() else float("nan")
-        rec.expect("G1 positive definite", least > 0, structure=name, lambda_min=least)
-        margins.append(least)
-        for c in scales:
-            check = _symbol_identity(_check_tensor(data, c), g1 / c**2, g1)
-            rec.check("symbol identity", check, campaign.tol_rel, structure=name, c=c)
+        # eigvalsh raises on a non-finite matrix, so such a row reads NaN and fails the check.
+        finite = np.isfinite(g1).all(axis=(-2, -1))
+        least = np.full(finite.shape, np.nan)
+        least[finite] = np.linalg.eigvalsh(g1[finite])[..., 0]
+        checks = [_symbol_identity(_check_tensor(data, c), g1 / c**2, g1) for c in scales]
         b1 = _symbol_identity(_symbol(np.eye(21), data.metric), data.metric.gram_on_forms(2), g1)
-        rec.check("b1 symbol identity", b1, campaign.tol_rel, structure=name)
+        # Python floats, one per structure of the stack, in the order of its names.
+        least, b1, *checks = (np.reshape(x, -1).tolist() for x in (least, b1, *checks))
+        margins += least
+        for i, name in enumerate(names):
+            rec.expect("G1 positive definite", least[i] > 0, structure=name, lambda_min=least[i])
+            for c, check in zip(scales, checks):
+                rec.check("symbol identity", check[i], campaign.tol_rel, structure=name, c=c)
+            rec.check("b1 symbol identity", b1[i], campaign.tol_rel, structure=name)
     rec.details["identity_margin"] = float(np.min(margins))
     return rec.report()
 

@@ -16,6 +16,7 @@ second, independent route.
 from __future__ import annotations
 
 import operator
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import isfinite
@@ -37,18 +38,31 @@ KERNEL_RTOL = 1e-6
 CHUNK = 2048
 
 
+def _one_structure(data: G2Data | None, op: str) -> G2Data:
+    """The given structure, or the standard one for None; a stacked package raises ValueError."""
+    data = _or_standard(data)
+    if data.phi.coeffs.ndim != 1:
+        raise ValueError(f"{op} needs one G2 structure, got a stack of shape {data.phi.coeffs.shape[:-1]}")
+    return data
+
+
 def _symbol(rows: np.ndarray, metric: Metric) -> np.ndarray:
     """S with block i sum k_j S[j] at mode k: rows @ (e^j ^ .) on one-forms over -G_1[j].
 
-    d* of e^{ik.x} alpha is -i <k, alpha>_g, so the gauge row's tensor is -G_1.
+    d* of e^{ik.x} alpha is -i <k, alpha>_g, so the gauge row's tensor is -G_1.  Stacks
+    of rows (..., r, 21) and of metrics broadcast to a stack of tensors (..., 7, r + 1, 7).
     """
     # Each column of e^j ^ . has at most one nonzero, so the product is exact in any order.
-    middle = rows @ _coordinate_wedge(7, 1)
-    return np.concatenate([middle, -metric.gram_on_forms(1)[:, None, :]], axis=1)
+    middle = rows[..., None, :, :] @ _coordinate_wedge(7, 1)
+    g1 = metric.gram_on_forms(1)
+    out = np.empty(np.broadcast_shapes(middle.shape[:-3], g1.shape[:-2]) + (7, rows.shape[-2] + 1, 7))
+    out[..., :-1, :] = middle
+    out[..., -1, :] = -g1
+    return out
 
 
 def symbol_tensors(psi: KForm, metric: Metric) -> np.ndarray:
-    """The (7, 8, 7) symbol of alpha -> (star(d alpha ^ psi), d* alpha) in the metric.
+    """The (..., 7, 8, 7) symbol of alpha -> (star(d alpha ^ psi), d* alpha) in the metric.
 
     psi = c star_phi gives the check-harmonic condition at coupling scale c.
     """
@@ -65,7 +79,7 @@ def _check_tensor(data: G2Data, c) -> np.ndarray:
     return symbol_tensors(float(c) * data.star_phi, data.metric)
 
 
-def _symbol_identity(tensor: np.ndarray, weight: np.ndarray, g1: np.ndarray) -> float:
+def _symbol_identity(tensor: np.ndarray, weight: np.ndarray, g1: np.ndarray):
     """Residual of S(k)^T W S(k) = |k|^2_g G_1 at every mode, for S(k) = sum k_j tensor[j].
 
     W = diag(weight, 1) weighs the middle rows and the gauge row.  With W = L L^T, the table
@@ -73,17 +87,24 @@ def _symbol_identity(tensor: np.ndarray, weight: np.ndarray, g1: np.ndarray) -> 
     which must equal G_1[j, j] G_1 and 2 G_1[j, l] G_1.  The residual is the largest
     difference over max|G_1|^2, NaN if any entry is or if weight has no Cholesky factor.
     Where it vanishes and G_1 is positive definite, S(k) v = 0 forces
-    |k|^2_g v^T G_1 v = 0, so no mode k != 0 has a kernel.
+    |k|^2_g v^T G_1 v = 0, so no mode k != 0 has a kernel.  Stacks of tensors, weights and
+    G_1 over the same leading axes give one residual per row, each that of its single call.
     """
     try:
         factor = np.linalg.cholesky(weight)
     except np.linalg.LinAlgError:
-        return float("nan")
-    j, l = _packing(len(tensor))[:2]
-    rows, cols, _, _ = _packing(len(g1))
-    target = np.where(j == l, 1.0, 2.0)[:, None] * g1[j, l][:, None] * g1[rows, cols]
-    weighted = np.concatenate([factor.T @ tensor[:, :-1], tensor[:, -1:]], axis=1)
-    return float(np.max(np.abs(_gram_form(weighted) - target)) / np.max(np.abs(g1)) ** 2)
+        # Row by row: a weight without a factor keeps a NaN one, so only its rows read NaN.
+        factor = np.full(weight.shape, np.nan)
+        for i in np.ndindex(weight.shape[:-2]):
+            with suppress(np.linalg.LinAlgError):
+                factor[i] = np.linalg.cholesky(weight[i])
+    j, l = _packing(tensor.shape[-3])[:2]
+    rows, cols, _, _ = _packing(g1.shape[-1])
+    target = np.where(j == l, 1.0, 2.0)[:, None] * g1[..., j, l, None] * g1[..., None, rows, cols]
+    weighted = np.concatenate([factor.swapaxes(-1, -2)[..., None, :, :] @ tensor[..., :-1, :],
+                               tensor[..., -1:, :]], axis=-2)
+    worst = np.max(np.abs(_gram_form(weighted) - target), axis=(-2, -1))
+    return _scalar(worst / np.max(np.abs(g1), axis=(-2, -1)) ** 2)
 
 
 def _mode_symbols(k, data: G2Data, c) -> np.ndarray:
@@ -131,17 +152,17 @@ def _gram_form(tensor: np.ndarray) -> np.ndarray:
     The blocks are i times the real matrix sum k_j tensor[j], so the Gram
     matrix is the real quadratic form sum_{j,l} k_j k_l T_j^T T_l: q[p] is
     T_j^T T_j for j = l and T_j^T T_l + T_l^T T_j for j < l.  The pairs run
-    over the d = len(tensor) coordinates in _packing(d) order, as the
-    entries of a d x d Gram, and each row holds the U entries of a c x c
-    Gram in _packing(c) order.
+    over the d coordinates in _packing(d) order, as the entries of a d x d
+    Gram, and each row holds the U entries of a c x c Gram in _packing(c)
+    order.  A stack of tensors (..., d, r, c) gives a stack of tables.
     """
-    d, r, c = tensor.shape
+    *batch, d, r, c = tensor.shape
     j, l = _packing(d)[:2]
     rows, cols, _, _ = _packing(c)
-    # One product: flat.T @ flat holds T_j^T T_l in block (j, l).
-    flat = tensor.transpose(1, 0, 2).reshape(r, d * c)
-    full = (flat.T @ flat).reshape(d, c, d, c).transpose(0, 2, 1, 3)[:, :, rows, cols]
-    return np.where((j == l)[:, None], full[j, l], full[j, l] + full[l, j])
+    # One product per row: flat.T @ flat holds T_j^T T_l in block (j, l).
+    flat = tensor.swapaxes(-3, -2).reshape(*batch, r, d * c)
+    full = (flat.swapaxes(-1, -2) @ flat).reshape(*batch, d, c, d, c).swapaxes(-3, -2)[..., rows, cols]
+    return np.where((j == l)[:, None], full[..., j, l, :], full[..., j, l, :] + full[..., l, j, :])
 
 
 def _mode_grams(q: np.ndarray, modes: np.ndarray) -> np.ndarray:
@@ -236,7 +257,7 @@ def harmonic_dims(cutoff: int, data: G2Data | None = None,
     depend on c: it is kept in the structure's cache per cutoff and swept
     only when a cutoff is missing.
     """
-    data = _or_standard(data)
+    data = _one_structure(data, "harmonic_dims")
     # Plain ints, so that the summaries serialise and numpy integers share the cache.
     check = np.cumsum(_kernel_shells(_check_tensor(data, c), cutoff)).tolist()
     keys = [("b1", s) for s in range(len(check))]
@@ -264,7 +285,7 @@ def adjoint_check(k, data: G2Data | None = None, c: float = 1.0) -> float | np.n
     the block at -k: comparing with the opposite mode, or transposing it,
     would repeat this residual bit for bit.  A NaN in the block reads NaN.
     """
-    data = _or_standard(data)
+    data = _one_structure(data, "adjoint_check")
     blocks = _mode_symbols(k, data, c)[..., :7, :]
     g1 = data.metric.gram_on_forms(1)
     weighted = g1 @ blocks @ np.linalg.inv(g1)

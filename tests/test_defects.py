@@ -106,7 +106,7 @@ def scaled_output(original):
 def zeroed_middle_row(original):
     def _symbol(rows, metric):
         out = original(rows, metric)
-        out[:, 0] = 0.0
+        out[..., 0, :] = 0.0
         return out
     return _symbol
 
@@ -115,7 +115,7 @@ def euclidean_gauge_row(original):
     # The coclosed row -G_1 built from the Euclidean metric, whatever the structure's.
     def _symbol(rows, metric):
         out = original(rows, metric)
-        out[:, -1] = -np.eye(7)
+        out[..., -1, :] = -np.eye(7)
         return out
     return _symbol
 

@@ -1,14 +1,16 @@
 """Unit tests for the standard G2 package and its decompositions."""
 
+import dataclasses
 from math import comb
 
 import numpy as np
 import pytest
 
-from g2calc.ddt import graph_map
+from g2calc.ddt import ddt_residual, ddt_residual_decomposed, graph_map
 from g2calc.forms import (
     KForm,
     LinearMap,
+    Metric,
     flat,
     form_inner,
     form_norm,
@@ -29,6 +31,7 @@ from g2calc.g2 import (
     project3,
     standard_g2,
 )
+from g2calc.torus import adjoint_check, harmonic_dim, harmonic_dims
 
 from support import random_form, random_vector, standard_star_phi
 
@@ -341,3 +344,85 @@ class TestExactBatchRows:
             for row, single in zip(batched, singles):
                 assert np.array_equal(row, single), name
 
+
+def drawn_phis(shape=(8,), scale=0.3, seed=160):
+    """Positive 3-forms (1 + F#)* phi for a stack of drawn fluxes F."""
+    base = standard_g2()
+    fluxes = KForm(7, 2, scale * np.random.default_rng(seed).standard_normal(shape + (21,)))
+    return pullback(graph_map(fluxes, base), base.phi)
+
+
+def package_arrays(data):
+    """Every field of a G2 package as an array: forms by coefficients, the metric by its Gram."""
+    out = {}
+    for f in dataclasses.fields(G2Data):
+        if f.compare:
+            value = getattr(data, f.name)
+            out[f.name] = value.gram if isinstance(value, Metric) else getattr(value, "coeffs", value)
+    return out
+
+
+def single_calls(phis):
+    """g2_bundle of each 3-form of a stack, in row order."""
+    return [g2_bundle(KForm(7, 3, c)) for c in phis.coeffs.reshape(-1, 35)]
+
+
+class TestStackedBundle:
+    @pytest.mark.parametrize("shape, scale", [((8,), 0.3), ((8,), 1.0), ((2, 3), 0.05)])
+    def test_each_row_is_its_single_call_byte_for_byte(self, shape, scale):
+        phis = drawn_phis(shape, scale)
+        stack = package_arrays(g2_bundle(phis))
+        assert set(stack) == {"phi", "star_phi", "metric", "proj2_7", "proj2_14", "proj3_1",
+                              "proj3_7", "proj3_27", "basis2_7"}
+        for i, one in enumerate(single_calls(phis)):
+            assert one.metric.orientation == 1
+            for name, value in package_arrays(one).items():
+                row = stack[name].reshape((-1,) + value.shape)[i]
+                assert row.tobytes() == value.tobytes(), name
+
+
+def consumer_calls():
+    """call(data, i) for each public reader of a G2 package: on batched arguments for i = None,
+    on their row i otherwise."""
+    rng = np.random.default_rng(161)
+    f, gamma, u = (rng.standard_normal((8, n)) for n in (21, 35, 7))
+
+    def two_form(i):
+        return KForm(7, 2, f if i is None else f[i])
+
+    return {
+        "project2": lambda data, i: project2(two_form(i), data).u,
+        "assemble2": lambda data, i: assemble2(project2(two_form(i), data), data).coeffs,
+        "project3": lambda data, i: np.stack(
+            [part.coeffs for part in project3(KForm(7, 3, gamma if i is None else gamma[i]), data)], axis=-2),
+        "identity_battery": lambda data, i: identity_battery(
+            u if i is None else u[i], project2(two_form(i), data).f14, data),
+        "ddt_residual": lambda data, i: ddt_residual(two_form(i), data).coeffs,
+        "ddt_residual_decomposed": lambda data, i: ddt_residual_decomposed(two_form(i), data).coeffs,
+        "harmonic_dims": lambda data, i: harmonic_dims(1, data),
+        "harmonic_dim": lambda data, i: harmonic_dim(1, data),
+        "adjoint_check": lambda data, i: adjoint_check((1, 0, -2, 0, 0, 3, 0), data),
+    }
+
+
+# The readers that need one structure, with the function their error names.
+NEEDS_ONE_STRUCTURE = {"harmonic_dims": "harmonic_dims", "harmonic_dim": "harmonic_dims",
+                       "adjoint_check": "adjoint_check"}
+
+
+@pytest.mark.parametrize("name", list(consumer_calls()))
+def test_a_stacked_package_works_row_by_row_or_is_refused(name):
+    # A reader of a G2 package either gives in each row its single call on that row of the
+    # stack and of the arguments, or raises ValueError saying that it needs one structure.
+    phis = drawn_phis()
+    stack, singles = g2_bundle(phis), single_calls(phis)
+    call = consumer_calls()[name]
+    if name in NEEDS_ONE_STRUCTURE:
+        with pytest.raises(ValueError, match=f"^{NEEDS_ONE_STRUCTURE[name]} needs one G2 structure, got a stack of shape \\(8,\\)$"):
+            call(stack, None)
+        assert call(singles[0], 0) is not None
+        return
+    batched = call(stack, None)
+    assert len(batched) == 8
+    for i, one in enumerate(singles):
+        assert np.array_equal(batched[i], call(one, i)), i

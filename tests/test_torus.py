@@ -442,8 +442,9 @@ class TestSymbolIdentity:
         unpatched = suites._check_tensor
 
         def with_nan(data, c):
+            # Planted in every structure of a stack, indexed from the end.
             out = unpatched(data, c)
-            out[2, 4, 1] = np.nan
+            out[..., 2, 4, 1] = np.nan
             return out
 
         monkeypatch.setattr(suites, "_check_tensor", with_nan)
@@ -458,15 +459,13 @@ class TestSymbolIdentity:
         # fail as checks, the margin reads NaN, and every other check runs as before.
         clean = Campaign(0, 10, suites=("torus",)).run()[0]
         unpatched = suites.g2_bundle
-        built = []
 
         def nan_gram_bundle(phi):
             data = unpatched(phi)
-            built.append(data)
-            # Built in order: the perturbed structure, then the drawn ones.
-            if len(built) == 3:
+            # The drawn structures are built as one stack; row 1 is drawn 1.
+            if data.phi.coeffs.ndim == 2:
                 g1 = data.metric.gram_on_forms(1).copy()
-                g1[2, 5] = np.nan
+                g1[1, 2, 5] = np.nan
                 data.metric._cache["gram_forms", 1] = g1
             return data
 
@@ -485,6 +484,70 @@ class TestSymbolIdentity:
         assert report.failed == 0
         assert 0.0 < report.details["identity_margin"] < 1.0
         assert report.worst_residual <= 1e-14
+
+
+def drawn_stack(count, scale=0.3, seed=150):
+    """The structures of drawn_structures(count, scale, seed) as one stacked package."""
+    rng = np.random.default_rng(seed)
+    G = standard_g2()
+    fluxes = KForm(7, 2, scale * rng.standard_normal((count, 21)))
+    return g2_bundle(pullback(graph_map(fluxes, G), G.phi))
+
+
+class TestStackedSymbol:
+    def test_one_draw_of_eight_fluxes_is_eight_draws(self):
+        rng_single, rng_stack = np.random.default_rng(152), np.random.default_rng(152)
+        singles = [0.3 * rng_single.standard_normal(21) for _ in range(8)]
+        stack = 0.3 * rng_stack.standard_normal((8, 21))
+        for row, single in zip(stack, singles):
+            assert np.array_equal(row, single)
+        assert rng_stack.bit_generator.state == rng_single.bit_generator.state
+
+    @pytest.mark.parametrize("c", [1.0, -2.0])
+    def test_each_row_is_its_single_call(self, c):
+        stack, singles = drawn_stack(8), drawn_structures(8)
+        g1 = stack.metric.gram_on_forms(1)
+        stacked = {
+            "symbol_tensors": symbol_tensors(c * stack.star_phi, stack.metric),
+            "_check_tensor": torus._check_tensor(stack, c),
+            "b1 _symbol": b1_tensor(stack),
+            "_gram_form": _gram_form(torus._check_tensor(stack, c)),
+            "_symbol_identity": _symbol_identity(torus._check_tensor(stack, c), g1 / c**2, g1),
+            "b1 _symbol_identity": b1_identity(b1_tensor(stack), stack),
+        }
+        assert stacked["_symbol_identity"].shape == stacked["b1 _symbol_identity"].shape == (8,)
+        for i, data in enumerate(singles):
+            single = {
+                "symbol_tensors": symbol_tensors(c * data.star_phi, data.metric),
+                "_check_tensor": torus._check_tensor(data, c),
+                "b1 _symbol": b1_tensor(data),
+                "_gram_form": _gram_form(check_tensor(data, c)),
+                "_symbol_identity": check_identity(check_tensor(data, c), data, c),
+                "b1 _symbol_identity": b1_identity(b1_tensor(data), data),
+            }
+            assert type(single["_symbol_identity"]) is type(single["b1 _symbol_identity"]) is float
+            for name, value in single.items():
+                assert np.asarray(value).tobytes() == stacked[name][i].tobytes(), (name, i)
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 4)])
+    def test_failure_stays_in_its_row(self, shape):
+        # Row 3 has a NaN in G_1 and row 5 an indefinite weight, which has no Cholesky
+        # factor: those rows read NaN, and every other row its single call's residual.
+        stack, singles = drawn_stack(8), drawn_structures(8)
+        g1 = stack.metric.gram_on_forms(1).copy()
+        g1[3, 2, 5] = np.nan
+        weight = g1.copy()
+        weight[5, 0, 0] = -1.0
+        tensor = torus._check_tensor(stack, 1.0)
+        split = lambda x: x.reshape(shape + x.shape[1:])
+        got = _symbol_identity(split(tensor), split(weight), split(g1)).reshape(-1)
+        for i, data in enumerate(singles):
+            if i in (3, 5):
+                assert np.isnan(got[i])
+            else:
+                assert got[i] == check_identity(check_tensor(data), data) <= 1e-14
+        single = _symbol_identity(tensor[5], weight[5], g1[5])
+        assert type(single) is float and np.isnan(single)
 
 
 class TestDimensionCounts:
