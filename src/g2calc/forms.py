@@ -129,12 +129,32 @@ def _wedge_table(n: int, k: int, l: int):
     )
 
 
+def _signed_table(size: int, width: int, src, dst, signs) -> np.ndarray:
+    # Read-only gather indices into [a, -a, 0], a of `width` entries, of the `size`
+    # entries that are signs[t] * a[src[t]] at each (distinct) dst[t], 0 elsewhere.
+    gather = np.full(size, 2 * width, dtype=np.intp)
+    gather[dst] = np.where(signs > 0, src, src + width)
+    return _frozen(gather)
+
+
+def _signed_gather(a: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """[a, -a, 0] taken along the last axis at a _signed_table, over leading axes.
+
+    a is signed by products with 1.0 and -1.0, so that each value, down to
+    the sign of a NaN or of a complex zero, is the one signs * a[src] gives.
+    """
+    zero = np.zeros(a.shape[:-1] + (1,))
+    return np.concatenate((1.0 * a, -1.0 * a, zero), axis=-1).take(gather, axis=-1)
+
+
 @lru_cache(maxsize=None)
 def _wedge_fill(n: int, k: int, l: int):
-    # The _wedge_table entries as (gather index into a, flat index into the
-    # C(n,k+l) x C(n,l) matrix of beta -> a ^ beta, sign).
+    # The _wedge_table entries as the signed table of the C(n,k+l) x C(n,l)
+    # matrix of beta -> a ^ beta, flattened: the multi-index of a is the
+    # row's minus the column's.  Past the top, one row without entries.
     ia, ib, out, signs = _wedge_table(n, k, l)
-    return ia, out * comb(n, l) + ib, signs
+    size = max(comb(n, k + l), 1) * comb(n, l)
+    return _signed_table(size, comb(n, k), ia, out * comb(n, l) + ib, signs)
 
 
 def _grouped(key: np.ndarray, groups: int, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -168,10 +188,10 @@ def _interior_terms(n: int, k: int):
 @lru_cache(maxsize=None)
 def _interior_fill(n: int, k: int):
     # i(e_j) is the transpose of e^j ^ . on coefficients: the _wedge_table(n, 1, k-1)
-    # entry (j, J, I, sign) as (gather index I into a, flat index of (J, j) in the
-    # C(n,k-1) x n matrix of v -> i(v) a, sign).
+    # entry (j, J, I, sign) as entry (J, j), sign * a[I], of the C(n,k-1) x n
+    # matrix of v -> i(v) a, flattened.
     j, rest, out, signs = _wedge_table(n, 1, k - 1)
-    return out, rest * n + j, signs
+    return _signed_table(comb(n, k - 1) * n, comb(n, k), out, rest * n + j, signs)
 
 
 @lru_cache(maxsize=None)
@@ -244,12 +264,10 @@ def _contracts(n: int, k: int) -> bool:
 @lru_cache(maxsize=None)
 def _expansion(n: int, k: int):
     # The dense antisymmetric n^k tensor of a k-form a, whose entry (i1, ..., ik)
-    # is i(e_ik) ... i(e_i1) a = sign(i1, ..., ik) a[sorted]: gather indices into
-    # a, flat tensor indices (i1 most significant) and signs, one entry per
-    # ordered k-tuple of distinct indices.  The same tensor as gather indices
-    # into the concatenation [a, -a, 0], one per tensor entry, the zero where
-    # two indices repeat.  Last, the flat indices of the increasing k-tuples
-    # in the layout _contract leaves its result in.
+    # is i(e_ik) ... i(e_i1) a = sign(i1, ..., ik) a[sorted], as a signed table
+    # over flat tensor indices (i1 most significant): the zero where two
+    # indices repeat.  Then the flat indices of the increasing k-tuples in the
+    # layout _contract leaves its result in.
     size = comb(n, k)
     src, perms, signs = [], [], []
     for pos, idx in enumerate(multi_indices(n, k)):
@@ -259,13 +277,10 @@ def _expansion(n: int, k: int):
             signs.append(_permutation_sign(perm))
     weights = n ** np.arange(k - 1, -1, -1)
     flat = np.array(perms, dtype=np.intp).reshape(len(src), k) @ weights
-    src, signs = np.array(src, dtype=np.intp), np.array(signs, dtype=np.float64)
-    gather = np.full(n**k, 2 * size, dtype=np.intp)
-    gather[flat] = np.where(signs > 0, src, src + size)
+    gather = _signed_table(n**k, size, np.array(src, dtype=np.intp), flat, np.array(signs))
     # _contract's last product leaves slot 1 last: (j2, ..., jk, j1).
     idx = np.array(multi_indices(n, k), dtype=np.intp).reshape(size, k)
-    read = np.roll(idx, -1, axis=1) @ weights
-    return src, flat, signs, gather, read
+    return gather, _frozen(np.roll(idx, -1, axis=1) @ weights)
 
 
 # Most tensor entries _contract holds at once.  Blocks of 2^15 entries (13
@@ -293,17 +308,9 @@ def _contract(coeffs: np.ndarray, mat: np.ndarray, k: int) -> np.ndarray:
         block = max(1, _CONTRACT_ENTRIES // n**k)
         if prod(batch) > block:
             return _contract_blocks(coeffs, mat, k, batch, block)
-    src, flat, signs, gather, read = _expansion(n, k)
+    gather, read = _expansion(n, k)
     shape = coeffs.shape[:-1]
-    if coeffs.ndim == 1:
-        tensor = np.zeros(n**k, dtype=np.result_type(coeffs, mat))
-        _fill(tensor, flat, signs, coeffs, src)
-    else:
-        # A stack is gathered from [a, -a, 0], about twice as fast as filling it.
-        # A complex one is signed by products with 1.0 and -1.0, as _fill signs
-        # it, so that its zeros keep the signs such a product gives them.
-        signed = (1.0 * coeffs, -1.0 * coeffs) if np.iscomplexobj(coeffs) else (coeffs, -coeffs)
-        tensor = np.concatenate((*signed, np.zeros(shape + (1,))), axis=-1).take(gather, axis=-1)
+    tensor = _signed_gather(coeffs, gather)
     for step in range(k):
         if step:
             # The slot just contracted moves to the front, the next one is last.
@@ -521,12 +528,11 @@ class Metric:
         if key not in self._cache:
             n = self.dim
             if 2 * k > n:
-                _, comp, _, signs = _wedge_table(n, n - k, k)
+                comp, signs = _hodge_moves(n, n - k)
                 det = np.linalg.det(self.gram)[..., None, None]
-                mat = np.empty(self.gram.shape[:-2] + (comb(n, k),) * 2)
-                mat[..., comp[:, None], comp] = (
-                    np.outer(signs, signs) * exterior_power(self.gram, n - k) / det
-                )
+                # take, unlike indexing two axes of a stack, keeps each row in C order.
+                minors = exterior_power(self.gram, n - k).take(comp, axis=-2).take(comp, axis=-1)
+                mat = np.outer(signs, signs) * minors / det
             else:
                 mat = exterior_power(self.gram_inv, k)
             self._cache[key] = mat
@@ -536,17 +542,18 @@ class Metric:
         """Matrix of the Hodge star from grade k to grade dim - k coefficients."""
         key = ("hodge", k)
         if key not in self._cache:
-            # Each k-tuple's only partner of grade dim - k is its complement, in row order.
-            _, dst, _, signs = _wedge_table(self.dim, k, self.dim - k)
-            gk = self.gram_on_forms(k)
-            scale = np.asarray(self.orientation * self.sqrt_det)[..., None, None]
-            mat = np.zeros(gk.shape[:-2] + (comb(self.dim, self.dim - k), comb(self.dim, k)))
-            mat[..., dst, :] = scale * signs[:, None] * gk
-            self._cache[key] = mat
+            moves, signs = _hodge_moves(self.dim, k)
+            rows = self.gram_on_forms(k).take(moves, axis=-2)
+            self._cache[key] = self._scale[..., None] * signs[:, None] * rows
         return self._cache[key]
 
+    @cached_property
+    def _scale(self) -> np.ndarray:
+        # The volume form's coefficient s * sqrt(det g), shape (..., 1) over the stack.
+        return _frozen(np.asarray(self.orientation * self.sqrt_det)[..., None])
+
     def volume_form(self) -> KForm:
-        return KForm(self.dim, self.dim, np.asarray(self.orientation * self.sqrt_det)[..., None])
+        return KForm(self.dim, self.dim, self._scale)
 
 
 @lru_cache(maxsize=None)
@@ -621,31 +628,14 @@ def _require_same_dim(a: KForm, b: KForm) -> None:
         raise ValueError(f"forms live on different spaces: R^{a.dim} vs R^{b.dim}")
 
 
-def _fill(mat: np.ndarray, flat: np.ndarray, signs: np.ndarray,
-          coeffs: np.ndarray, gather: np.ndarray) -> None:
-    """mat[..., flat] = signs * coeffs[..., gather], over any leading axes."""
-    if coeffs.ndim == 1:
-        # Plain indexing is about three times faster than the Ellipsis form.
-        mat[flat] = signs * coeffs[gather]
-    else:
-        mat[..., flat] = signs * coeffs[..., gather]
-
-
 def wedge_matrix(a: KForm, l: int) -> np.ndarray:
     """Matrix of beta -> a ^ beta from grade l to grade a.grade + l, zero past the top.
 
     A batch of forms gives a stack of matrices, one per row.
     """
     n, k = a.dim, a.grade
-    batch = a.coeffs.shape[:-1]
-    if k + l > n:
-        return np.zeros(batch + (1, comb(n, l)), dtype=a.coeffs.dtype)
-    ia, flat, signs = _wedge_fill(n, k, l)
-    rows, cols = comb(n, k + l), comb(n, l)
-    mat = np.zeros(batch + (rows * cols,), dtype=a.coeffs.dtype)
-    # Each flat index occurs once: the multi-index of a is the row's minus the column's.
-    _fill(mat, flat, signs, a.coeffs, ia)
-    return mat.reshape(batch + (rows, cols))
+    mat = _signed_gather(a.coeffs, _wedge_fill(n, k, l))
+    return mat.reshape(a.coeffs.shape[:-1] + (max(comb(n, k + l), 1), comb(n, l)))
 
 
 def interior_matrix(a: KForm) -> np.ndarray:
@@ -657,10 +647,7 @@ def interior_matrix(a: KForm) -> np.ndarray:
     batch = a.coeffs.shape[:-1]
     if k == 0:
         return np.zeros(batch + (1, n), dtype=a.coeffs.dtype)
-    src, flat, signs = _interior_fill(n, k)
-    mat = np.zeros(batch + (comb(n, k - 1) * n,), dtype=a.coeffs.dtype)
-    # Each flat index occurs once: the multi-index of a is the row's plus the column.
-    _fill(mat, flat, signs, a.coeffs, src)
+    mat = _signed_gather(a.coeffs, _interior_fill(n, k))
     return mat.reshape(batch + (comb(n, k - 1), n))
 
 
@@ -729,12 +716,12 @@ def _require_metric(a: KForm, m: Metric) -> None:
 
 @lru_cache(maxsize=None)
 def _hodge_moves(n: int, k: int):
-    # The Hodge star of the identity Gram matrix as gathers and signs: entry J
-    # of star(a) is signs[J] * a[gather[J]], with J the complement of the
-    # gathered index and the sign hodge_matrix gives it, orientation aside.
+    # The one complement table every Hodge star reads: entry J of grade n - k is
+    # the complement of the k-tuple I = moves[J], its only partner, and signs[J]
+    # the sign of the permutation (I, J); star(a)[J] = s sqrt(det g) signs[J] (G_k a)[I].
     _, dst, _, signs = _wedge_table(n, k, n - k)
-    gather = np.argsort(dst)
-    return _frozen(gather), _frozen(signs[gather])
+    moves = np.argsort(dst)
+    return _frozen(moves), _frozen(signs[moves])
 
 
 def hodge(a: KForm, m: Metric | None = None) -> KForm:
@@ -743,20 +730,13 @@ def hodge(a: KForm, m: Metric | None = None) -> KForm:
         m = euclidean_metric(a.dim)
     _require_metric(a, m)
     n, k = a.dim, a.grade
-    if m._identity:
-        gather, signs = _hodge_moves(n, k)
-        values = m._spread(a.coeffs).take(gather, axis=-1)
-        return KForm._made(n, n - k, (m.orientation * signs) * values)
-    if not _contracts(n, k):
+    if not (m._identity or _contracts(n, k)):
         return KForm._made(n, n - k, _matvec(m.hodge_matrix(k), a.coeffs))
     # hodge_matrix applied without building it: the inverse gram's power on a,
-    # moved to the complements and signed as there.
-    _, dst, _, signs = _wedge_table(n, k, n - k)
-    scale = np.asarray(m.orientation * m.sqrt_det)[..., None] * signs
-    values = scale * _contract(a.coeffs, m.gram_inv, k)
-    out = np.empty(values.shape, dtype=values.dtype)
-    out[..., dst] = values
-    return KForm._made(n, n - k, out)
+    # which an identity Gram skips, signed and moved to the complements.
+    moves, signs = _hodge_moves(n, k)
+    values = a.coeffs if m._identity else _contract(a.coeffs, m.gram_inv, k)
+    return KForm._made(n, n - k, (m._scale * signs) * values.take(moves, axis=-1))
 
 
 def flat(v: np.ndarray, m: Metric) -> KForm:

@@ -82,7 +82,8 @@ def scaled_two_form_lift(original):
 
 
 def flipped_star_sign(original):
-    # One sign of the table the Hodge star at an identity Gram matrix reads.
+    # One sign of the complement table that every Hodge star, star matrix and
+    # high-grade Gram reads, at an identity Gram matrix or any other.
     def _hodge_moves(n, k):
         gather, signs = original(n, k)
         flipped = signs.copy()
@@ -161,8 +162,10 @@ DEFECTS = {
                                 {"torus": "symbol identity"}),
     "euclidean gauge row": Defect(torus, "_symbol", euclidean_gauge_row, ("torus",),
                                   {"torus": "symbol identity"}),
-    "flat-model star sign": Defect(forms, "_hodge_moves", flipped_star_sign, ("appendixA", "dhym"),
-                                   {"dhym": "duality against the complex structure"}),
+    "flat-model star sign": Defect(forms, "_hodge_moves", flipped_star_sign,
+                                   ("appendixA", "appendixB", "propD1", "corD2", "dhym", "torus"),
+                                   {"dhym": "duality against the complex structure",
+                                    "torus": "middle operator self-adjointness"}),
 }
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the exterior algebra layer."""
 
+import itertools
 from math import comb
 
 import numpy as np
@@ -1361,3 +1362,202 @@ class TestFlatModelShortcuts:
             got, want = forms._row_norms(x), np.linalg.norm(x, axis=-1)
             assert type(got) is type(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def fill(size, dst, signs, coeffs, src, dtype=None):
+    """A sign table applied by scatter: signs * coeffs[..., src] written into zeros at dst."""
+    out = np.zeros(coeffs.shape[:-1] + (size,), dtype=dtype or coeffs.dtype)
+    out[..., dst] = signs * coeffs[..., src]
+    return out
+
+
+def reference_expansion(n, k):
+    """The antisymmetric n^k tensor of a k-form, entry (i1, ..., ik) with i1 most
+    significant: for each ordered k-tuple of distinct indices, the position of
+    its increasing rearrangement, its flat index and the sign that sorts it."""
+    src, flat_index, signs = [], [], []
+    for pos, idx in enumerate(multi_indices(n, k)):
+        for perm in itertools.permutations(idx):
+            src.append(pos)
+            flat_index.append(sum(i * n ** (k - 1 - p) for p, i in enumerate(perm)))
+            inversions = sum(perm[p] > perm[q] for p in range(k) for q in range(p + 1, k))
+            signs.append(-1.0 if inversions % 2 else 1.0)
+    return np.array(src, dtype=np.intp), np.array(flat_index, dtype=np.intp), np.array(signs)
+
+
+def reference_contract(coeffs, mat, k):
+    """coeffs @ exterior_power(mat, k) as forms._contract computes it, but with the
+    tensor filled by scatter: each slot contracted by one matrix product, the
+    contracted slot moving to the front, then the increasing k-tuples read."""
+    n = mat.shape[-1]
+    src, flat_index, signs = reference_expansion(n, k)
+    tensor = fill(n**k, flat_index, signs, coeffs, src, np.result_type(coeffs, mat))
+    shape = coeffs.shape[:-1]
+    for step in range(k):
+        if step:
+            tensor = tensor.swapaxes(-1, -2)
+        tensor = tensor.reshape(shape + (n ** (k - 1), n)) @ mat
+        shape = tensor.shape[:-2]
+    read = [sum(i * n ** (k - 1 - p) for p, i in enumerate(idx[1:] + idx[:1]))
+            for idx in multi_indices(n, k)]
+    return tensor.reshape(shape + (n**k,)).take(read, axis=-1)
+
+
+SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0])
+
+
+def special_rows(rng, size, imag):
+    """Three rows of coefficients: +-0, NaN, +-inf and finite values, in every
+    pairing of real and imaginary part for a complex row, in a random order;
+    random values; +-0 alone.  A complex row is built part by part, so that
+    each zero keeps its sign."""
+    parts = 2 if imag else 1
+
+    def cycled(values):
+        combos = np.array(list(itertools.product(values, repeat=parts)))
+        return np.resize(combos[rng.permutation(len(combos))], (size, parts))
+
+    rows = np.stack([cycled(SPECIALS), rng.standard_normal((size, parts)), cycled([0.0, -0.0])])
+    if not imag:
+        return rows[..., 0]
+    out = np.empty((3, size), dtype=complex)
+    out.real, out.imag = rows[..., 0], rows[..., 1]
+    return out
+
+
+def special_forms(rng, n, k):
+    """Real and complex forms holding special values, each single and as a batch of three."""
+    for imag in (False, True):
+        rows = special_rows(rng, comb(n, k), imag)
+        yield KForm(n, k, rows[0])
+        yield KForm(n, k, rows)
+
+
+def same_bytes(got, want):
+    # Bit for bit, signed zeros and NaNs included, with the dtype and shape.
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSignedGathers:
+    """Every sign table is applied as a gather from [a, -a, 0].  Each result must
+    equal, bit for bit, the scatter of signs * a[src] into zeros, with tables
+    built here from the multi-indices alone."""
+
+    @pytest.fixture(autouse=True)
+    def quiet(self):
+        # Products with NaN and inf are the point here; numpy warns of them.
+        with np.errstate(invalid="ignore", over="ignore"):
+            yield
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_wedge_and_interior_matrices_equal_the_scatter(self, n):
+        rng = np.random.default_rng(1500 + n)
+        for k in range(n + 1):
+            for a in special_forms(rng, n, k):
+                for l in range(n + 1):
+                    ia, ib, out, signs = reference_wedge_table(n, k, l)
+                    rows, cols = max(comb(n, k + l), 1), comb(n, l)
+                    want = fill(rows * cols, out * cols + ib, signs, a.coeffs, ia)
+                    same_bytes(wedge_matrix(a, l), want.reshape(a.coeffs.shape[:-1] + (rows, cols)))
+                if k:
+                    j, src, dst, signs = reference_interior_table(n, k)
+                    want = fill(comb(n, k - 1) * n, dst * n + j, signs, a.coeffs, src)
+                    same_bytes(interior_matrix(a),
+                               want.reshape(a.coeffs.shape[:-1] + (comb(n, k - 1), n)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_contracted_pullbacks_equal_the_scatter(self, n):
+        rng = np.random.default_rng(1510 + n)
+        mat = rng.standard_normal((n, n))
+        maps = (mat, mat + 1j * rng.standard_normal((n, n)), rng.standard_normal((3, n, n)))
+        for k in range(1, n + 1):
+            if not forms._contracts(n, k):
+                continue
+            for a in special_forms(rng, n, k):
+                for m in maps:
+                    got = pullback(LinearMap(n, m), a).coeffs
+                    same_bytes(got, reference_contract(a.coeffs, m, k))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_identity_stars_equal_the_scatter(self, n):
+        rng = np.random.default_rng(1520 + n)
+        eye = np.eye(n)
+        for m in (euclidean_metric(n), Metric(n, eye, -1), Metric(n, np.stack([eye] * 3), -1)):
+            assert m._identity
+            for k in range(n + 1):
+                dst, signs = reference_complement_table(n, k)
+                for a in special_forms(rng, n, k):
+                    shape = np.broadcast_shapes(m.gram.shape[:-2] + (1,), a.coeffs.shape)
+                    coeffs = np.broadcast_to(a.coeffs, shape)
+                    want = fill(comb(n, n - k), dst, m.orientation * signs, coeffs,
+                                np.arange(comb(n, k)))
+                    same_bytes(hodge(a, m).coeffs, want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_general_stars_equal_the_scatter(self, n):
+        # Up to the middle grade the star contracts a through the inverse Gram;
+        # above it, it applies hodge_matrix, whose rows are the Gram's moved.
+        rng = np.random.default_rng(1530 + n)
+        for m in (random_metric(rng, n), random_metric(rng, n, -1)):
+            scale = m.orientation * m.sqrt_det
+            for k in range(n + 1):
+                dst, signs = reference_complement_table(n, k)
+                size = comb(n, n - k)
+                if not forms._contracts(n, k):
+                    want = np.zeros((size, comb(n, k)))
+                    want[dst, :] = scale * signs[:, None] * m.gram_on_forms(k)
+                    same_bytes(m.hodge_matrix(k), want)
+                for a in special_forms(rng, n, k):
+                    if forms._contracts(n, k):
+                        values = reference_contract(a.coeffs, m.gram_inv, k)
+                        want = fill(size, dst, scale * signs, values, np.arange(comb(n, k)))
+                    else:
+                        want = _matvec(m.hodge_matrix(k), a.coeffs)
+                    same_bytes(hodge(a, m).coeffs, want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_jacobi_grams_equal_the_scatter(self, n):
+        rng = np.random.default_rng(1540 + n)
+        for gram in (random_metric(rng, n).gram, np.stack([random_metric(rng, n).gram] * 2)):
+            m = Metric(n, gram)
+            det = np.linalg.det(m.gram)[..., None, None]
+            for k in range(n // 2 + 1, n + 1):
+                comp, signs = reference_complement_table(n, n - k)
+                want = np.empty(m.gram.shape[:-2] + (comb(n, k),) * 2)
+                want[..., comp[:, None], comp] = (
+                    np.outer(signs, signs) * exterior_power(m.gram, n - k) / det
+                )
+                same_bytes(m.gram_on_forms(k), want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gather_tables_are_read_only(self, n):
+        tables = [forms._hodge_moves(n, k) for k in range(n + 1)]
+        tables += [(forms._wedge_fill(n, k, l),) for k in range(n + 1) for l in range(n + 1)]
+        tables += [(forms._interior_fill(n, k),) for k in range(1, n + 1)]
+        tables += [forms._expansion(n, k) for k in range(1, n + 1) if forms._contracts(n, k)]
+        for table in tables:
+            for part in table:
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[...] = 0
+
+
+class TestStackedRowLayout:
+    """A stacked Metric's high-grade Grams and star matrices are built in C order,
+    each row byte-equal to the single Gram's: a stack indexed on two axes at
+    once comes out in another layout, and its rows then sum in another order."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_are_contiguous_single_gram_results(self, n):
+        rng = np.random.default_rng(1550 + n)
+        singles = [random_metric(rng, n, -1) for _ in range(3)]
+        stack = Metric(n, np.stack([m.gram for m in singles]), -1)
+        for k in range(n + 1):
+            builds = ["hodge_matrix"] + (["gram_on_forms"] if 2 * k > n else [])
+            for name in builds:
+                got = getattr(stack, name)(k)
+                assert got.flags.c_contiguous
+                for row, single in zip(got, singles):
+                    assert row.flags.c_contiguous
+                    same_bytes(row, getattr(single, name)(k))
